@@ -1,12 +1,20 @@
-"""Enumeration kernels: numba-jitted hot loops with a pure-numpy fallback.
+"""Enumeration kernels for the oracle and the formula routes.
 
 Assignments of group elements to the d generators are enumerated in
 mixed-radix order: generator 0 is the most significant digit, the last
-generator ticks fastest.  Both backends walk the same order, so results
-are identical (up to float summation noise in the complex kernel).
+generator ticks fastest.
 
-Backend selection is controlled by the ``WORDFOURIER_BACKEND`` environment
-variable: "auto" (default; numba when importable), "numba", or "numpy".
+``element_counts`` (the oracle) has a numba-jitted loop and a numpy
+fallback that walk the same order, chosen by the ``WORDFOURIER_BACKEND``
+environment variable: "auto" (default; numba when importable), "numba",
+or "numpy".
+
+``split_character_sum`` (the formula) is numpy only.  It makes one walk
+per reduced form and yields the residual sum of every character row at
+once.  Each term is a product of class functions, so it is unchanged when
+every generator is conjugated by the same element: generator 0 runs over
+the class representatives, weighted by class size, and the walk covers
+k * |G|^(rank - 1) assignments instead of |G|^rank.
 """
 
 from __future__ import annotations
@@ -73,39 +81,12 @@ def _counts_njit(mul, inv, identity, gens, signs, rank, order, total):
     return counts
 
 
-@njit(cache=True)
-def _split_sum_njit(mul, inv, identity, gens, signs, offsets, rank, order, total, chibar):
-    digits = np.zeros(rank, dtype=np.int64)
-    nwords = offsets.shape[0] - 1
-    acc_sum = 0.0 + 0.0j
-    for _ in range(total):
-        prod = 1.0 + 0.0j
-        for w in range(nwords):
-            acc = identity
-            for j in range(offsets[w], offsets[w + 1]):
-                x = digits[gens[j]]
-                if signs[j] < 0:
-                    x = inv[x]
-                acc = mul[acc, x]
-            prod *= chibar[acc]
-        acc_sum += prod
-        k = rank - 1
-        while k >= 0:
-            digits[k] += 1
-            if digits[k] == order:
-                digits[k] = 0
-                k -= 1
-            else:
-                break
-    return acc_sum
-
-
 # ---------------------------------------------------------------------------
 # numpy fallback: same mixed-radix walk, vectorized over chunks
 
-def _chunk_digits(start, stop, strides, order):
+def _chunk_digits(start, stop, strides, radix):
     idx = np.arange(start, stop, dtype=np.int64)
-    return (idx[:, None] // strides[None, :]) % order
+    return (idx[:, None] // strides[None, :]) % radix
 
 
 def _counts_numpy(mul, inv, identity, gens, signs, rank, order, total):
@@ -124,27 +105,8 @@ def _counts_numpy(mul, inv, identity, gens, signs, rank, order, total):
     return counts
 
 
-def _split_sum_numpy(mul, inv, identity, gens, signs, offsets, rank, order, total, chibar):
-    acc_sum = 0.0 + 0.0j
-    strides = order ** np.arange(rank - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        digits = _chunk_digits(start, stop, strides, order)
-        prod = np.ones(stop - start, dtype=np.complex128)
-        for w in range(offsets.shape[0] - 1):
-            acc = np.full(stop - start, identity, dtype=np.int64)
-            for j in range(offsets[w], offsets[w + 1]):
-                x = digits[:, gens[j]]
-                if signs[j] < 0:
-                    x = inv[x]
-                acc = mul[acc, x]
-            prod *= chibar[acc]
-        acc_sum += prod.sum()
-    return acc_sum
-
-
 # ---------------------------------------------------------------------------
-# dispatch
+# entry points
 
 def _as_letter_arrays(letters):
     gens = np.array([g for g, _ in letters], dtype=np.int64)
@@ -163,43 +125,52 @@ def element_counts(group, letters, rank, backend: str | None = None) -> np.ndarr
     )
 
 
-def split_character_sum(
-    group, word_letter_lists, rank, chibar_by_element, backend: str | None = None
-) -> complex:
-    """Sum over all assignments of the product of chibar over each word's value."""
-    backend = backend or active_backend()
-    flat: list[tuple[int, int]] = []
-    offsets = [0]
-    for letters in word_letter_lists:
-        flat.extend(letters)
-        offsets.append(len(flat))
-    gens, signs = _as_letter_arrays(flat)
-    offsets_arr = np.array(offsets, dtype=np.int64)
-    total = group.order**rank
-    chibar = np.ascontiguousarray(chibar_by_element, dtype=np.complex128)
-    impl = _split_sum_njit if backend == "numba" else _split_sum_numpy
-    return complex(
-        impl(
-            group.mul,
-            group.inv,
-            group.identity,
-            gens,
-            signs,
-            offsets_arr,
-            rank,
-            group.order,
-            total,
-            chibar,
-        )
-    )
+def split_character_sum(group, word_letter_lists, rank, classes, chibar) -> np.ndarray:
+    """Per row of ``chibar``, the sum over all |G|^rank assignments of the
+    product of that row's values at the classes of the words' values.
+
+    ``chibar`` is a (characters x classes) array of class-function values.
+    With rank 0 the only assignment sends every word to the identity.
+    """
+    chibar = np.asarray(chibar, dtype=np.complex128)
+    if rank == 0:
+        return chibar[:, classes.identity_class] ** len(word_letter_lists)
+    order = group.order
+    mul, inv = group.mul, group.inv
+    class_of = np.asarray(classes.class_of)
+    reps = np.asarray(classes.representatives, dtype=np.int64)
+    sizes = np.asarray(classes.sizes, dtype=np.float64)
+    words = [_as_letter_arrays(letters) for letters in word_letter_lists]
+    radix = np.array([len(reps)] + [order] * (rank - 1), dtype=np.int64)
+    strides = order ** np.arange(rank - 1, -1, -1, dtype=np.int64)
+    total = len(reps) * order ** (rank - 1)
+    # one chunk holds a (characters x rows) product: keep it near _CHUNK cells
+    rows = max(1, _CHUNK // max(1, chibar.shape[0]))
+    sums = np.zeros(chibar.shape[0], dtype=np.complex128)
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
+        digits = _chunk_digits(start, stop, strides, radix)
+        weights = sizes[digits[:, 0]]
+        digits[:, 0] = reps[digits[:, 0]]
+        prod = np.ones((chibar.shape[0], stop - start), dtype=np.complex128)
+        for gens, signs in words:
+            acc = np.full(stop - start, group.identity, dtype=np.int64)
+            for j in range(gens.shape[0]):
+                x = digits[:, gens[j]]
+                if signs[j] < 0:
+                    x = inv[x]
+                acc = mul[acc, x]
+            prod *= chibar[:, class_of[acc]]
+        sums += prod @ weights
+    return sums
 
 
 def warm_up(backend: str | None = None) -> None:
-    """Trigger JIT compilation on a tiny input so timings exclude it."""
-    from .groups import group_from_generators
+    """Run both kernels once on a tiny input so timings exclude JIT compilation
+    and first-call setup."""
+    from .groups import conjugacy_classes, group_from_generators
 
     tiny = group_from_generators([(1, 0)], name="warmup")
     element_counts(tiny, [(0, 1), (0, -1)], 1, backend=backend)
-    split_character_sum(
-        tiny, [[(0, 1)], [(0, -1)]], 1, np.ones(2, dtype=np.complex128), backend=backend
-    )
+    classes = conjugacy_classes(tiny)
+    split_character_sum(tiny, [[(0, 1)], [(0, -1)]], 1, classes, np.ones((1, 2)))

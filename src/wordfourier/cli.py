@@ -37,7 +37,6 @@ from .fourier import (
     coefficient_formula,
     distribution,
     divisors,
-    expansion_from_form,
     oracle_evaluation_count,
     project,
     rational_annotation,
@@ -257,10 +256,11 @@ def _expand_rows(form, group, table, args, verify: bool):
     if verify:
         dist = distribution(form.word, group, classes=table.classes, budget=args.budget)
         oracle = project(dist, table).coefficients
+    values = coefficient_formula(form, group, table, budget=args.budget)
     rows = []
     worst = 0.0
     for chi in range(len(table)):
-        value = coefficient_formula(form, group, table, chi, budget=args.budget)
+        value = complex(values[chi])
         denoms = divisors(group.order * int(table.degrees[chi]) ** max(form.deg_exponent, 1))
         rational = rational_annotation(value, denoms, tol=args.tol)
         row = {
@@ -343,7 +343,7 @@ def cmd_bench(args) -> int:
     for order_name in (SQUARE_FIRST, DISMISSIBLE_FIRST):
         start = time.perf_counter()
         form = normalize(word, order=order_name)
-        coeffs = expansion_from_form(form, group, table, budget=args.budget).coefficients
+        coeffs = coefficient_formula(form, group, table, budget=args.budget)
         elapsed = time.perf_counter() - start
         routes.append(
             {

@@ -4,9 +4,12 @@
 assignment of group elements to the generators of the word's ambient
 alphabet and counts, per group element, how often the word evaluates to
 it.  ``coefficient_formula`` evaluates the symbolic claim carried by a
-:class:`~wordfourier.reduction.ReducedForm` instead, enumerating only the
-residual alphabet.  Both are gated by an evaluation budget and fail
-cleanly rather than approximate.
+:class:`~wordfourier.reduction.ReducedForm` instead: one walk over the
+residual alphabet, with the first residual generator fixed to conjugacy
+class representatives, yields the coefficients of every character at once
+(numpy only).  Both are gated by an evaluation budget and fail cleanly
+rather than approximate.  Class data, tables and groups must belong to
+one group object; mixing them raises :class:`GroupValidationError`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .chartable import CharacterTable, fs_indicator
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, GroupValidationError
 from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes
 from .reduction import ReducedForm
 from .words import Word
@@ -59,6 +62,18 @@ def _check_budget(total: int, budget: int) -> None:
         raise BudgetExceededError(total, budget)
 
 
+def _check_same_group(group: FiniteGroup, classes: ConjugacyClasses, *tables) -> None:
+    """Raise unless the class data and tables were built on this group object."""
+    if classes.group is not group or any(
+        table.group is not group
+        or not np.array_equal(table.classes.class_of, classes.class_of)
+        for table in tables
+    ):
+        raise GroupValidationError(
+            f"class data or character table does not belong to group {group.name}"
+        )
+
+
 def oracle_evaluation_count(word: Word, group: FiniteGroup) -> int:
     return group.order**word.alphabet.rank
 
@@ -77,6 +92,7 @@ def distribution(
     """
     if classes is None:
         classes = conjugacy_classes(group)
+    _check_same_group(group, classes)
     rank = word.alphabet.rank
     _check_budget(group.order**rank, budget)
     counts = _kernels.element_counts(group, word.letters, rank, backend=backend)
@@ -85,15 +101,14 @@ def distribution(
     for c in range(len(classes)):
         members = counts[class_of == c]
         if np.any(members != members[0]):
-            raise AssertionError("word-map counts are not constant on a class")
+            raise GroupValidationError("word-map counts are not constant on a class")
         class_values[c] = members[0]
     return ClassFunction(group=group, classes=classes, values=class_values)
 
 
 def project(function: ClassFunction, table: CharacterTable) -> FourierExpansion:
     """Inner products <f, chi> = (1/|G|) sum_g f(g) chibar(g), class-wise."""
-    if function.group is not table.group and function.group.order != table.group.order:
-        raise ValueError("class function and table belong to different groups")
+    _check_same_group(function.group, function.classes, table)
     sizes = np.array(function.classes.sizes, dtype=np.float64)
     weighted = function.values * sizes
     coefficients = (table.values.conj() @ weighted) / function.group.order
@@ -104,56 +119,40 @@ def coefficient_formula(
     form: ReducedForm,
     group: FiniteGroup,
     table: CharacterTable,
-    chi: int,
+    *,
     budget: int = DEFAULT_BUDGET,
-    backend: str | None = None,
-) -> complex:
-    """Evaluate the reduced-form claim for one character row.
+) -> np.ndarray:
+    """Evaluate the reduced-form claim for every character row.
 
-    |G|^a / chi(1)^b * FS^s * sum over residual assignments of the product
-    of chibar over the residual words; the empty residual alphabet
-    contributes the single empty assignment, under which every residual
-    word evaluates to the identity and chibar gives chi(1).
+    Row chi is |G|^a / chi(1)^b * FS(chi)^s times the sum over residual
+    assignments of the product of chibar over the residual words; the
+    empty residual alphabet contributes the single empty assignment, under
+    which every residual word evaluates to the identity and chibar gives
+    chi(1).  Rows whose prefactor vanishes are 0 without enumeration.
     """
+    _check_same_group(group, table.classes, table)
     order = group.order
+    coefficients = np.zeros(len(table), dtype=np.complex128)
     if form.trivial_only:
-        if chi == table.trivial_index:
-            return complex(order**form.g_exponent)
-        return 0j
-    degree = float(table.degrees[chi])
-    prefactor = float(order) ** form.g_exponent / degree**form.deg_exponent
+        coefficients[table.trivial_index] = order**form.g_exponent
+        return coefficients
+    degrees = table.degrees.astype(np.float64)
+    prefactor = float(order) ** form.g_exponent / degrees**form.deg_exponent
     if form.fs_exponent:
-        prefactor *= float(fs_indicator(table, chi)) ** form.fs_exponent
-        if prefactor == 0.0:
-            return 0j
+        fs = [fs_indicator(table, chi) for chi in range(len(table))]
+        prefactor *= np.array(fs, dtype=np.float64) ** form.fs_exponent
     rank = form.residual_rank
     _check_budget(order**rank, budget)
-    chibar = np.conj(table.values[chi])[np.asarray(table.classes.class_of)]
+    live = np.flatnonzero(prefactor)
     inner = _kernels.split_character_sum(
         group,
         [w.letters for w in form.residual_words],
         rank,
-        chibar,
-        backend=backend,
+        table.classes,
+        np.conj(table.values[live]),
     )
-    return prefactor * inner
-
-
-def expansion_from_form(
-    form: ReducedForm,
-    group: FiniteGroup,
-    table: CharacterTable,
-    budget: int = DEFAULT_BUDGET,
-    backend: str | None = None,
-) -> FourierExpansion:
-    coefficients = np.array(
-        [
-            coefficient_formula(form, group, table, chi, budget=budget, backend=backend)
-            for chi in range(len(table))
-        ],
-        dtype=np.complex128,
-    )
-    return FourierExpansion(table=table, coefficients=coefficients)
+    coefficients[live] = prefactor[live] * inner
+    return coefficients
 
 
 def inverse_coeff(coefficient: complex) -> complex:

@@ -1,5 +1,7 @@
 """Distributions, projections, formula evaluation, and the oracle sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from wordfourier import (
     Alphabet,
     BudgetExceededError,
     ClassFunction,
+    GroupValidationError,
     builtin_names,
     coefficient_formula,
     commutator_with_fresh,
@@ -14,7 +17,6 @@ from wordfourier import (
     cyclic_shift,
     disjoint_product_coeff,
     distribution,
-    expansion_from_form,
     free_reduce,
     inverse_coeff,
     invert,
@@ -96,20 +98,19 @@ class TestCoefficientFormula:
         form = normalize(parse_word("[x,y]"))
         for name in builtin_names():
             group, table = group_and_table(name)
-            for chi in range(len(table)):
-                value = coefficient_formula(form, group, table, chi)
-                assert abs(value - group.order / table.degrees[chi]) < TOL
+            values = coefficient_formula(form, group, table)
+            assert np.allclose(values, group.order / table.degrees, rtol=0, atol=TOL)
 
     def test_brace_on_z3_vanishes_off_real_rows(self, z3):
         group, table = z3
         form = normalize(parse_word("{x,y}"))
-        values = [coefficient_formula(form, group, table, chi) for chi in range(3)]
+        values = coefficient_formula(form, group, table)
         assert np.allclose(values, [3, 0, 0], atol=TOL)
 
     def test_trivial_only_form(self, s3):
         group, table = s3
         form = normalize(parse_word("xy", Alphabet(("x", "y", "z"))))
-        values = [coefficient_formula(form, group, table, chi) for chi in range(3)]
+        values = coefficient_formula(form, group, table)
         assert values[table.trivial_index] == 36
         assert values[1] == values[2] == 0
 
@@ -117,13 +118,46 @@ class TestCoefficientFormula:
         group, table = s3
         form = normalize(corpus_word("intro"), order="dismissible-first")
         with pytest.raises(BudgetExceededError):
-            coefficient_formula(form, group, table, 0, budget=100)
+            coefficient_formula(form, group, table, budget=100)
 
     def test_summation_counts(self, s3):
         group, _ = s3
         assert normalize(parse_word("[x,y]")).summation_count(6) == 0
         intro = normalize(corpus_word("intro"), order="dismissible-first")
         assert intro.summation_count(6) == 216
+
+
+class TestGroupBinding:
+    """D4 and Q8 share order, class sizes and even ``class_of``, so only the
+    group object tells their class data apart."""
+
+    def test_project_rejects_another_groups_table(self):
+        d4, d4_table = group_and_table("D4")
+        _, q8_table = group_and_table("Q8")
+        dist = distribution(parse_word("x^2"), d4, classes=d4_table.classes)
+        assert np.allclose(project(dist, d4_table).coefficients, 1, atol=1e-9)
+        with pytest.raises(GroupValidationError):
+            project(dist, q8_table)
+
+    def test_coefficient_formula_rejects_another_groups_table(self):
+        d4, _ = group_and_table("D4")
+        _, q8_table = group_and_table("Q8")
+        with pytest.raises(GroupValidationError):
+            coefficient_formula(normalize(parse_word("x^2")), d4, q8_table)
+
+    def test_distribution_rejects_another_groups_classes(self):
+        d4, _ = group_and_table("D4")
+        _, q8_table = group_and_table("Q8")
+        with pytest.raises(GroupValidationError):
+            distribution(parse_word("x^2"), d4, classes=q8_table.classes)
+
+    def test_distribution_rejects_classes_that_split_a_fiber(self):
+        d4, d4_table = group_and_table("D4")
+        class_of = np.array(d4_table.classes.class_of)
+        class_of[1] = class_of[d4.identity]  # x^2 hits e six times, g1 never
+        classes = dataclasses.replace(d4_table.classes, class_of=class_of)
+        with pytest.raises(GroupValidationError):
+            distribution(parse_word("x^2"), d4, classes=classes)
 
 
 class TestDerivedOperations:
@@ -304,7 +338,7 @@ def test_master_oracle_agreement(word_id, group_name):
     group, table = group_and_table(group_name)
     oracle = oracle_coefficients(word, group_name)
     form = normalize(word)
-    formula = expansion_from_form(form, group, table).coefficients
+    formula = coefficient_formula(form, group, table)
     assert np.max(np.abs(formula - oracle)) <= TOL
 
     dist = oracle_distribution(word, group_name)
