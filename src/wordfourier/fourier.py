@@ -1,15 +1,19 @@
 """Distributions of word maps and their expansion over irreducible characters.
 
-``distribution`` is the exact brute-force oracle: it enumerates every
-assignment of group elements to the generators of the word's ambient
-alphabet and counts, per group element, how often the word evaluates to
-it.  ``coefficient_formula`` evaluates the symbolic claim carried by a
-:class:`~wordfourier.reduction.ReducedForm` instead: one walk over the
-residual alphabet, with the first residual generator fixed to conjugacy
-class representatives, yields the coefficients of every character at once
-(numpy only).  Both are gated by an evaluation budget and fail cleanly
-rather than approximate.  Class data, tables and groups must belong to
-one group object; mixing them raises :class:`GroupValidationError`.
+``distribution`` is the exact oracle: it counts, per group element, the
+assignments of group elements to the generators of the word's ambient
+alphabet under which the word evaluates to it.  ``coefficient_formula``
+evaluates the symbolic claim carried by a
+:class:`~wordfourier.reduction.ReducedForm` instead, for every character
+at once.  Both go through the one walk in ``_kernels`` (numpy only): the
+first generator to appear runs over conjugacy class representatives,
+weighted by class size, later generators share the letters evaluated
+before them, and absent generators contribute a factor |G| each.  The
+oracle's counts are exact integers.  Both are gated by an evaluation
+budget, capped at the int64 range, and fail cleanly rather than
+approximate.  Class data, tables and groups must belong to one group
+object, and the class data must be that group's conjugation orbits;
+anything else raises :class:`GroupValidationError`.
 """
 
 from __future__ import annotations
@@ -57,13 +61,25 @@ class FourierExpansion:
         return self.coefficients @ self.table.values
 
 
+_INT64_MAX = 2**63 - 1
+
+
 def _check_budget(total: int, budget: int) -> None:
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    """Raise past the budget, and past int64 whatever the budget says."""
+    limit = min(budget, _INT64_MAX)
+    if total > limit:
+        raise BudgetExceededError(total, limit)
 
 
 def _check_same_group(group: FiniteGroup, classes: ConjugacyClasses, *tables) -> None:
-    """Raise unless the class data and tables were built on this group object."""
+    """Raise unless the class data and tables were built on this group object
+    and the classes are its conjugation orbits.
+
+    The kernels walk one representative per class and weight it by the
+    class size, so every class must be exactly the orbit of its
+    representative, the orbits must cover G, and the sizes must count the
+    members.
+    """
     if classes.group is not group or any(
         table.group is not group
         or not np.array_equal(table.classes.class_of, classes.class_of)
@@ -71,6 +87,19 @@ def _check_same_group(group: FiniteGroup, classes: ConjugacyClasses, *tables) ->
     ):
         raise GroupValidationError(
             f"class data or character table does not belong to group {group.name}"
+        )
+    class_of = np.asarray(classes.class_of)
+    k = len(classes)
+    # [h, c] -> h r_c h^-1, the orbit of representative c down column c
+    orbits = group.mul[group.mul[:, classes.representatives], group.inv[:, None]]
+    if (
+        class_of.shape != (group.order,)
+        or not np.bincount(orbits.ravel(), minlength=group.order).all()
+        or np.any(class_of[orbits] != np.arange(k))
+        or np.bincount(class_of, minlength=k).tolist() != list(classes.sizes)
+    ):
+        raise GroupValidationError(
+            f"class data are not the conjugacy classes of group {group.name}"
         )
 
 
@@ -83,9 +112,8 @@ def distribution(
     group: FiniteGroup,
     classes: ConjugacyClasses | None = None,
     budget: int = DEFAULT_BUDGET,
-    backend: str | None = None,
 ) -> ClassFunction:
-    """Exact fiber counts of the word map, by exhaustive enumeration.
+    """Exact fiber counts of the word map, one value per class.
 
     This is the oracle the rest of the package is checked against.  The
     counts are integers summing to |G|^d for ambient rank d.
@@ -95,14 +123,8 @@ def distribution(
     _check_same_group(group, classes)
     rank = word.alphabet.rank
     _check_budget(group.order**rank, budget)
-    counts = _kernels.element_counts(group, word.letters, rank, backend=backend)
-    class_values = np.zeros(len(classes), dtype=np.int64)
-    class_of = np.asarray(classes.class_of)
-    for c in range(len(classes)):
-        members = counts[class_of == c]
-        if np.any(members != members[0]):
-            raise GroupValidationError("word-map counts are not constant on a class")
-        class_values[c] = members[0]
+    counts = _kernels.element_counts(group, word.letters, rank, classes)
+    class_values = counts[np.asarray(classes.representatives, dtype=np.int64)]
     return ClassFunction(group=group, classes=classes, values=class_values)
 
 

@@ -240,5 +240,14 @@ class TestExitCodes:
         )
         assert code == 3 and "budget" in err
 
+    def test_budget_past_int64_is_three(self, capsys):
+        # 2^70 assignments overflow int64, so even a larger budget refuses them
+        alphabet = ",".join(["x"] + [f"a{i}" for i in range(69)])
+        code, _, err = run(
+            capsys, "expand", "x", "--alphabet", alphabet, "--group", "Z2",
+            "--verify", "--budget", str(10**30),
+        )
+        assert code == 3 and "budget" in err
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

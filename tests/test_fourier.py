@@ -8,6 +8,7 @@ import pytest
 from wordfourier import (
     Alphabet,
     BudgetExceededError,
+    CharacterTable,
     ClassFunction,
     GroupValidationError,
     builtin_names,
@@ -64,6 +65,15 @@ class TestDistribution:
         group, _ = s3
         with pytest.raises(BudgetExceededError):
             distribution(parse_word("[x,y]"), group, budget=35)
+
+    def test_int64_caps_any_budget(self):
+        # 2^70 assignments cannot be counted in int64, whatever the budget
+        group, table = group_and_table("Z2")
+        names = ("x",) + tuple(f"a{i}" for i in range(69))
+        word = parse_word("x", Alphabet(names))
+        with pytest.raises(BudgetExceededError) as err:
+            distribution(word, group, classes=table.classes, budget=10**30)
+        assert err.value.needed == 2**70 and err.value.budget == 2**63 - 1
 
 
 class TestProject:
@@ -158,6 +168,27 @@ class TestGroupBinding:
         classes = dataclasses.replace(d4_table.classes, class_of=class_of)
         with pytest.raises(GroupValidationError):
             distribution(parse_word("x^2"), d4, classes=classes)
+        # the formula walks one representative per class, so it would weight
+        # the wrong orbits; a table over these classes is refused too
+        table = CharacterTable(d4, classes, d4_table.values)
+        with pytest.raises(GroupValidationError):
+            coefficient_formula(normalize(parse_word("x^3")), d4, table)
+
+    def test_classes_must_be_conjugation_orbits(self):
+        # swapping two members of equal-size classes keeps every count and
+        # covers G, but the classes are no longer conjugation orbits
+        d4, d4_table = group_and_table("D4")
+        class_of = np.array(d4_table.classes.class_of)
+        sizes = np.array(d4_table.classes.sizes)
+        a, b = (int(np.flatnonzero(sizes[class_of] == 2)[i]) for i in (0, -1))
+        assert class_of[a] != class_of[b]
+        class_of[a], class_of[b] = class_of[b], class_of[a]
+        classes = dataclasses.replace(d4_table.classes, class_of=class_of)
+        with pytest.raises(GroupValidationError):
+            distribution(parse_word("[x,y]"), d4, classes=classes)
+        table = CharacterTable(d4, classes, d4_table.values)
+        with pytest.raises(GroupValidationError):
+            coefficient_formula(normalize(parse_word("x^3")), d4, table)
 
 
 class TestDerivedOperations:

@@ -1,86 +1,104 @@
-"""Kernels against plain Python loops, and numba/numpy parity for the counts."""
+"""Both kernels against plain Python loops over every assignment."""
 
+import dataclasses
 from itertools import product
 
 import numpy as np
 import pytest
 
-from wordfourier import FiniteGroup, _kernels, compute_character_table, parse_word
-from wordfourier.fourier import distribution
+from wordfourier import (
+    FiniteGroup,
+    GroupValidationError,
+    _kernels,
+    compute_character_table,
+    parse_word,
+)
+from wordfourier.words import Alphabet
 
 from corpus import corpus_word, group_and_table, python_distribution
 
-BACKENDS = ("numpy", "numba") if _kernels.HAS_NUMBA else ("numpy",)
+COUNT_WORDS = (
+    "empty",
+    "commutator",
+    "brace",
+    "cube",
+    "pair-rank3",
+    "general-square",
+    "conjugate-loop",
+    "admissible-scramble",
+)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("word_id", ("empty", "commutator", "brace", "cube"))
-@pytest.mark.parametrize("group_name", ("S3", "Q8"))
-def test_counts_match_python_reference(backend, word_id, group_name):
-    word = corpus_word(word_id)
-    group, _ = group_and_table(group_name)
-    counts = _kernels.element_counts(
-        group, word.letters, word.alphabet.rank, backend=backend
-    )
+def assert_counts_match_reference(word, group, classes):
+    counts = _kernels.element_counts(group, word.letters, word.alphabet.rank, classes)
+    assert counts.dtype == np.int64
     assert counts.tolist() == python_distribution(word, group)
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_on_larger_case():
-    word = corpus_word("comm-product")
-    group, table = group_and_table("S4")
-    via_numba = distribution(word, group, classes=table.classes, backend="numba")
-    via_numpy = distribution(word, group, classes=table.classes, backend="numpy")
-    assert np.array_equal(via_numba.values, via_numpy.values)
+def reversed_s3():
+    """S3 with its element labels reversed, so that class representatives
+    are not the first elements."""
+    s3, _ = group_and_table("S3")
+    flip = np.arange(s3.order)[::-1]
+    group = FiniteGroup(flip[s3.mul[np.ix_(flip, flip)]], name="S3-reversed")
+    table = compute_character_table(group)
+    assert table.classes.representatives != tuple(range(len(table)))
+    return group, table
+
+
+# the backend that ``expand --format json`` reports; numpy is the only one
+@pytest.mark.parametrize("backend", ("numpy",))
+@pytest.mark.parametrize("word_id", COUNT_WORDS)
+@pytest.mark.parametrize("group_name", ("S3", "D4", "Q8", "A4"))
+def test_counts_match_python_reference(backend, word_id, group_name):
+    assert _kernels.active_backend() == backend
+    group, table = group_and_table(group_name)
+    assert_counts_match_reference(corpus_word(word_id), group, table.classes)
 
 
 def test_numpy_chunking_boundaries(monkeypatch):
-    # force many partial chunks through the vectorized path
+    # 7 cells per chunk: S3 keeps one generator as a whole axis of 6 with
+    # one row per chunk, D4 and A4 enumerate every generator per row, and
+    # chunk edges fall inside the block of rows of a class representative
     monkeypatch.setattr(_kernels, "_CHUNK", 7)
-    word = parse_word("[x,y]")
-    group, _ = group_and_table("S3")
-    counts = _kernels.element_counts(group, word.letters, 2, backend="numpy")
-    assert counts.tolist() == python_distribution(word, group)
+    for group_name in ("S3", "D4", "A4"):
+        group, table = group_and_table(group_name)
+        for word_id in ("commutator", "pair-rank3", "conjugate-loop", "tambour3"):
+            assert_counts_match_reference(corpus_word(word_id), group, table.classes)
+
+
+@pytest.mark.parametrize("word_id", ("commutator", "general-square", "conjugate-loop"))
+def test_counts_where_representatives_are_not_the_first_elements(word_id):
+    group, table = reversed_s3()
+    assert_counts_match_reference(corpus_word(word_id), group, table.classes)
 
 
 def test_rank_zero_enumerates_the_empty_assignment():
     group, table = group_and_table("S3")
     word = parse_word("1")
-    for backend in BACKENDS:
-        counts = _kernels.element_counts(group, word.letters, 0, backend=backend)
-        assert counts.sum() == 1 and counts[group.identity] == 1
+    counts = _kernels.element_counts(group, word.letters, 0, table.classes)
+    assert counts.sum() == 1 and counts[group.identity] == 1
     chibar = np.conj(table.values)
     sums = _kernels.split_character_sum(group, [], 0, table.classes, chibar)
     assert sums.tolist() == [1.0] * len(table)  # empty product over no words
 
 
-class TestBackendSelection:
-    def test_env_values(self, monkeypatch):
-        monkeypatch.setenv(_kernels.ENV_VAR, "numpy")
-        assert _kernels.active_backend() == "numpy"
-        monkeypatch.setenv(_kernels.ENV_VAR, "auto")
-        expected = "numba" if _kernels.HAS_NUMBA else "numpy"
-        assert _kernels.active_backend() == expected
-        monkeypatch.delenv(_kernels.ENV_VAR)
-        assert _kernels.active_backend() == expected
+def test_empty_word_counts_every_assignment_at_the_identity():
+    group, table = group_and_table("D4")
+    word = parse_word("1", Alphabet(("x", "y")))
+    assert_counts_match_reference(word, group, table.classes)
 
-    def test_unknown_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(_kernels.ENV_VAR, "fortran")
-        with pytest.raises(ValueError):
-            _kernels.active_backend()
 
-    def test_numba_request_without_numba(self, monkeypatch):
-        monkeypatch.setenv(_kernels.ENV_VAR, "numba")
-        monkeypatch.setattr(_kernels, "HAS_NUMBA", False)
-        with pytest.raises(RuntimeError):
-            _kernels.active_backend()
-
-    def test_env_flag_drives_distribution(self, monkeypatch):
-        # the fallback is selected per call, so env changes take effect live
-        monkeypatch.setenv(_kernels.ENV_VAR, "numpy")
-        group, table = group_and_table("Z4")
-        dist = distribution(parse_word("[x,y]"), group, classes=table.classes)
-        assert dist.total() == 4**2
+def test_counts_reject_class_sizes_that_do_not_divide_the_totals():
+    # x^2 on S3 sends the identity and the transpositions to the identity:
+    # with the identity class claiming size 4, its total 4 + 3 is not a
+    # multiple of 4
+    group, table = group_and_table("S3")
+    sizes = list(table.classes.sizes)
+    sizes[table.classes.identity_class] = 4
+    classes = dataclasses.replace(table.classes, sizes=tuple(sizes))
+    with pytest.raises(GroupValidationError):
+        _kernels.element_counts(group, parse_word("x^2").letters, 1, classes)
 
 
 def python_character_sums(group, words, rank, classes, chibar):
@@ -140,14 +158,8 @@ def test_character_sums_match_python_reference(group_name, rank, nwords):
 
 
 def test_character_sums_where_representatives_are_not_the_first_elements():
-    # the shipped groups list class representatives first; reversing the
-    # element labels puts them elsewhere
-    s3, _ = group_and_table("S3")
-    n = s3.order
-    flip = np.arange(n)[::-1]
-    group = FiniteGroup(flip[s3.mul[np.ix_(flip, flip)]], name="S3-reversed")
-    table = compute_character_table(group)
-    assert table.classes.representatives != tuple(range(len(table)))
+    group, table = reversed_s3()
+    n = group.order
     words = random_residual_words(7, 2, 2)
     chibar = class_function_rows(table, 7)
     sums = _kernels.split_character_sum(group, words, 2, table.classes, chibar)
@@ -181,5 +193,4 @@ def test_character_sums_of_no_words_count_the_assignments():
 
 
 def test_warm_up_compiles_both_kernels():
-    for backend in BACKENDS:
-        _kernels.warm_up(backend=backend)
+    _kernels.warm_up()

@@ -1,11 +1,11 @@
-"""Property tests: the formula route rebuilds the exact fiber counts."""
+"""Property tests: both routes give the exact fiber counts."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordfourier import coefficient_formula, normalize
+from wordfourier import coefficient_formula, distribution, normalize
 from wordfourier.words import Alphabet, Word
 
 from corpus import group_and_table, python_distribution
@@ -33,4 +33,8 @@ def test_formula_rebuilds_the_exact_fiber_counts(group_name, word):
     exact = np.rint(fibers.real)
     tol = 1e-9 * group.order**word.alphabet.rank
     assert np.all(np.abs(fibers - exact) <= tol)
-    assert exact.astype(np.int64).tolist() == python_distribution(word, group)
+    reference = python_distribution(word, group)
+    assert exact.astype(np.int64).tolist() == reference
+    oracle = distribution(word, group, classes=table.classes).values
+    assert oracle.dtype == np.int64
+    assert oracle[np.asarray(table.classes.class_of)].tolist() == reference
