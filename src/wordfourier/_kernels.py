@@ -148,13 +148,3 @@ def split_character_sum(group, word_letter_lists, rank, classes, chibar) -> np.n
         sums += prod.reshape(nrows, rep.size, -1).sum(axis=2) @ sizes[rep.ravel()]
     return sums * scale
 
-
-def warm_up() -> None:
-    """Run both kernels once on a tiny input so timings exclude first-call
-    setup."""
-    from .groups import conjugacy_classes, group_from_generators
-
-    tiny = group_from_generators([(1, 0)], name="warmup")
-    classes = conjugacy_classes(tiny)
-    element_counts(tiny, [(0, 1), (0, -1)], 1, classes)
-    split_character_sum(tiny, [[(0, 1)], [(0, -1)]], 1, classes, np.ones((1, 2)))

@@ -37,14 +37,11 @@ from .fourier import (
     coefficient_formula,
     distribution,
     divisors,
-    oracle_evaluation_count,
     project,
     rational_annotation,
 )
 from .groups import builtin_group, builtin_names, load_group
 from .reduction import (
-    DISMISSIBLE_FIRST,
-    SQUARE_FIRST,
     closed_form_str,
     format_trace,
     genus,
@@ -95,11 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduction pipeline: trace, split data, prefactor")
     _add_common(p, with_group=False)
-    p.add_argument(
-        "--order",
-        choices=(SQUARE_FIRST, DISMISSIBLE_FIRST),
-        default=SQUARE_FIRST,
-    )
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("expand", help="Fourier coefficients per character")
@@ -198,11 +190,10 @@ def cmd_classify(args) -> int:
 
 def cmd_reduce(args) -> int:
     word = _parse_word_arg(args)
-    form = normalize(word, order=args.order)
+    form = normalize(word)
     doc = {
         "command": "reduce",
         "word": word_to_str(word),
-        "order": args.order,
         "prefactor": {
             "g_exponent": form.g_exponent,
             "deg_exponent": form.deg_exponent,
@@ -326,8 +317,6 @@ def cmd_bench(args) -> int:
     word = _parse_word_arg(args)
     group, table = _resolve_group(args)
 
-    _kernels.warm_up()
-
     routes = []
     start = time.perf_counter()
     dist = distribution(word, group, classes=table.classes, budget=args.budget)
@@ -335,24 +324,22 @@ def cmd_bench(args) -> int:
     routes.append(
         {
             "route": "oracle",
-            "assignments": oracle_evaluation_count(word, group),
+            "assignments": group.order**word.alphabet.rank,
             "seconds": time.perf_counter() - start,
             "max_delta": 0.0,
         }
     )
-    for order_name in (SQUARE_FIRST, DISMISSIBLE_FIRST):
-        start = time.perf_counter()
-        form = normalize(word, order=order_name)
-        coeffs = coefficient_formula(form, group, table, budget=args.budget)
-        elapsed = time.perf_counter() - start
-        routes.append(
-            {
-                "route": f"formula:{order_name}",
-                "assignments": form.summation_count(group.order),
-                "seconds": elapsed,
-                "max_delta": float(np.max(np.abs(coeffs - oracle))),
-            }
-        )
+    start = time.perf_counter()
+    form = normalize(word)
+    coeffs = coefficient_formula(form, group, table, budget=args.budget)
+    routes.append(
+        {
+            "route": "formula",
+            "assignments": form.summation_count(group.order),
+            "seconds": time.perf_counter() - start,
+            "max_delta": float(np.max(np.abs(coeffs - oracle))),
+        }
+    )
 
     doc = {
         "command": "bench",

@@ -103,10 +103,6 @@ def _check_same_group(group: FiniteGroup, classes: ConjugacyClasses, *tables) ->
         )
 
 
-def oracle_evaluation_count(word: Word, group: FiniteGroup) -> int:
-    return group.order**word.alphabet.rank
-
-
 def distribution(
     word: Word,
     group: FiniteGroup,

@@ -8,11 +8,14 @@ irreducible character chi in the distribution the original word induces::
 
 where FS is the Frobenius-Schur indicator of chi and W_1..W_r are the
 residual words over the residual alphabet.  The untouched word w starts at
-a = -1, b = s = 0 with residual (w,); each rule updates the exponents:
+a = -1, b = s = 0 with residual (w,); each rule is one trace step whose
+delta is added to the exponents, so a form's (a, b, s) is (-1, 0, 0) plus
+the sum of its trace deltas:
 
 * dropping an unused generator adds 1 to a;
-* a generator occurring exactly once collapses the whole claim to
-  ``|G|^a * delta[chi trivial]`` (the word map is uniform);
+* a generator occurring exactly once in a word of current rank d makes the
+  word map uniform and collapses the whole claim to
+  ``|G|^(a+d) * delta[chi trivial]``, adding d to a;
 * a square letter (two occurrences, equal sign) is removed at the cost of
   one factor |G|/chi(1)*FS, replacing w1*y*w2*y*w3 by w1*w2^-1*w3;
 * the dismissible letters (one occurrence of each sign) are eliminated in
@@ -30,16 +33,15 @@ unread segment index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .analysis import classify
+from .analysis import DISMISSIBLE, SINGLE, SQUARE, _classification, classify
 from .errors import ReductionError
 from .words import (
     Alphabet,
     Word,
     concat_all,
     free_reduce,
-    invert,
     word_to_str,
 )
 
@@ -79,17 +81,32 @@ class SplitDecomposition:
 
 @dataclass(frozen=True)
 class ReducedForm:
-    """Symbolic prefactor plus residual word tuple (see module docstring)."""
+    """Symbolic prefactor plus residual word tuple (see module docstring).
 
-    g_exponent: int                       # a
-    deg_exponent: int                     # b
-    fs_exponent: int                      # s
+    The exponents (a, b, s) are (-1, 0, 0) plus the sum of the trace deltas.
+    """
+
     trivial_only: bool
     residual_alphabet: Alphabet
     residual_words: tuple[Word, ...]
     trace: tuple[TraceStep, ...]
     word: Word                            # original input
     split: SplitDecomposition | None = field(default=None, compare=False)
+
+    def _exponent(self, i: int) -> int:
+        return sum(step.delta[i] for step in self.trace)
+
+    @property
+    def g_exponent(self) -> int:
+        return self._exponent(0) - 1
+
+    @property
+    def deg_exponent(self) -> int:
+        return self._exponent(1)
+
+    @property
+    def fs_exponent(self) -> int:
+        return self._exponent(2)
 
     @property
     def residual_rank(self) -> int:
@@ -156,10 +173,19 @@ def format_trace(form: ReducedForm) -> str:
     return "\n".join(lines) if lines else "(no reduction steps)"
 
 
-def _drop_generators(word: Word, names: tuple[str, ...]) -> Word:
-    new_alphabet = word.alphabet.without(names)
-    remap = {word.alphabet.index(n): new_alphabet.index(n) for n in new_alphabet.names}
-    return Word(new_alphabet, tuple((remap[g], s) for g, s in word.letters))
+def _restrict(alphabet: Alphabet, drop) -> tuple[Alphabet, dict[int, int]]:
+    """The alphabet without the generators named in ``drop``, and the map
+    from each kept generator's index to its index in that alphabet."""
+    restricted = alphabet.without(drop)
+    position = {name: i for i, name in enumerate(restricted.names)}
+    return restricted, {
+        g: position[name] for g, name in enumerate(alphabet.names) if name in position
+    }
+
+
+def _drop_generators(word: Word, names) -> Word:
+    alphabet, remap = _restrict(word.alphabet, names)
+    return Word(alphabet, tuple((remap[g], s) for g, s in word.letters))
 
 
 def _occurrences(word: Word) -> dict[int, list[tuple[int, int]]]:
@@ -168,6 +194,12 @@ def _occurrences(word: Word) -> dict[int, list[tuple[int, int]]]:
     for i, (g, s) in enumerate(word.letters):
         occ.setdefault(g, []).append((i, s))
     return occ
+
+
+def _kind(occurrences: list[tuple[int, int]]) -> str:
+    """Classification of a generator from its (position, sign) occurrences."""
+    positive = sum(1 for _, s in occurrences if s > 0)
+    return _classification(positive, len(occurrences) - positive)
 
 
 def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
@@ -181,8 +213,7 @@ def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
     names = word.alphabet.names
 
     def is_dismissible(g: int) -> bool:
-        signs = sorted(s for _, s in occ.get(g, ()))
-        return signs == [-1, 1]
+        return _kind(occ.get(g, [])) == DISMISSIBLE
 
     if dismissibles is None:
         chosen = [g for g in range(word.alphabet.rank) if is_dismissible(g)]
@@ -197,11 +228,7 @@ def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
         raise ReductionError(f"no dismissible letter in {word}")
 
     chosen_set = set(chosen)
-    residual_alphabet = word.alphabet.without(names[g] for g in chosen_set)
-    remap = {
-        word.alphabet.index(n): residual_alphabet.index(n)
-        for n in residual_alphabet.names
-    }
+    residual_alphabet, remap = _restrict(word.alphabet, (names[g] for g in chosen_set))
 
     letters = word.letters
     slot_positions = [i for i, (g, _) in enumerate(letters) if g in chosen_set]
@@ -280,27 +307,20 @@ def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
 def square_reduce(word: Word, generator: str) -> tuple[Word, tuple[int, int, int]]:
     """Remove one square letter: w1*y*w2*y*w3 becomes w1*w2^-1*w3.
 
-    A generator occurring twice negatively is first sent to its inverse
-    (a distribution-preserving relabeling).  Returns the freely reduced
-    residual word over the alphabet without the generator, and the
-    exponent delta (1, 1, 1): one factor |G|/chi(1)*FS.
+    A generator occurring twice negatively gives the same residual, since
+    sending it to its inverse preserves the distribution.  Returns the
+    freely reduced residual word over the alphabet without the generator,
+    and the exponent delta (1, 1, 1): one factor |G|/chi(1)*FS.
     """
     g = word.alphabet.index(generator)
     occ = _occurrences(word).get(g, [])
-    signs = sorted(s for _, s in occ)
-    if signs not in ([1, 1], [-1, -1]):
+    if _kind(occ) != SQUARE:
         raise ReductionError(f"generator {generator!r} is not a square in {word}")
-    letters = list(word.letters)
-    if signs == [-1, -1]:
-        for p, s in occ:
-            letters[p] = (g, -s)
     (p1, _), (p2, _) = occ
-    left = Word(word.alphabet, tuple(letters[:p1]))
-    middle = Word(word.alphabet, tuple(letters[p1 + 1 : p2]))
-    right = Word(word.alphabet, tuple(letters[p2 + 1 :]))
-    joined = concat_all(word.alphabet, (left, invert(middle), right))
-    residual = free_reduce(_drop_generators(joined, (generator,)))
-    return residual, (1, 1, 1)
+    letters = word.letters
+    middle_inverse = tuple((h, -s) for h, s in reversed(letters[p1 + 1 : p2]))
+    joined = Word(word.alphabet, letters[:p1] + middle_inverse + letters[p2 + 1 :])
+    return free_reduce(_drop_generators(joined, (generator,))), (1, 1, 1)
 
 
 def eliminate_single(word: Word, generator: str) -> ReducedForm:
@@ -310,17 +330,11 @@ def eliminate_single(word: Word, generator: str) -> ReducedForm:
     coefficient |G|^(d-1) on the trivial character and 0 elsewhere.
     """
     g = word.alphabet.index(generator)
-    occ = _occurrences(word).get(g, [])
-    if len(occ) != 1:
+    if _kind(_occurrences(word).get(g, [])) != SINGLE:
         raise ReductionError(f"generator {generator!r} is not single in {word}")
-    exponent = word.alphabet.rank - 1
-    step = TraceStep(
-        "single", generator, (exponent + 1, 0, 0), f"constant |G|^{exponent}"
-    )
+    rank = word.alphabet.rank
+    step = TraceStep("single", generator, (rank, 0, 0), f"constant |G|^{rank - 1}")
     return ReducedForm(
-        g_exponent=exponent,
-        deg_exponent=0,
-        fs_exponent=0,
         trivial_only=True,
         residual_alphabet=Alphabet(()),
         residual_words=(),
@@ -334,16 +348,14 @@ def form_from_split(split: SplitDecomposition) -> ReducedForm:
     detail = ", ".join(
         f"W{i + 1}={word_to_str(w)}" for i, w in enumerate(split.split_words)
     )
+    split_names = {name for name, _ in split.slots}
     step = TraceStep(
         "split",
-        ",".join(sorted({name for name, _ in split.slots})),
+        ",".join(n for n in split.word.alphabet.names if n in split_names),
         (split.n, split.n, 0),
         f"r={split.r}: {detail}",
     )
     return ReducedForm(
-        g_exponent=split.n - 1,
-        deg_exponent=split.n,
-        fs_exponent=0,
         trivial_only=False,
         residual_alphabet=split.residual_alphabet,
         residual_words=split.split_words,
@@ -353,25 +365,16 @@ def form_from_split(split: SplitDecomposition) -> ReducedForm:
     )
 
 
-SQUARE_FIRST = "square-first"
-DISMISSIBLE_FIRST = "dismissible-first"
+def normalize(word: Word) -> ReducedForm:
+    """Run the full pipeline: reduce, drop unused letters, stop at a single
+    letter, eliminate squares exhaustively, then split all dismissible
+    letters at once.
 
-
-def normalize(word: Word, order: str = SQUARE_FIRST) -> ReducedForm:
-    """Run the full pipeline: reduce, drop unused and single letters,
-    eliminate squares exhaustively, then split all dismissible letters.
-
-    ``order=DISMISSIBLE_FIRST`` skips the square loop and splits right
-    away, which sums over one extra generator per surviving square; it
-    exists for the benchmark comparing the two routes.
+    The single and split cases are :func:`eliminate_single` and
+    :func:`form_from_split` on the word the earlier steps left, with those
+    steps prepended to the trace.
     """
-    if order not in (SQUARE_FIRST, DISMISSIBLE_FIRST):
-        raise ValueError(f"unknown reduction order {order!r}")
     trace: list[TraceStep] = []
-    a = -1
-    b = 0
-    s = 0
-
     current = free_reduce(word)
     if current.letters != word.letters:
         trace.append(TraceStep("free-reduce", None, (0, 0, 0), word_to_str(current)))
@@ -380,7 +383,6 @@ def normalize(word: Word, order: str = SQUARE_FIRST) -> ReducedForm:
         profile = classify(current)
         if profile.absent:
             dropped = profile.absent
-            a += len(dropped)
             current = _drop_generators(current, dropped)
             trace.append(
                 TraceStep(
@@ -390,65 +392,26 @@ def normalize(word: Word, order: str = SQUARE_FIRST) -> ReducedForm:
                     f"alphabet {current.alphabet}",
                 )
             )
-            continue
-        if profile.single:
-            generator = profile.single[0]
-            total = a + current.alphabet.rank
-            trace.append(
-                TraceStep("single", generator, (0, 0, 0), f"constant |G|^{total}")
-            )
-            return ReducedForm(
-                g_exponent=total,
-                deg_exponent=0,
-                fs_exponent=0,
-                trivial_only=True,
-                residual_alphabet=Alphabet(()),
-                residual_words=(),
-                trace=tuple(trace),
-                word=word,
-            )
-        if order == SQUARE_FIRST and profile.square:
+        elif profile.single:
+            form = eliminate_single(current, profile.single[0])
+            break
+        elif profile.square:
             generator = profile.square[0]
-            current, (da, db, ds) = square_reduce(current, generator)
-            a, b, s = a + da, b + db, s + ds
-            trace.append(
-                TraceStep("square", generator, (da, db, ds), word_to_str(current))
+            current, delta = square_reduce(current, generator)
+            trace.append(TraceStep("square", generator, delta, word_to_str(current)))
+        elif profile.dismissible:
+            form = form_from_split(split_dismissible(current, profile.dismissible))
+            break
+        else:
+            form = ReducedForm(
+                trivial_only=False,
+                residual_alphabet=current.alphabet,
+                residual_words=(current,),
+                trace=(),
+                word=current,
             )
-            continue
-        break
-
-    split = None
-    profile = classify(current)
-    if profile.dismissible:
-        split = split_dismissible(current, profile.dismissible)
-        a += split.n
-        b += split.n
-        residual_words = split.split_words
-        residual_alphabet = split.residual_alphabet
-        detail = ", ".join(f"W{i + 1}={word_to_str(w)}" for i, w in enumerate(residual_words))
-        trace.append(
-            TraceStep(
-                "split",
-                ",".join(profile.dismissible),
-                (split.n, split.n, 0),
-                f"r={split.r}: {detail}",
-            )
-        )
-    else:
-        residual_words = (current,)
-        residual_alphabet = current.alphabet
-
-    return ReducedForm(
-        g_exponent=a,
-        deg_exponent=b,
-        fs_exponent=s,
-        trivial_only=False,
-        residual_alphabet=residual_alphabet,
-        residual_words=residual_words,
-        trace=tuple(trace),
-        word=word,
-        split=split,
-    )
+            break
+    return replace(form, trace=tuple(trace) + form.trace, word=word)
 
 
 def split_tambour(n: int) -> tuple[int, ReducedForm]:

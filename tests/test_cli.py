@@ -2,8 +2,9 @@
 
 import json
 
-from wordfourier import save_character_table, save_group
+from wordfourier import parse_word, save_character_table, save_group, split_dismissible
 from wordfourier.cli import main
+from wordfourier.reduction import form_from_split
 
 from corpus import group_and_table
 
@@ -47,18 +48,24 @@ class TestReduce:
         assert code == 0 and "delta[chi=1]" in out
 
     def test_intro_example_split_data(self, capsys):
+        # squares x2, y3, y1 go first; the split of y2 is left
         word = "x1*y1*x1*x2*y3*x2*x1*y1^-1*x1^3*y2*x3^-1*y3^-1*x3^2*y2^-1*x3"
-        code, out, _ = run(capsys, "reduce", word, "--order", "dismissible-first")
+        code, out, _ = run(capsys, "reduce", word)
         assert code == 0
         assert "W1 = x1^4*x3" in out
-        assert "W2 = x1*x2*x3*x2*x1" in out
-        assert "|G|^2/chi(1)^3" in out
+        assert "W2 = x3^-1*x1^-2*x3^2" in out
+        assert "|G|^3*FS^3/chi(1)^4" in out
         assert "tau" in out and "cycles" in out
 
     def test_json_has_split_block(self, capsys):
         code, out, _ = run(capsys, "reduce", "[x,y]", "--format", "json")
         doc = json.loads(out)
         assert doc["split"]["n"] == 2 and doc["split"]["r"] == 1
+        assert "order" not in doc
+
+    def test_order_option_is_gone(self, capsys):
+        code, _, _ = run(capsys, "reduce", "[x,y]", "--order", "square-first")
+        assert code == 1
 
 
 class TestExpand:
@@ -150,7 +157,8 @@ class TestBench:
         doc = json.loads(out)
         by_route = {r["route"]: r for r in doc["routes"]}
         assert by_route["oracle"]["assignments"] == 576
-        assert by_route["formula:square-first"]["assignments"] == 0
+        assert list(by_route) == ["oracle", "formula"]
+        assert by_route["formula"]["assignments"] == 0
         assert all(r["max_delta"] < 1e-6 for r in doc["routes"])
         text = csv_path.read_text()
         assert text.startswith("route,assignments,seconds,max_delta")
@@ -163,15 +171,16 @@ class TestBench:
         doc = json.loads(out)
         by_route = {r["route"]: r for r in doc["routes"]}
         assert by_route["oracle"]["assignments"] == 46656
-        assert by_route["formula:dismissible-first"]["assignments"] == 216
+        assert by_route["formula"]["assignments"] == 36
 
     def test_square_first_beats_dismissible_first(self, capsys):
-        # mixed square/dismissible word: the square-first claim enumerates
-        # fewer assignments
+        # mixed square/dismissible word: the pipeline's claim, which takes
+        # squares first, enumerates fewer assignments than the split alone
+        word = "a*x*b*y*x^-1*a*y*b"
         code, out, _ = run(
             capsys,
             "bench",
-            "a*x*b*y*x^-1*a*y*b",
+            word,
             "--group",
             "Z4",
             "--format",
@@ -180,10 +189,8 @@ class TestBench:
         assert code == 0
         doc = json.loads(out)
         by_route = {r["route"]: r for r in doc["routes"]}
-        assert (
-            by_route["formula:square-first"]["assignments"]
-            < by_route["formula:dismissible-first"]["assignments"]
-        )
+        split_only = form_from_split(split_dismissible(parse_word(word)))
+        assert by_route["formula"]["assignments"] < split_only.summation_count(4)
 
 
 class TestGenus:

@@ -26,8 +26,10 @@ from wordfourier import (
     parse_word,
     project,
     quartic_pair_coeff,
+    split_dismissible,
 )
 from wordfourier.fourier import FourierExpansion, divisors, rational_annotation
+from wordfourier.reduction import form_from_split
 
 from corpus import (
     CORPUS,
@@ -126,14 +128,14 @@ class TestCoefficientFormula:
 
     def test_budget_gates_residual_enumeration(self, s3):
         group, table = s3
-        form = normalize(corpus_word("intro"), order="dismissible-first")
+        form = form_from_split(split_dismissible(corpus_word("intro")))
         with pytest.raises(BudgetExceededError):
             coefficient_formula(form, group, table, budget=100)
 
     def test_summation_counts(self, s3):
         group, _ = s3
         assert normalize(parse_word("[x,y]")).summation_count(6) == 0
-        intro = normalize(corpus_word("intro"), order="dismissible-first")
+        intro = form_from_split(split_dismissible(corpus_word("intro")))
         assert intro.summation_count(6) == 216
 
 

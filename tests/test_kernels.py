@@ -190,7 +190,3 @@ def test_character_sums_of_no_words_count_the_assignments():
     group, table = group_and_table("D4")
     sums = _kernels.split_character_sum(group, [], 2, table.classes, np.conj(table.values))
     assert np.allclose(sums, np.full(len(table), 64), rtol=0, atol=1e-9)
-
-
-def test_warm_up_compiles_both_kernels():
-    _kernels.warm_up()

@@ -28,7 +28,10 @@ def words(draw):
 @given(word=words())
 def test_formula_rebuilds_the_exact_fiber_counts(group_name, word):
     group, table = group_and_table(group_name)
-    coefficients = coefficient_formula(normalize(word), group, table)
+    form = normalize(word)
+    deltas = np.sum([step.delta for step in form.trace] + [(-1, 0, 0)], axis=0)
+    assert (form.g_exponent, form.deg_exponent, form.fs_exponent) == tuple(deltas)
+    coefficients = coefficient_formula(form, group, table)
     fibers = (coefficients @ table.values)[np.asarray(table.classes.class_of)]
     exact = np.rint(fibers.real)
     tol = 1e-9 * group.order**word.alphabet.rank

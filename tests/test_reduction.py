@@ -18,7 +18,6 @@ from wordfourier import (
 )
 from wordfourier.groups import build_builtin, conjugacy_classes
 from wordfourier.reduction import (
-    DISMISSIBLE_FIRST,
     eliminate_single,
     form_from_split,
     format_trace,
@@ -233,6 +232,7 @@ class TestNormalize:
     def test_single_letter_trivializes(self):
         form = normalize(parse_word("x*y*x", Alphabet(("x", "y"))))
         assert form.trivial_only and form.g_exponent == 1
+        assert form.trace[-1].delta == (2, 0, 0)
 
     def test_unused_generator_adds_exactly_one(self):
         small = normalize(parse_word("[x,y]", Alphabet(("x", "y"))))
@@ -262,7 +262,7 @@ class TestNormalize:
 
     def test_dismissible_first_keeps_squares_in_residual(self):
         word = corpus_word("mixed-square-dismissible")
-        form = normalize(word, order=DISMISSIBLE_FIRST)
+        form = form_from_split(split_dismissible(word))
         assert form.fs_exponent == 0
         assert "y" in form.residual_alphabet.names
         # taking squares first always enumerates fewer generators
@@ -271,7 +271,7 @@ class TestNormalize:
 
     def test_intro_word_dismissible_first_matches_plain_split(self):
         word = intro_word()
-        form = normalize(word, order=DISMISSIBLE_FIRST)
+        form = form_from_split(split_dismissible(word))
         assert prefactor_str(form) == "|G|^2/chi(1)^3"
         assert [word_to_str(w) for w in form.residual_words] == [
             "x1^4*x3",
@@ -283,10 +283,6 @@ class TestNormalize:
         text = format_trace(form)
         assert "square" in text and "split" in text
         assert "delta(a,b,s)" in text
-
-    def test_unknown_order_rejected(self):
-        with pytest.raises(ValueError):
-            normalize(parse_word("x"), order="backwards")
 
 
 class TestFormFromSplit:
