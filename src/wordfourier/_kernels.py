@@ -50,6 +50,14 @@ def _present_generators(word_letter_lists) -> list[int]:
     return list(dict.fromkeys(g for letters in word_letter_lists for g, _ in letters))
 
 
+def walked_assignments(group, word_letter_lists, classes) -> int:
+    """Assignments ``_orbit_walk`` evaluates for these words: k*|G|^(p-1)
+    for p present generators, or 0 when none is present and nothing is
+    walked."""
+    present = len(_present_generators(word_letter_lists))
+    return len(classes) * group.order ** (present - 1) if present else 0
+
+
 def _orbit_walk(group, word_letter_lists, classes, cells):
     """Walk the assignments of the present generators, up to conjugation.
 

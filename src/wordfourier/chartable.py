@@ -37,7 +37,6 @@ class CharacterTable:
         classes: ConjugacyClasses,
         values: np.ndarray,
         meta: dict | None = None,
-        tol: float = ORTHOGONALITY_TOL,
     ):
         values = np.ascontiguousarray(np.asarray(values, dtype=np.complex128))
         k = len(classes)
@@ -59,12 +58,12 @@ class CharacterTable:
 
         # row orthogonality: (1/|G|) sum_g chi(g) psi~(g) = delta
         gram = (values * sizes) @ values.conj().T / order
-        if np.max(np.abs(gram - np.eye(k))) > tol:
+        if np.max(np.abs(gram - np.eye(k))) > ORTHOGONALITY_TOL:
             raise TableValidationError("row orthogonality violated")
         # column orthogonality: sum_chi chi(g) chi~(h) = |C(g)| delta
         col = values.conj().T @ values
         expected = np.diag(np.array(classes.centralizer_sizes, dtype=np.float64))
-        if np.max(np.abs(col - expected)) > tol * order:
+        if np.max(np.abs(col - expected)) > ORTHOGONALITY_TOL * order:
             raise TableValidationError("column orthogonality violated")
 
         values.setflags(write=False)
@@ -85,21 +84,22 @@ class CharacterTable:
                 return i
         raise TableValidationError("no trivial character row")
 
-    def is_real(self, chi: int, tol: float = ORTHOGONALITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.values[chi].imag)) <= tol)
+    def is_real(self, chi: int) -> bool:
+        return bool(np.max(np.abs(self.values[chi].imag)) <= ORTHOGONALITY_TOL)
 
     def __repr__(self) -> str:
         return f"CharacterTable({self.group.name}, degrees={self.degrees.tolist()})"
 
 
-def fs_indicator(table: CharacterTable, chi: int, tol: float = FS_TOL) -> int:
+def fs_indicator(table: CharacterTable, chi: int) -> int:
     """Frobenius-Schur indicator: (1/|G|) sum_g chi(g^2), in {-1, 0, +1}."""
     classes = table.classes
     sizes = np.array(classes.sizes, dtype=np.float64)
     squared = table.values[chi, list(classes.power_class_map)]
     value = (sizes * squared).sum() / table.group.order
     nearest = int(np.rint(value.real))
-    if abs(value.imag) > tol or nearest not in (-1, 0, 1) or abs(value - nearest) > tol:
+    # |value - nearest| bounds the imaginary part too
+    if nearest not in (-1, 0, 1) or abs(value - nearest) > FS_TOL:
         raise TableValidationError(
             f"indicator {value} of row {chi} is not near -1, 0 or +1"
         )
@@ -126,14 +126,14 @@ def compute_character_table(
     group: FiniteGroup,
     classes: ConjugacyClasses | None = None,
     seed: int = DEFAULT_SEED,
-    retries: int = _COMPUTE_RETRIES,
     max_order: int = COMPUTE_ORDER_BOUND,
 ) -> CharacterTable:
     """Compute the table of irreducible characters of a small group.
 
     Rows come out ordered by degree, then lexicographically by value.
     Raises :class:`CharacterComputationError` when no random combination of
-    class-sum matrices separates the eigenvalues within ``retries`` draws.
+    class-sum matrices separates the eigenvalues within ``_COMPUTE_RETRIES``
+    draws.
     """
     if group.order > max_order:
         raise CharacterComputationError(
@@ -149,7 +149,7 @@ def compute_character_table(
     rng = np.random.default_rng(seed)
 
     last_error = "no attempt made"
-    for attempt in range(1, retries + 1):
+    for attempt in range(1, _COMPUTE_RETRIES + 1):
         weights = rng.standard_normal(k)
         combined = np.tensordot(weights, struct, axes=(0, 0))
         eigenvalues, eigenvectors = np.linalg.eig(combined)
@@ -186,7 +186,7 @@ def compute_character_table(
             last_error = str(exc)
             continue
     raise CharacterComputationError(
-        f"failed to separate characters of {group.name} after {retries} draws: {last_error}"
+        f"failed to separate characters of {group.name} after {_COMPUTE_RETRIES} draws: {last_error}"
     )
 
 

@@ -246,7 +246,7 @@ def _expand_rows(form, group, table, args, verify: bool):
     oracle = None
     if verify:
         dist = distribution(form.word, group, classes=table.classes, budget=args.budget)
-        oracle = project(dist, table).coefficients
+        oracle = project(dist, table)
     values = coefficient_formula(form, group, table, budget=args.budget)
     rows = []
     worst = 0.0
@@ -320,11 +320,13 @@ def cmd_bench(args) -> int:
     routes = []
     start = time.perf_counter()
     dist = distribution(word, group, classes=table.classes, budget=args.budget)
-    oracle = project(dist, table).coefficients
+    oracle = project(dist, table)
     routes.append(
         {
             "route": "oracle",
-            "assignments": group.order**word.alphabet.rank,
+            "assignments": _kernels.walked_assignments(
+                group, [word.letters], table.classes
+            ),
             "seconds": time.perf_counter() - start,
             "max_delta": 0.0,
         }
@@ -335,7 +337,9 @@ def cmd_bench(args) -> int:
     routes.append(
         {
             "route": "formula",
-            "assignments": form.summation_count(group.order),
+            "assignments": _kernels.walked_assignments(
+                group, [w.letters for w in form.residual_words], table.classes
+            ),
             "seconds": time.perf_counter() - start,
             "max_delta": float(np.max(np.abs(coeffs - oracle))),
         }

@@ -2,18 +2,20 @@
 
 ``distribution`` is the exact oracle: it counts, per group element, the
 assignments of group elements to the generators of the word's ambient
-alphabet under which the word evaluates to it.  ``coefficient_formula``
+alphabet under which the word evaluates to it, and ``project`` turns those
+counts into one coefficient per character.  ``coefficient_formula``
 evaluates the symbolic claim carried by a
-:class:`~wordfourier.reduction.ReducedForm` instead, for every character
-at once.  Both go through the one walk in ``_kernels`` (numpy only): the
-first generator to appear runs over conjugacy class representatives,
-weighted by class size, later generators share the letters evaluated
-before them, and absent generators contribute a factor |G| each.  The
-oracle's counts are exact integers.  Both are gated by an evaluation
-budget, capped at the int64 range, and fail cleanly rather than
-approximate.  Class data, tables and groups must belong to one group
-object, and the class data must be that group's conjugation orbits;
-anything else raises :class:`GroupValidationError`.
+:class:`~wordfourier.reduction.ReducedForm` instead.  Both routes return
+the same thing, a complex array with one coefficient per character row.
+Both go through the one walk in ``_kernels`` (numpy only): the first
+generator to appear runs over conjugacy class representatives, weighted by
+class size, later generators share the letters evaluated before them, and
+absent generators contribute a factor |G| each.  The oracle's counts are
+exact integers.  Both are gated by an evaluation budget, capped at the
+int64 range, and fail cleanly rather than approximate.  Class data, tables
+and groups must belong to one group object, and the class data must be
+that group's conjugation orbits; anything else raises
+:class:`GroupValidationError`.
 """
 
 from __future__ import annotations
@@ -41,24 +43,9 @@ class ClassFunction:
     classes: ConjugacyClasses
     values: np.ndarray  # one value per class
 
-    def element_values(self) -> np.ndarray:
-        return self.values[np.asarray(self.classes.class_of)]
-
     def total(self):
         sizes = np.array(self.classes.sizes)
         return (sizes * self.values).sum()
-
-
-@dataclass(frozen=True)
-class FourierExpansion:
-    """Coefficients of a class function over the irreducible characters."""
-
-    table: CharacterTable
-    coefficients: np.ndarray  # one complex coefficient per character row
-
-    def reconstruct(self) -> np.ndarray:
-        """Class values of sum_chi coeff(chi) * chi."""
-        return self.coefficients @ self.table.values
 
 
 _INT64_MAX = 2**63 - 1
@@ -124,13 +111,14 @@ def distribution(
     return ClassFunction(group=group, classes=classes, values=class_values)
 
 
-def project(function: ClassFunction, table: CharacterTable) -> FourierExpansion:
-    """Inner products <f, chi> = (1/|G|) sum_g f(g) chibar(g), class-wise."""
+def project(function: ClassFunction, table: CharacterTable) -> np.ndarray:
+    """Inner products <f, chi> = (1/|G|) sum_g f(g) chibar(g), class-wise:
+    one complex coefficient per character row, as ``coefficient_formula``
+    returns."""
     _check_same_group(function.group, function.classes, table)
     sizes = np.array(function.classes.sizes, dtype=np.float64)
     weighted = function.values * sizes
-    coefficients = (table.values.conj() @ weighted) / function.group.order
-    return FourierExpansion(table=table, coefficients=coefficients)
+    return (table.values.conj() @ weighted) / function.group.order
 
 
 def coefficient_formula(
@@ -171,77 +159,6 @@ def coefficient_formula(
     )
     coefficients[live] = prefactor[live] * inner
     return coefficients
-
-
-def inverse_coeff(coefficient: complex) -> complex:
-    """Coefficient of the inverse word: the complex conjugate."""
-    return complex(coefficient).conjugate()
-
-
-def disjoint_product_coeff(
-    c1: complex, c2: complex, table: CharacterTable, chi: int
-) -> complex:
-    """Coefficient of w1*w2 for words with disjoint letter sets."""
-    return (table.group.order / float(table.degrees[chi])) * c1 * c2
-
-
-def commutator_with_fresh(
-    expansion: FourierExpansion, table: CharacterTable, chi: int
-) -> complex:
-    """Coefficient of [w, y] for a letter y not occurring in w.
-
-    Equals |G|/chi(1) * <N_w * chi, chi>, computed class-wise from the
-    expansion of N_w.
-    """
-    values = expansion.reconstruct()
-    sizes = np.array(table.classes.sizes, dtype=np.float64)
-    row = table.values[chi]
-    inner = (sizes * values * row * np.conj(row)).sum() / table.group.order
-    return (table.group.order / float(table.degrees[chi])) * inner
-
-
-def nested_commutator_coeff(table: CharacterTable, chi: int) -> complex:
-    """Coefficient of [[x, y], z]: |G|^2/chi(1) * sum_psi <psi chi, chi>/psi(1)."""
-    order = table.group.order
-    sizes = np.array(table.classes.sizes, dtype=np.float64)
-    row = table.values[chi]
-    total = 0j
-    for psi in range(len(table)):
-        inner = (sizes * table.values[psi] * row * np.conj(row)).sum() / order
-        total += inner / float(table.degrees[psi])
-    return (order**2 / float(table.degrees[chi])) * total
-
-
-def quartic_pair_coeff(table: CharacterTable, chi: int, variant: str) -> complex:
-    """Class sums |G|^2/chi(1)^3 * sum_g |chi(g)|^4 (absolute) or chi(g)^4 (plain).
-
-    These are the coefficients of [a,b]d[a,c]d^-1 and of its brace variant
-    {a,b}d{a,c}d^-1.
-    """
-    if variant not in ("absolute", "plain"):
-        raise ValueError(f"variant must be 'absolute' or 'plain', got {variant!r}")
-    order = table.group.order
-    sizes = np.array(table.classes.sizes, dtype=np.float64)
-    row = table.values[chi]
-    fourth = np.abs(row) ** 4 if variant == "absolute" else row**4
-    return (order**2 / float(table.degrees[chi]) ** 3) * (sizes * fourth).sum()
-
-
-def convolve(f1: ClassFunction, f2: ClassFunction) -> ClassFunction:
-    """(f1 * f2)(g) = (1/|G|) sum_h f1(h) f2(h^-1 g), back to class values."""
-    group = f1.group
-    if f2.group is not group:
-        raise ValueError("convolution requires class functions on one group")
-    e1 = f1.element_values()
-    e2 = f2.element_values()
-    n = group.order
-    table = e2[group.mul[group.inv[np.arange(n)], :]]  # [h, g] -> f2(h^-1 g)
-    out = (e1 @ table) / n
-    class_of = np.asarray(f1.classes.class_of)
-    values = np.array(
-        [out[class_of == c][0] for c in range(len(f1.classes))], dtype=out.dtype
-    )
-    return ClassFunction(group=group, classes=f1.classes, values=values)
 
 
 def rational_annotation(

@@ -113,7 +113,11 @@ class ReducedForm:
         return self.residual_alphabet.rank
 
     def summation_count(self, order: int) -> int:
-        """Assignments the claim enumerates (0 when it is closed-form)."""
+        """Size |G|^rank of the claim's residual sum (0 when it is closed-form).
+
+        This is the sum the claim stands for; the walk that evaluates it
+        is smaller (``_kernels.walked_assignments``).
+        """
         if self.trivial_only or self.residual_rank == 0:
             return 0
         return order**self.residual_rank
@@ -412,20 +416,6 @@ def normalize(word: Word) -> ReducedForm:
             )
             break
     return replace(form, trace=tuple(trace) + form.trace, word=word)
-
-
-def split_tambour(n: int) -> tuple[int, ReducedForm]:
-    """Split of y1..yn * y1^-1..yn^-1: r = 1 for even n, r = 2 for odd n > 1.
-
-    n = 1 collapses to the empty word by free reduction before any split
-    happens; the returned form then has the single empty residual word.
-    """
-    if n < 1:
-        raise ReductionError("n must be at least 1")
-    alphabet = Alphabet(tuple(f"y{i + 1}" for i in range(n)))
-    letters = tuple((i, 1) for i in range(n)) + tuple((i, -1) for i in range(n))
-    form = normalize(Word(alphabet, letters))
-    return len(form.residual_words), form
 
 
 def genus(word: Word) -> int:

@@ -20,7 +20,7 @@ denotes the empty word.  A zero exponent is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import WordSyntaxError
@@ -34,10 +34,6 @@ class Alphabet:
     """Ordered, distinct generator names of the ambient free group."""
 
     names: tuple[str, ...]
-    #: set when the alphabet was inferred from word text rather than given
-    #: explicitly; ignored by equality so inferred and declared alphabets
-    #: with the same generators compare equal.
-    inferred: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -68,9 +64,6 @@ class Alphabet:
         return "(" + ",".join(self.names) + ")"
 
 
-EMPTY_ALPHABET = Alphabet(())
-
-
 @dataclass(frozen=True)
 class Word:
     """An unreduced sequence of signed letters over an ambient alphabet."""
@@ -96,15 +89,6 @@ class Word:
 
     def __str__(self) -> str:
         return word_to_str(self)
-
-
-def empty_word(alphabet: Alphabet = EMPTY_ALPHABET) -> Word:
-    return Word(alphabet, ())
-
-
-def word_from_syms(alphabet: Alphabet, pairs: Iterable[tuple[str, int]]) -> Word:
-    """Build a word from (generator name, sign) pairs."""
-    return Word(alphabet, tuple((alphabet.index(n), s) for n, s in pairs))
 
 
 def word_to_str(word: Word) -> str:
@@ -154,7 +138,7 @@ class _Parser:
         if self.alphabet is not None:
             alphabet = self.alphabet
         else:
-            alphabet = Alphabet(tuple(self.seen), inferred=True)
+            alphabet = Alphabet(tuple(self.seen))
         return Word(alphabet, tuple((alphabet.index(n), s) for n, s in letters))
 
     def word_body(self, stoppers: str) -> list[tuple[str, int]]:
@@ -268,7 +252,7 @@ def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:
 
     With an explicit alphabet every symbol must belong to it; otherwise
     the alphabet is inferred as the distinct symbols in order of first
-    appearance and flagged as inferred.
+    appearance.
     """
     return _Parser(text, alphabet).parse()
 
@@ -284,10 +268,6 @@ def free_reduce(word: Word) -> Word:
     if len(out) == len(word.letters):
         return word
     return Word(word.alphabet, tuple(out))
-
-
-def is_reduced(word: Word) -> bool:
-    return len(free_reduce(word)) == len(word)
 
 
 def invert(word: Word) -> Word:

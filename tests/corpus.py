@@ -13,10 +13,11 @@ from wordfourier import (
     builtin_group,
     builtin_table,
     distribution,
+    normalize,
     parse_word,
     project,
 )
-from wordfourier.words import Alphabet
+from wordfourier.words import Alphabet, Word
 
 ORDERS = {
     "Z1": 1, "Z2": 2, "Z3": 3, "Z4": 4, "Z5": 5, "Z6": 6, "Z7": 7,
@@ -87,7 +88,7 @@ def oracle_distribution(word, group_name, budget=MASTER_CAP + 1):
 
 def oracle_coefficients(word, group_name):
     _, table = group_and_table(group_name)
-    return project(oracle_distribution(word, group_name), table).coefficients
+    return project(oracle_distribution(word, group_name), table)
 
 
 def master_pairs(cap=MASTER_CAP):
@@ -120,6 +121,17 @@ def random_word(rng, alphabet, length):
         (int(rng.integers(alphabet.rank)), int(rng.choice((1, -1))))
         for _ in range(length)
     )
-    from wordfourier.words import Word
-
     return Word(alphabet, letters)
+
+
+def split_tambour(n):
+    """Split of y1..yn * y1^-1..yn^-1: r = 1 for even n, r = 2 for odd n > 1.
+
+    Returns (r, form).  n = 1 collapses to the empty word by free reduction
+    before any split happens; the form then has the single empty residual
+    word.
+    """
+    alphabet = Alphabet(tuple(f"y{i + 1}" for i in range(n)))
+    letters = tuple((i, 1) for i in range(n)) + tuple((i, -1) for i in range(n))
+    form = normalize(Word(alphabet, letters))
+    return len(form.residual_words), form

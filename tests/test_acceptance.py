@@ -16,22 +16,21 @@ from wordfourier import (
     fs_indicator,
     genus,
     invert,
-    nested_commutator_coeff,
     normalize,
     parse_word,
-    quartic_pair_coeff,
     split_dismissible,
-    split_tambour,
 )
 from wordfourier.chartable import ORTHOGONALITY_TOL
 from wordfourier.reduction import form_from_split
 
+from closed_forms import nested_commutator_coeff, quartic_pair_coeff
 from corpus import (
     corpus_word,
     group_and_table,
     master_pairs,
     oracle_coefficients,
     oracle_distribution,
+    split_tambour,
 )
 
 TOL = 1e-6
@@ -249,16 +248,19 @@ def test_11_quartic_pair():
         plain = quartic_pair_coeff(z3_table, chi, "plain")
         assert abs(absolute - plain) > 1.0
 
-    group, table = group_and_table("S3")
-    word = corpus_word("quartic-bracket")
-    assert group.order ** word.alphabet.rank == 1296
-    oracle = oracle_coefficients(word, "S3")
-    for chi in range(len(table)):
-        absolute = quartic_pair_coeff(table, chi, "absolute")
-        plain = quartic_pair_coeff(table, chi, "plain")
-        assert abs(absolute - plain) <= TOL  # all S3 characters are real
-        assert abs(absolute - oracle[chi]) <= TOL
-    ok(11, "quartic class sums: variants differ on Z3, agree and match on S3")
+    # Z3 and A4 have non-real characters, where the two variants differ
+    for name in ("S3", "Z3", "A4"):
+        _, table = group_and_table(name)
+        bracket = oracle_coefficients(corpus_word("quartic-bracket"), name)
+        brace = oracle_coefficients(corpus_word("quartic-brace"), name)
+        for chi in range(len(table)):
+            absolute = quartic_pair_coeff(table, chi, "absolute")
+            plain = quartic_pair_coeff(table, chi, "plain")
+            assert abs(absolute - bracket[chi]) <= TOL
+            assert abs(plain - brace[chi]) <= TOL
+            if name == "S3":
+                assert abs(absolute - plain) <= TOL  # all S3 characters are real
+    ok(11, "quartic class sums: variants differ on Z3, agree on S3, match on S3, Z3, A4")
 
 
 def test_12_table_validation_and_recomputation():

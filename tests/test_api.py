@@ -1,0 +1,64 @@
+"""The public API is pinned: growing or shrinking it shows in this file."""
+
+import wordfourier
+
+PUBLIC_NAMES = [
+    "Alphabet",
+    "BudgetExceededError",
+    "CharacterComputationError",
+    "CharacterTable",
+    "ClassFunction",
+    "ConjugacyClasses",
+    "DEFAULT_BUDGET",
+    "FiniteGroup",
+    "GroupValidationError",
+    "OccurrenceProfile",
+    "ReducedForm",
+    "ReductionError",
+    "SplitDecomposition",
+    "TableValidationError",
+    "Word",
+    "WordSyntaxError",
+    "active_backend",
+    "builtin_group",
+    "builtin_names",
+    "builtin_table",
+    "classify",
+    "closed_form_str",
+    "coefficient_formula",
+    "compute_character_table",
+    "concat",
+    "conjugacy_classes",
+    "cyclic_shift",
+    "distribution",
+    "eliminate_single",
+    "evaluate",
+    "format_trace",
+    "free_reduce",
+    "fs_indicator",
+    "genus",
+    "group_from_generators",
+    "invert",
+    "load_character_table",
+    "load_group",
+    "normalize",
+    "parse_word",
+    "perm_from_cycles",
+    "prefactor_str",
+    "project",
+    "save_character_table",
+    "save_group",
+    "split_dismissible",
+    "square_reduce",
+    "word_to_str",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(wordfourier.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves_once():
+    assert len(set(wordfourier.__all__)) == len(wordfourier.__all__)
+    for name in wordfourier.__all__:
+        assert getattr(wordfourier, name) is not None

@@ -156,7 +156,8 @@ class TestBench:
         assert code == 0
         doc = json.loads(out)
         by_route = {r["route"]: r for r in doc["routes"]}
-        assert by_route["oracle"]["assignments"] == 576
+        # the walk covers k*|G|^(p-1) assignments for p present generators
+        assert by_route["oracle"]["assignments"] == 5 * 24
         assert list(by_route) == ["oracle", "formula"]
         assert by_route["formula"]["assignments"] == 0
         assert all(r["max_delta"] < 1e-6 for r in doc["routes"])
@@ -170,8 +171,17 @@ class TestBench:
         assert code == 0
         doc = json.loads(out)
         by_route = {r["route"]: r for r in doc["routes"]}
-        assert by_route["oracle"]["assignments"] == 46656
-        assert by_route["formula"]["assignments"] == 36
+        assert by_route["oracle"]["assignments"] == 3 * 6**5
+        assert by_route["formula"]["assignments"] == 3 * 6
+
+    def test_both_routes_walk_the_same_residual(self, capsys):
+        # nothing reduces, so the formula walks the oracle's assignments
+        code, out, _ = run(
+            capsys, "bench", "[[x,y],[z,w]]", "--group", "S4", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert [r["assignments"] for r in doc["routes"]] == [5 * 24**3] * 2
 
     def test_square_first_beats_dismissible_first(self, capsys):
         # mixed square/dismissible word: the pipeline's claim, which takes

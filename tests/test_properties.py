@@ -1,21 +1,40 @@
-"""Property tests: both routes give the exact fiber counts."""
+"""Property tests: both routes give the exact fiber counts, and the formula
+route's coefficients respect the moves that preserve a word measure.
+
+Word measures are invariant under the automorphisms of the free group
+(Puder and Parzanchevski, Measure preserving words are primitive, 2015).
+Relabelling the generators and the Nielsen move x -> x*y are such
+automorphisms; a cyclic shift is a conjugation, which keeps every class;
+inverting the word sends each value to its inverse, which conjugates every
+coefficient.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordfourier import coefficient_formula, distribution, normalize
+from wordfourier import (
+    coefficient_formula,
+    cyclic_shift,
+    distribution,
+    invert,
+    normalize,
+)
 from wordfourier.words import Alphabet, Word
 
 from corpus import group_and_table, python_distribution
 
 NAMES = ("x", "y", "z")
+GROUPS = ("S3", "D4", "Q8")
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# four move properties per group: fewer words each keeps the suite quick
+MOVE_SETTINGS = settings(SETTINGS, max_examples=50)
 
 
 @st.composite
-def words(draw):
-    rank = draw(st.integers(0, len(NAMES)))
+def words(draw, min_rank=0):
+    rank = draw(st.integers(min_rank, len(NAMES)))
     letters = []
     if rank:
         letter = st.tuples(st.integers(0, rank - 1), st.sampled_from((1, -1)))
@@ -23,8 +42,8 @@ def words(draw):
     return Word(Alphabet(NAMES[:rank]), tuple(letters))
 
 
-@pytest.mark.parametrize("group_name", ("S3", "D4", "Q8"))
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@pytest.mark.parametrize("group_name", GROUPS)
+@SETTINGS
 @given(word=words())
 def test_formula_rebuilds_the_exact_fiber_counts(group_name, word):
     group, table = group_and_table(group_name)
@@ -41,3 +60,62 @@ def test_formula_rebuilds_the_exact_fiber_counts(group_name, word):
     oracle = distribution(word, group, classes=table.classes).values
     assert oracle.dtype == np.int64
     assert oracle[np.asarray(table.classes.class_of)].tolist() == reference
+
+
+def _formula(word, group_name):
+    group, table = group_and_table(group_name)
+    return coefficient_formula(normalize(word), group, table)
+
+
+def _assert_close(got, expected, group_name, word):
+    group, _ = group_and_table(group_name)
+    tol = 1e-9 * group.order**word.alphabet.rank
+    assert np.all(np.abs(got - expected) <= tol)
+
+
+# Z3's characters are not real, so there conjugation changes coefficients
+@pytest.mark.parametrize("group_name", GROUPS + ("Z3",))
+@MOVE_SETTINGS
+@given(word=words())
+def test_inverse_word_conjugates_the_coefficients(group_name, word):
+    expected = np.conj(_formula(word, group_name))
+    _assert_close(_formula(invert(word), group_name), expected, group_name, word)
+
+
+@pytest.mark.parametrize("group_name", GROUPS)
+@MOVE_SETTINGS
+@given(word=words(), shift=st.integers(0, 15))
+def test_cyclic_shift_keeps_the_coefficients(group_name, word, shift):
+    shifted = cyclic_shift(word, shift)
+    _assert_close(_formula(shifted, group_name), _formula(word, group_name), group_name, word)
+
+
+@pytest.mark.parametrize("group_name", GROUPS)
+@MOVE_SETTINGS
+@given(word=words(), data=st.data())
+def test_relabelling_keeps_the_coefficients(group_name, word, data):
+    label = data.draw(st.permutations(range(word.alphabet.rank)))
+    relabelled = Word(word.alphabet, tuple((label[g], s) for g, s in word.letters))
+    _assert_close(
+        _formula(relabelled, group_name), _formula(word, group_name), group_name, word
+    )
+
+
+@pytest.mark.parametrize("group_name", GROUPS)
+@MOVE_SETTINGS
+@given(word=words(min_rank=2), data=st.data())
+def test_nielsen_move_keeps_counts_and_coefficients(group_name, word, data):
+    x, y = data.draw(st.permutations(range(word.alphabet.rank)))[:2]
+    letters = []
+    for g, s in word.letters:
+        if g != x:
+            letters.append((g, s))
+        elif s > 0:
+            letters += [(x, 1), (y, 1)]  # x -> x*y
+        else:
+            letters += [(y, -1), (x, -1)]
+    moved = Word(word.alphabet, tuple(letters))
+    group, table = group_and_table(group_name)
+    counts = distribution(word, group, classes=table.classes).values
+    assert np.array_equal(distribution(moved, group, classes=table.classes).values, counts)
+    _assert_close(_formula(moved, group_name), _formula(word, group_name), group_name, word)

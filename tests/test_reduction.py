@@ -12,7 +12,6 @@ from wordfourier import (
     normalize,
     parse_word,
     split_dismissible,
-    split_tambour,
     square_reduce,
     word_to_str,
 )
@@ -24,7 +23,7 @@ from wordfourier.reduction import (
     prefactor_str,
 )
 
-from corpus import corpus_word
+from corpus import corpus_word, split_tambour
 
 INTRO_ALPHABET = Alphabet(("x1", "x2", "x3", "y1", "y2", "y3"))
 

@@ -50,11 +50,9 @@ class TestParser:
         assert parse_word("1").letters == ()
         assert parse_word("x*1*y").letters == ((0, 1), (1, 1))
 
-    def test_inferred_alphabet_order_and_flag(self):
+    def test_inferred_alphabet_order(self):
         w = parse_word("b*a*b")
         assert w.alphabet.names == ("b", "a")
-        assert w.alphabet.inferred
-        assert not parse_word("ab", Alphabet(("a", "b"))).alphabet.inferred
 
     def test_juxtaposition_against_explicit_alphabet(self):
         w = parse_word("xyx", Alphabet(("x", "y")))
