@@ -7,17 +7,21 @@ multiplication matrices of the group's class algebra: a random real linear
 combination of those matrices has the character-column vectors as
 eigenvectors, and a fresh combination is drawn whenever two eigenvalues
 collide.  The seed is recorded in the table metadata for reproducibility.
+Tables are immutable: attributes cannot be reassigned, the arrays are
+read-only and the metadata is a read-only mapping.  The table of each
+built-in group is loaded and validated once per process and then shared.
 """
 
 from __future__ import annotations
 
 import math
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import CharacterComputationError, TableValidationError
-from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes
+from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes, is_builtin
 
 ORTHOGONALITY_TOL = 1e-9
 FS_TOL = 1e-6
@@ -29,7 +33,7 @@ _COMPUTE_RETRIES = 12
 class CharacterTable:
     """Rows are irreducible characters, columns are conjugacy classes."""
 
-    __slots__ = ("group", "classes", "values", "degrees", "meta")
+    __slots__ = ("group", "classes", "values", "degrees", "meta", "_fs_sums")
 
     def __init__(
         self,
@@ -68,11 +72,25 @@ class CharacterTable:
 
         values.setflags(write=False)
         degrees.setflags(write=False)
-        self.group = group
-        self.classes = classes
-        self.values = values
-        self.degrees = degrees
-        self.meta = dict(meta or {})
+        for attr, value in (
+            ("group", group),
+            ("classes", classes),
+            ("values", values),
+            ("degrees", degrees),
+            ("meta", MappingProxyType(dict(meta or {}))),
+            ("_fs_sums", _indicator_sums(group, classes, values)),
+        ):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"CharacterTable is immutable; cannot set {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"CharacterTable is immutable; cannot delete {attr!r}")
+
+    def __reduce__(self):
+        # slot state is restored by assignment, which __setattr__ refuses
+        return (CharacterTable, (self.group, self.classes, self.values, dict(self.meta)))
 
     def __len__(self) -> int:
         return len(self.degrees)
@@ -91,13 +109,25 @@ class CharacterTable:
         return f"CharacterTable({self.group.name}, degrees={self.degrees.tolist()})"
 
 
-def fs_indicator(table: CharacterTable, chi: int) -> int:
-    """Frobenius-Schur indicator: (1/|G|) sum_g chi(g^2), in {-1, 0, +1}."""
-    classes = table.classes
+def _indicator_sums(group, classes, values) -> tuple[complex, ...]:
+    """(1/|G|) sum_g chi(g^2) for every row, summed class-wise."""
     sizes = np.array(classes.sizes, dtype=np.float64)
-    squared = table.values[chi, list(classes.power_class_map)]
-    value = (sizes * squared).sum() / table.group.order
-    nearest = int(np.rint(value.real))
+    squared = values[:, list(classes.power_class_map)]
+    return tuple(complex(v) for v in (squared * sizes).sum(axis=1) / group.order)
+
+
+def fs_indicator(table: CharacterTable, chi: int) -> int:
+    """Frobenius-Schur indicator: (1/|G|) sum_g chi(g^2), in {-1, 0, +1}.
+
+    A :class:`CharacterTable` carries the sums of all its rows from
+    construction; any other object with ``group``, ``classes`` and
+    ``values`` has them computed on each call.
+    """
+    sums = getattr(table, "_fs_sums", None)
+    if sums is None:
+        sums = _indicator_sums(table.group, table.classes, table.values)
+    value = sums[chi]
+    nearest = round(value.real)
     # |value - nearest| bounds the imaginary part too
     if nearest not in (-1, 0, 1) or abs(value - nearest) > FS_TOL:
         raise TableValidationError(
@@ -292,11 +322,28 @@ def load_character_table(group: FiniteGroup, path) -> CharacterTable:
         return _load_table_text(fh.read(), group, str(path))
 
 
+# group name -> the validated table bound to the shared built-in group
+_BUILTIN_TABLES: dict[str, CharacterTable] = {}
+
+
 def builtin_table(group: FiniteGroup) -> CharacterTable:
-    """Load the shipped character table matching a built-in group."""
+    """The shipped character table matching a built-in group, bound to ``group``.
+
+    For the group object that :func:`~wordfourier.groups.builtin_group`
+    returns, the table is read and validated on the first call and shared
+    after that.  Any other group object, such as a ``--group-file`` group
+    of the same name or a fresh ``build_builtin``, gets a table loaded and
+    validated for it on every call.
+    """
+    cached = _BUILTIN_TABLES.get(group.name)
+    if cached is not None and cached.group is group:
+        return cached
     text = (
         resources.files("wordfourier")
         .joinpath("data", "tables", f"{group.name}.chtab")
         .read_text(encoding="ascii")
     )
-    return _load_table_text(text, group, f"builtin:{group.name}")
+    table = _load_table_text(text, group, f"builtin:{group.name}")
+    if is_builtin(group):
+        _BUILTIN_TABLES[group.name] = table
+    return table

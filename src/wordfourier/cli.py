@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -42,9 +43,9 @@ from .fourier import (
 )
 from .groups import builtin_group, builtin_names, load_group
 from .reduction import (
+    _genus_of_form,
     closed_form_str,
     format_trace,
-    genus,
     normalize,
     prefactor_str,
 )
@@ -79,6 +80,7 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool) -> None:
         parser.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wordfourier",
@@ -329,10 +331,13 @@ def cmd_bench(args) -> int:
             ),
             "seconds": time.perf_counter() - start,
             "max_delta": 0.0,
+            "normalize_seconds": 0.0,
         }
     )
     start = time.perf_counter()
     form = normalize(word)
+    normalize_seconds = time.perf_counter() - start
+    start = time.perf_counter()
     coeffs = coefficient_formula(form, group, table, budget=args.budget)
     routes.append(
         {
@@ -342,6 +347,7 @@ def cmd_bench(args) -> int:
             ),
             "seconds": time.perf_counter() - start,
             "max_delta": float(np.max(np.abs(coeffs - oracle))),
+            "normalize_seconds": normalize_seconds,
         }
     )
 
@@ -354,17 +360,22 @@ def cmd_bench(args) -> int:
     }
     lines = [
         f"word: {doc['word']}  group: {group.name}  backend: {doc['backend']}",
-        f"{'route':<26} {'assignments':>12} {'seconds':>10} {'max delta':>10}",
+        f"{'route':<26} {'assignments':>12} {'seconds':>10} {'max delta':>10}"
+        f" {'normalize s':>11}",
     ]
     for r in routes:
         lines.append(
             f"{r['route']:<26} {r['assignments']:>12} {r['seconds']:>10.4f} {r['max_delta']:>10.2e}"
+            f" {r['normalize_seconds']:>11.4f}"
         )
     _emit(doc, args.fmt, "\n".join(lines))
     if args.csv:
         with open(args.csv, "w", newline="", encoding="ascii") as fh:
             writer = csv.DictWriter(
-                fh, fieldnames=["route", "assignments", "seconds", "max_delta"]
+                fh,
+                fieldnames=[
+                    "route", "assignments", "seconds", "max_delta", "normalize_seconds"
+                ],
             )
             writer.writeheader()
             writer.writerows(routes)
@@ -373,8 +384,8 @@ def cmd_bench(args) -> int:
 
 def cmd_genus(args) -> int:
     word = _parse_word_arg(args)
-    value = genus(word)
     form = normalize(word)
+    value = _genus_of_form(form)
     n = form.split.n
     r = form.split.r
     doc = {

@@ -60,12 +60,7 @@ def _check_budget(total: int, budget: int) -> None:
 
 def _check_same_group(group: FiniteGroup, classes: ConjugacyClasses, *tables) -> None:
     """Raise unless the class data and tables were built on this group object
-    and the classes are its conjugation orbits.
-
-    The kernels walk one representative per class and weight it by the
-    class size, so every class must be exactly the orbit of its
-    representative, the orbits must cover G, and the sizes must count the
-    members.
+    and the classes are its conjugation orbits (``ConjugacyClasses.check_orbits``).
     """
     if classes.group is not group or any(
         table.group is not group
@@ -75,19 +70,7 @@ def _check_same_group(group: FiniteGroup, classes: ConjugacyClasses, *tables) ->
         raise GroupValidationError(
             f"class data or character table does not belong to group {group.name}"
         )
-    class_of = np.asarray(classes.class_of)
-    k = len(classes)
-    # [h, c] -> h r_c h^-1, the orbit of representative c down column c
-    orbits = group.mul[group.mul[:, classes.representatives], group.inv[:, None]]
-    if (
-        class_of.shape != (group.order,)
-        or not np.bincount(orbits.ravel(), minlength=group.order).all()
-        or np.any(class_of[orbits] != np.arange(k))
-        or np.bincount(class_of, minlength=k).tolist() != list(classes.sizes)
-    ):
-        raise GroupValidationError(
-            f"class data are not the conjugacy classes of group {group.name}"
-        )
+    classes.check_orbits()
 
 
 def distribution(

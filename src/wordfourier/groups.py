@@ -5,13 +5,15 @@ permutations ``compose(p, q)`` applies ``p`` first and ``q`` second, and
 ``mul[g, h]`` is "g then h".  All derived values in the test suite are
 computed under this convention.
 
-Groups are immutable after validated construction; the tables are marked
-read-only so they can be shared freely across workers.
+Groups are immutable after validated construction: attributes cannot be
+reassigned and the tables are marked read-only, so they can be shared
+freely across workers.  Each built-in group is loaded and validated once
+per process and then shared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Iterable, Sequence
 
@@ -90,12 +92,25 @@ class FiniteGroup:
 
         mul.setflags(write=False)
         inv.setflags(write=False)
-        self.name = name
-        self.order = n
-        self.element_names = element_names
-        self.mul = mul
-        self.inv = inv
-        self.identity = int(identity)
+        for attr, value in (
+            ("name", name),
+            ("order", n),
+            ("element_names", element_names),
+            ("mul", mul),
+            ("inv", inv),
+            ("identity", int(identity)),
+        ):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"FiniteGroup is immutable; cannot set {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"FiniteGroup is immutable; cannot delete {attr!r}")
+
+    def __reduce__(self):
+        # slot state is restored by assignment, which __setattr__ refuses
+        return (FiniteGroup, (self.mul, self.name, self.element_names))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -111,9 +126,39 @@ class ConjugacyClasses:
     sizes: tuple[int, ...]
     centralizer_sizes: tuple[int, ...]
     power_class_map: tuple[int, ...]  # class of rep**2 per class
+    _orbits_checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.representatives)
+
+    def check_orbits(self) -> None:
+        """Raise unless the classes are the conjugation orbits of ``group``.
+
+        The kernels walk one representative per class and weight it by the
+        class size, so every class must be exactly the orbit of its
+        representative, the orbits must cover G, and the sizes must count
+        the members.  A pass is remembered on the object, so the O(k·|G|)
+        test runs once per object; only when ``class_of`` is read-only,
+        because a writable array could change after the test.
+        """
+        if self._orbits_checked:
+            return
+        group = self.group
+        class_of = np.asarray(self.class_of)
+        k = len(self)
+        # [h, c] -> h r_c h^-1, the orbit of representative c down column c
+        orbits = group.mul[group.mul[:, self.representatives], group.inv[:, None]]
+        if (
+            class_of.shape != (group.order,)
+            or not np.bincount(orbits.ravel(), minlength=group.order).all()
+            or np.any(class_of[orbits] != np.arange(k))
+            or np.bincount(class_of, minlength=k).tolist() != list(self.sizes)
+        ):
+            raise GroupValidationError(
+                f"class data are not the conjugacy classes of group {group.name}"
+            )
+        if isinstance(self.class_of, np.ndarray) and not self.class_of.flags.writeable:
+            object.__setattr__(self, "_orbits_checked", True)
 
     @property
     def identity_class(self) -> int:
@@ -388,8 +433,24 @@ def _data_root():
     return resources.files("wordfourier").joinpath("data")
 
 
+# canonical name -> the one validated group object shared by the process
+_BUILTINS: dict[str, FiniteGroup] = {}
+
+
 def builtin_group(name: str) -> FiniteGroup:
-    """Load a built-in group from the shipped data assets."""
+    """The built-in group ``name`` (any letter case) from the shipped data assets.
+
+    The asset is read and validated on the first call for each group; later
+    calls return the same immutable object.
+    """
     key = _canonical_name(name)
-    text = _data_root().joinpath("groups", f"{key}.grp").read_text(encoding="ascii")
-    return _load_group_text(text, f"builtin:{key}")
+    group = _BUILTINS.get(key)
+    if group is None:
+        text = _data_root().joinpath("groups", f"{key}.grp").read_text(encoding="ascii")
+        group = _BUILTINS[key] = _load_group_text(text, f"builtin:{key}")
+    return group
+
+
+def is_builtin(group: FiniteGroup) -> bool:
+    """Whether ``group`` is the shared object that :func:`builtin_group` returns."""
+    return _BUILTINS.get(group.name) is group

@@ -424,7 +424,12 @@ def genus(word: Word) -> int:
     Requires :func:`normalize` to end in a split whose residual words are
     all empty (the admissible case); anything else is an error.
     """
-    form = normalize(word)
+    return _genus_of_form(normalize(word))
+
+
+def _genus_of_form(form: ReducedForm) -> int:
+    """:func:`genus` of the word that ``form`` is the normal form of."""
+    word = form.word
     if form.trivial_only:
         raise ReductionError(f"{word} is not admissible: it has a single letter")
     if any(w.letters for w in form.residual_words):

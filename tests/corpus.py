@@ -4,7 +4,8 @@ The corpus spans every reduction shape: closed forms, squares, dismissible
 letters, cascades where one rule creates work for another, and words with
 general letters that survive into the residual alphabet.  Oracle
 distributions are cached per (word, group) because several suites compare
-against the same brute-force counts.
+against the same brute-force counts; built-in groups and tables are shared
+by the library itself.
 """
 
 from itertools import product
@@ -60,7 +61,6 @@ CORPUS_BY_ID = {entry[0]: entry for entry in CORPUS}
 # keeps the full corpus-x-groups oracle sweep at desk scale
 MASTER_CAP = 400_000
 
-_group_cache: dict[str, tuple] = {}
 _dist_cache: dict[tuple, object] = {}
 
 
@@ -70,10 +70,8 @@ def corpus_word(word_id):
 
 
 def group_and_table(name):
-    if name not in _group_cache:
-        group = builtin_group(name)
-        _group_cache[name] = (group, builtin_table(group))
-    return _group_cache[name]
+    group = builtin_group(name)
+    return group, builtin_table(group)
 
 
 def oracle_distribution(word, group_name, budget=MASTER_CAP + 1):

@@ -1,5 +1,7 @@
 """Character tables: computation, orthogonality validation, file format."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,12 @@ from wordfourier import (
     builtin_group,
     builtin_names,
     builtin_table,
+    coefficient_formula,
     compute_character_table,
     fs_indicator,
     load_character_table,
+    normalize,
+    parse_word,
     save_character_table,
 )
 from wordfourier.chartable import ORTHOGONALITY_TOL, _format_complex, _parse_complex
@@ -97,6 +102,45 @@ class TestValidation:
         )
         with pytest.raises(TableValidationError, match="indicator"):
             fs_indicator(fake, 2)
+
+
+class TestImmutability:
+    def test_attributes_cannot_be_reassigned(self, s3):
+        _, table = s3
+        with pytest.raises(AttributeError):
+            table.degrees = None
+        with pytest.raises(AttributeError):
+            del table.values
+        assert table.degrees.tolist() == [1, 1, 2]
+
+    def test_meta_is_read_only(self):
+        table = compute_character_table(build_builtin("S3"))
+        with pytest.raises(TypeError):
+            table.meta["x"] = 1
+        assert "x" not in table.meta
+
+    def test_pickle_round_trip_revalidates(self, s3):
+        _, table = s3
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy is not table and copy.group is not table.group
+        assert np.array_equal(copy.values, table.values)
+        assert copy.group.name == "S3" and dict(copy.meta) == dict(table.meta)
+
+
+class TestBuiltinTables:
+    def test_one_table_per_builtin_group(self):
+        group = builtin_group("S4")
+        assert builtin_table(group) is builtin_table(group)
+        assert builtin_table(group).group is group
+
+    def test_other_group_objects_get_their_own_table(self):
+        fresh = build_builtin("S4")
+        table = builtin_table(fresh)
+        assert table.group is fresh
+        assert table is not builtin_table(builtin_group("S4"))
+        assert builtin_table(builtin_group("S4")).group is builtin_group("S4")
+        coefficients = coefficient_formula(normalize(parse_word("[x,y]")), fresh, table)
+        assert np.allclose(coefficients, 24 / table.degrees)
 
 
 class TestFsIndicator:

@@ -1,8 +1,19 @@
 """CLI surface: commands, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from wordfourier import parse_word, save_character_table, save_group, split_dismissible
+import wordfourier
+from wordfourier import (
+    CharacterTable,
+    parse_word,
+    save_character_table,
+    save_group,
+    split_dismissible,
+)
 from wordfourier.cli import main
 from wordfourier.reduction import form_from_split
 
@@ -13,6 +24,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """The same call in a new interpreter, with nothing loaded before it."""
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(wordfourier.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    program = "import sys\nfrom wordfourier.cli import main\nsys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", program, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestClassify:
@@ -165,6 +190,18 @@ class TestBench:
         assert text.startswith("route,assignments,seconds,max_delta")
         assert "oracle" in text
 
+    def test_normalize_is_timed_apart(self, capsys, tmp_path):
+        csv_path = tmp_path / "bench.csv"
+        code, out, _ = run(
+            capsys, "bench", "x^2*[y,z]", "--group", "S3", "--csv", str(csv_path),
+            "--format", "json",
+        )
+        assert code == 0
+        routes = json.loads(out)["routes"]
+        assert [r["normalize_seconds"] >= 0 for r in routes] == [True, True]
+        assert routes[0]["normalize_seconds"] == 0.0
+        assert csv_path.read_text().splitlines()[0].endswith(",normalize_seconds")
+
     def test_worked_example_counts(self, capsys):
         word = "x1*y1*x1*x2*y3*x2*x1*y1^-1*x1^3*y2*x3^-1*y3^-1*x3^2*y2^-1*x3"
         code, out, _ = run(capsys, "bench", word, "--group", "S3", "--format", "json")
@@ -268,3 +305,47 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class TestOneProcess:
+    """Calls in one process share the parser and the built-in groups and
+    tables; each must still print what it prints on its own."""
+
+    def test_a_sequence_of_calls_matches_fresh_calls(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap to it
+        word = "[x,y]*z^2"
+        calls = (
+            ("expand", word, "--group", "S3", "--verify", "--format", "json"),
+            ("expand", word, "--group", "S3", "--format", "json"),
+            ("reduce", word, "--format", "json"),
+            ("expand", word),  # no group: usage error
+            ("expand", word, "--group", "S3", "--bogus"),  # argparse usage error
+            ("--help",),
+            ("expand", word, "--group", "S3", "--format", "json"),
+        )
+        in_process = [run(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in in_process] == [0, 0, 0, 1, 1, 0, 0]
+        assert in_process[-1] == in_process[1]
+        assert in_process == [run_fresh(*argv) for argv in calls]
+
+    def test_rewritten_group_file_is_read_again(self, capsys, tmp_path):
+        gpath = tmp_path / "g.grp"
+        args = ("expand", "x^2", "--group-file", str(gpath), "--format", "json")
+        save_group(group_and_table("Z4")[0], gpath)
+        first = json.loads(run(capsys, *args)[1])
+        save_group(group_and_table("Z5")[0], gpath)
+        second = json.loads(run(capsys, *args)[1])
+        assert (first["group"], first["order"]) == ("Z4", 4)
+        assert (second["group"], second["order"]) == ("Z5", 5)
+
+    def test_rewritten_table_file_is_read_again(self, capsys, tmp_path):
+        group, table = group_and_table("S3")
+        tpath = tmp_path / "s3.chtab"
+        args = ("expand", "[x,y]", "--group", "S3", "--table-file", str(tpath),
+                "--format", "json")
+        save_character_table(table, tpath)
+        first = json.loads(run(capsys, *args)[1])
+        save_character_table(CharacterTable(group, table.classes, table.values[::-1]), tpath)
+        second = json.loads(run(capsys, *args)[1])
+        assert [r["degree"] for r in first["rows"]] == [1, 1, 2]
+        assert [r["degree"] for r in second["rows"]] == [2, 1, 1]

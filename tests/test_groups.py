@@ -1,5 +1,7 @@
 """Multiplication-table groups, closure, conjugacy classes, file format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             group.mul[0, 0] = 1
 
+    def test_attributes_cannot_be_reassigned(self):
+        group = builtin_group("S3")
+        with pytest.raises(AttributeError):
+            group.name = "X"
+        with pytest.raises(AttributeError):
+            del group.order
+        assert builtin_group("S3").name == "S3"
+
 
 class TestConjugacyClasses:
     def test_s3_sizes_in_representative_order(self):
@@ -124,6 +134,27 @@ class TestConjugacyClasses:
             assert len(set(squares[class_of == c].tolist())) == 1
         for c, rep in enumerate(classes.representatives):
             assert classes.power_class_map[c] == squares[rep]
+
+
+    def test_writable_class_data_are_checked_on_every_call(self):
+        group = build_builtin("S3")
+        classes = conjugacy_classes(group)
+        writable = dataclasses.replace(classes, class_of=np.array(classes.class_of))
+        writable.check_orbits()
+        # elements 3 and 5 lie in the classes of size 3 and 2: the swap keeps
+        # every size but breaks the orbits
+        assert writable.class_of[3] != writable.class_of[5]
+        writable.class_of[[3, 5]] = writable.class_of[[5, 3]]
+        with pytest.raises(GroupValidationError):
+            writable.check_orbits()
+
+
+class TestBuiltins:
+    def test_one_object_per_group_in_any_case(self):
+        assert builtin_group("s4") is builtin_group("S4")
+
+    def test_fresh_construction_is_not_shared(self):
+        assert build_builtin("S4") is not builtin_group("S4")
 
 
 class TestFiles:
