@@ -1,29 +1,32 @@
 """Enumeration kernels for the oracle and the formula routes (numpy only).
 
 Both routes sum over the assignments of group elements to the generators,
-and both make the same walk, ``_orbit_walk``:
+and both make the same walk, ``_orbit_walk``, and the same exact tally,
+``_joint_tally``:
 
 * Generators absent from every word are left out; each one multiplies the
   result by |G|.
-* Orbit.  Every summand depends only on the conjugacy classes of the
+* Orbits.  Every summand depends only on the conjugacy classes of the
   words' values, and those do not change when all generators are
-  conjugated by one element.  So the first generator to appear runs over
-  the class representatives only, and each row is weighted by its class
-  size.
+  conjugated by one element.  So the first two generators to appear run
+  over one pair (x, y) per orbit of G on pairs
+  (``ConjugacyClasses.pair_orbits``): x over the class representatives, y
+  over the orbits of x's centraliser, and each row is weighted by its
+  orbit size |G|/|C(x) ∩ C(y)|.  A lone generator runs over the class
+  representatives, weighted by class size.
 * Prefix sharing.  The other generators, in order of first appearance,
   are kept as broadcast axes, so a letter is evaluated over the generators
   seen so far and costs only the size of that prefix.  The leading ones
-  are enumerated per row in mixed-radix order (the first generator most
-  significant); as many trailing ones as fit in ``cells`` are whole axes
-  of |G|, and a chunk takes as many rows as keep it near ``cells`` cells.
+  are enumerated per row in mixed-radix order (the pair most significant);
+  as many trailing ones as fit in ``cells`` are whole axes of |G|, and a
+  chunk takes as many rows as keep it near ``cells`` cells.
 
-``element_counts`` (the oracle) stays exact in integers: it tallies
-(representative, class of the value) pairs into an int64 table with
-``bincount``; the class totals are ``sizes @ table``, and a class total
-divided by its class size, which must divide it exactly, is the count of
-each element of the class.  ``split_character_sum`` (the formula)
-multiplies the character rows at the classes of the words' values and
-contracts them against the class sizes, every row in the same walk.
+The tally counts, in int64, the class tuples (c_1..c_r) of the r words'
+values over all assignments.  ``element_counts`` (the oracle) is the r = 1
+tally: a class total divided by its class size, which must divide it
+exactly, is the count of each element of the class.
+``split_character_sum`` (the formula) contracts the tally against the
+character values at each tuple's classes, one float sum of exact integers.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ import numpy as np
 from .errors import GroupValidationError
 
 _CHUNK = 1 << 16
+# largest (rows x k^r) table one chunk is tallied into with bincount
+_DENSE = 1 << 16
 
 
 def active_backend() -> str:
@@ -51,59 +56,118 @@ def _present_generators(word_letter_lists) -> list[int]:
 
 
 def walked_assignments(group, word_letter_lists, classes) -> int:
-    """Assignments ``_orbit_walk`` evaluates for these words: k*|G|^(p-1)
-    for p present generators, or 0 when none is present and nothing is
-    walked."""
+    """Assignments ``_orbit_walk`` evaluates for these words: P*|G|^(p-2)
+    for p >= 2 present generators and P pair orbits, k for one, or 0 when
+    none is present and nothing is walked."""
     present = len(_present_generators(word_letter_lists))
-    return len(classes) * group.order ** (present - 1) if present else 0
+    if present < 2:
+        return len(classes) * present
+    return len(classes.pair_orbits()[2]) * group.order ** (present - 2)
 
 
 def _orbit_walk(group, word_letter_lists, classes, cells):
     """Walk the assignments of the present generators, up to conjugation.
 
-    Yields ``(rep, values)`` per chunk of rows.  ``rep`` is the class index
-    of the first generator's representative in each row, and ``values``
-    holds the class index of each word's value; all are arrays of one
-    dimension count that broadcast to (rows, |G|, ..., |G|).  Needs at
-    least one present generator.
+    Yields ``(weight, values)`` per chunk of rows.  ``weight`` is the int64
+    size of each row's conjugation orbit, and ``values`` holds the class
+    index of each word's value; all are arrays of one dimension count that
+    broadcast to (rows, |G|, ..., |G|).  Needs at least one present
+    generator.
     """
     order, mul, inv = group.order, group.mul, group.inv
     class_of = np.asarray(classes.class_of)
-    reps = np.asarray(classes.representatives, dtype=np.int64)
     present = _present_generators(word_letter_lists)
+    if len(present) == 1:
+        heads = (np.asarray(classes.representatives, dtype=np.int64),)
+        weights = np.asarray(classes.sizes, dtype=np.int64)
+    else:
+        *heads, weights = classes.pair_orbits()
+    # the head generators are row digits; later ones may be whole axes
     inner = 0
-    while inner < len(present) - 1 and order ** (inner + 1) <= cells:
+    while inner < len(present) - len(heads) and order ** (inner + 1) <= cells:
         inner += 1
-    outer = len(present) - inner
+    free = len(present) - len(heads) - inner
     ndim = 1 + inner
 
     letter_values = {}
-    for axis, g in enumerate(present[outer:], start=1):
+    for axis, g in enumerate(present[len(present) - inner:], start=1):
         shape = [1] * ndim
         shape[axis] = order
         x = np.arange(order, dtype=np.int64).reshape(shape)
         letter_values[g, 1], letter_values[g, -1] = x, inv[x]
     identity = np.full((1,) * ndim, group.identity, dtype=np.int64)
 
-    radix = np.array([len(reps)] + [order] * (outer - 1), dtype=np.int64)
-    strides = order ** np.arange(outer - 1, -1, -1, dtype=np.int64)
-    total = len(reps) * order ** (outer - 1)
+    radix = np.array([len(weights)] + [order] * free, dtype=np.int64)
+    strides = order ** np.arange(free, -1, -1, dtype=np.int64)
+    total = len(weights) * order**free
     rows = max(1, cells // order**inner)
     for start in range(0, total, rows):
         stop = min(start + rows, total)
         column = (stop - start,) + (1,) * inner
-        digits = _chunk_digits(start, stop, strides, radix).T.reshape((outer,) + column)
-        rep = digits[0].copy()
-        digits[0] = reps[rep]
-        for j, g in enumerate(present[:outer]):
-            letter_values[g, 1], letter_values[g, -1] = digits[j], inv[digits[j]]
+        digits = _chunk_digits(start, stop, strides, radix).T.reshape((1 + free,) + column)
+        row = digits[0]
+        enumerated = [head[row] for head in heads] + list(digits[1:])
+        for g, x in zip(present, enumerated):
+            letter_values[g, 1], letter_values[g, -1] = x, inv[x]
         values = []
         for letters in word_letter_lists:
             acc = identity
             for g, s in letters:
                 acc = mul[acc, letter_values[g, s]]
             values.append(class_of[acc])
-        yield rep, values
+        yield weights[row], values
+
+
+def _sum_by_column(tuples, counts):
+    """Merge equal columns of ``tuples``, adding their int64 ``counts``."""
+    order = np.lexsort(tuples)
+    tuples, counts = tuples[:, order], counts[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], np.any(tuples[:, 1:] != tuples[:, :-1], axis=0)))
+    )
+    return tuples[:, starts], np.add.reduceat(counts, starts)
+
+
+def _joint_tally(group, word_letter_lists, classes):
+    """Count the class tuples (c_1..c_r) of the r words' values over every
+    assignment of the present generators (at least one), exactly in int64.
+
+    Returns ``(tuples, counts)``: an (r, m) array whose columns are the
+    tuples that occur, and their counts.  A chunk is tallied with one
+    ``bincount`` over (row, tuple) while rows*k^r fits ``_DENSE`` and rows
+    are weighted after; past that its tuples are sorted and merged, so the
+    memory grows with the tuples that occur, not with k^r.
+    """
+    k, r = len(classes), len(word_letter_lists)
+    size = k**r
+    dense = np.zeros(size if size <= _DENSE else 0, dtype=np.int64)
+    tuples = np.zeros((r, 0), dtype=np.int64)
+    counts = np.zeros(0, dtype=np.int64)
+    for weight, values in _orbit_walk(group, word_letter_lists, classes, _CHUNK):
+        rows = weight.size
+        if rows * size <= _DENSE:
+            joint = np.arange(rows).reshape(weight.shape)
+            for value in values:
+                joint = joint * k + value
+            cells = np.bincount(joint.ravel(), minlength=rows * size)
+            dense += weight.ravel() @ cells.reshape(rows, size)
+            continue
+        shape = np.broadcast_shapes(weight.shape, *(v.shape for v in values))
+        found = _sum_by_column(
+            np.stack([np.broadcast_to(v, shape).ravel() for v in values]),
+            np.broadcast_to(weight, shape).ravel(),
+        )
+        if dense.size:
+            dense[np.ravel_multi_index(found[0], (k,) * r)] += found[1]
+        else:
+            tuples, counts = _sum_by_column(
+                np.concatenate((tuples, found[0]), axis=1),
+                np.concatenate((counts, found[1])),
+            )
+    if dense.size:
+        keys = np.flatnonzero(dense)
+        return np.array(np.unravel_index(keys, (k,) * r)), dense[keys]
+    return tuples, counts
 
 
 def element_counts(group, letters, rank, classes) -> np.ndarray:
@@ -120,12 +184,11 @@ def element_counts(group, letters, rank, classes) -> np.ndarray:
         counts = np.zeros(order, dtype=np.int64)
         counts[group.identity] = scale
         return counts
-    k = len(classes)
-    table = np.zeros(k * k, dtype=np.int64)
-    for rep, (value,) in _orbit_walk(group, [letters], classes, _CHUNK):
-        table += np.bincount((rep * k + value).ravel(), minlength=k * k)
+    (found,), found_counts = _joint_tally(group, [letters], classes)
+    totals = np.zeros(len(classes), dtype=np.int64)
+    totals[found] = found_counts
     sizes = np.asarray(classes.sizes, dtype=np.int64)
-    per_element, remainder = np.divmod(sizes @ table.reshape(k, k), sizes)
+    per_element, remainder = np.divmod(totals, sizes)
     if np.any(remainder):
         raise GroupValidationError("word-map counts are not constant on a class")
     return per_element[np.asarray(classes.class_of)] * scale
@@ -144,15 +207,8 @@ def split_character_sum(group, word_letter_lists, rank, classes, chibar) -> np.n
     scale = float(group.order ** (rank - present))
     if not present:
         return chibar[:, classes.identity_class] ** len(word_letter_lists) * scale
-    nrows = chibar.shape[0]
-    sizes = np.asarray(classes.sizes, dtype=np.float64)
-    sums = np.zeros(nrows, dtype=np.complex128)
-    # one chunk holds a (characters x cells) product: keep it near _CHUNK
-    cells = max(1, _CHUNK // max(1, nrows))
-    for rep, values in _orbit_walk(group, word_letter_lists, classes, cells):
-        prod = chibar[:, values[0]]
-        for value in values[1:]:
-            prod = prod * chibar[:, value]
-        sums += prod.reshape(nrows, rep.size, -1).sum(axis=2) @ sizes[rep.ravel()]
-    return sums * scale
-
+    tuples, counts = _joint_tally(group, word_letter_lists, classes)
+    prod = chibar[:, tuples[0]]
+    for found in tuples[1:]:
+        prod = prod * chibar[:, found]
+    return prod @ counts * scale

@@ -7,15 +7,17 @@ counts into one coefficient per character.  ``coefficient_formula``
 evaluates the symbolic claim carried by a
 :class:`~wordfourier.reduction.ReducedForm` instead.  Both routes return
 the same thing, a complex array with one coefficient per character row.
-Both go through the one walk in ``_kernels`` (numpy only): the first
-generator to appear runs over conjugacy class representatives, weighted by
-class size, later generators share the letters evaluated before them, and
-absent generators contribute a factor |G| each.  The oracle's counts are
-exact integers.  Both are gated by an evaluation budget, capped at the
-int64 range, and fail cleanly rather than approximate.  Class data, tables
-and groups must belong to one group object, and the class data must be
-that group's conjugation orbits; anything else raises
-:class:`GroupValidationError`.
+Both go through the one walk and tally in ``_kernels`` (numpy only): the
+first two generators to appear run over one pair per orbit of
+simultaneous conjugation, weighted by orbit size, later generators share
+the letters evaluated before them, and absent generators contribute a
+factor |G| each.  The walk tallies the class tuples of the words' values
+exactly in int64: the oracle's counts are that tally's integers, and the
+formula is one float contraction of it.  Both are gated by an evaluation
+budget, capped at the int64 range, and fail cleanly rather than
+approximate.  Class data, tables and groups must belong to one group
+object, and the class data must be that group's conjugation orbits;
+anything else raises :class:`GroupValidationError`.
 """
 
 from __future__ import annotations

@@ -127,6 +127,7 @@ class ConjugacyClasses:
     centralizer_sizes: tuple[int, ...]
     power_class_map: tuple[int, ...]  # class of rep**2 per class
     _orbits_checked: bool = field(default=False, init=False, repr=False, compare=False)
+    _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.representatives)
@@ -134,10 +135,10 @@ class ConjugacyClasses:
     def check_orbits(self) -> None:
         """Raise unless the classes are the conjugation orbits of ``group``.
 
-        The kernels walk one representative per class and weight it by the
-        class size, so every class must be exactly the orbit of its
-        representative, the orbits must cover G, and the sizes must count
-        the members.  A pass is remembered on the object, so the O(k·|G|)
+        The kernels walk the class representatives, alone or paired, and
+        weight them by class or orbit size, so every class must be exactly
+        the orbit of its representative, the orbits must cover G, and the
+        sizes must count the members.  A pass is remembered on the object, so the O(k·|G|)
         test runs once per object; only when ``class_of`` is read-only,
         because a writable array could change after the test.
         """
@@ -159,6 +160,35 @@ class ConjugacyClasses:
             )
         if isinstance(self.class_of, np.ndarray) and not self.class_of.flags.writeable:
             object.__setattr__(self, "_orbits_checked", True)
+
+    def pair_orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One pair (x, y) per orbit of G on G x G under simultaneous
+        conjugation, and the orbit's size |G|/|C(x) ∩ C(y)|, as int64 arrays.
+
+        x runs over the class representatives and y over the least element
+        of each orbit of C(x) acting on G by conjugation, so the sizes sum
+        to |G|^2.  Kept on the object under the rule of ``check_orbits``:
+        only when ``class_of`` is read-only.
+        """
+        if self._pairs is not None:
+            return self._pairs
+        group = self.group
+        mul, inv = group.mul, group.inv
+        xs, ys, sizes = [], [], []
+        for x in self.representatives:
+            centralizer = np.flatnonzero(mul[x] == mul[:, x])
+            # [h, y] -> h y h^-1: column y holds y's orbit, its least entry names it
+            least = mul[mul[centralizer], inv[centralizer][:, None]].min(axis=0)
+            ys_x, orbit = np.unique(least, return_counts=True)
+            xs.append(np.full(len(ys_x), x))
+            ys.append(ys_x)
+            sizes.append(group.order * orbit // len(centralizer))
+        pairs = tuple(np.concatenate(a).astype(np.int64) for a in (xs, ys, sizes))
+        for a in pairs:
+            a.setflags(write=False)
+        if isinstance(self.class_of, np.ndarray) and not self.class_of.flags.writeable:
+            object.__setattr__(self, "_pairs", pairs)
+        return pairs
 
     @property
     def identity_class(self) -> int:

@@ -116,7 +116,9 @@ class ReducedForm:
         """Size |G|^rank of the claim's residual sum (0 when it is closed-form).
 
         This is the sum the claim stands for; the walk that evaluates it
-        is smaller (``_kernels.walked_assignments``).
+        runs over orbits of simultaneous conjugation and is smaller
+        (``_kernels.walked_assignments``: P*|G|^(rank-2) for P orbits on
+        pairs).
         """
         if self.trivial_only or self.residual_rank == 0:
             return 0

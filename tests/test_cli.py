@@ -6,9 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import wordfourier
 from wordfourier import (
     CharacterTable,
+    coefficient_formula,
+    normalize,
     parse_word,
     save_character_table,
     save_group,
@@ -181,8 +185,8 @@ class TestBench:
         assert code == 0
         doc = json.loads(out)
         by_route = {r["route"]: r for r in doc["routes"]}
-        # the walk covers k*|G|^(p-1) assignments for p present generators
-        assert by_route["oracle"]["assignments"] == 5 * 24
+        # the walk covers one row per orbit of S4 on pairs
+        assert by_route["oracle"]["assignments"] == 43
         assert list(by_route) == ["oracle", "formula"]
         assert by_route["formula"]["assignments"] == 0
         assert all(r["max_delta"] < 1e-6 for r in doc["routes"])
@@ -208,8 +212,9 @@ class TestBench:
         assert code == 0
         doc = json.loads(out)
         by_route = {r["route"]: r for r in doc["routes"]}
-        assert by_route["oracle"]["assignments"] == 3 * 6**5
-        assert by_route["formula"]["assignments"] == 3 * 6
+        # 11 orbits of S3 on pairs, times |G| per further present generator
+        assert by_route["oracle"]["assignments"] == 11 * 6**4
+        assert by_route["formula"]["assignments"] == 11
 
     def test_both_routes_walk_the_same_residual(self, capsys):
         # nothing reduces, so the formula walks the oracle's assignments
@@ -218,7 +223,17 @@ class TestBench:
         )
         assert code == 0
         doc = json.loads(out)
-        assert [r["assignments"] for r in doc["routes"]] == [5 * 24**3] * 2
+        assert [r["assignments"] for r in doc["routes"]] == [43 * 24**2] * 2
+
+    def test_formula_agrees_with_the_oracle_to_rounding(self, capsys):
+        # the formula contracts the same exact class tally as the oracle
+        word = "[[x,y],[z,w]]"
+        code, out, _ = run(capsys, "bench", word, "--group", "S4", "--format", "json")
+        assert code == 0
+        formula = json.loads(out)["routes"][1]
+        group, table = group_and_table("S4")
+        coefficients = coefficient_formula(normalize(parse_word(word)), group, table)
+        assert formula["max_delta"] <= 1e-12 * np.max(np.abs(coefficients))
 
     def test_square_first_beats_dismissible_first(self, capsys):
         # mixed square/dismissible word: the pipeline's claim, which takes

@@ -1,6 +1,7 @@
 """Both kernels against plain Python loops over every assignment."""
 
 import dataclasses
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -35,12 +36,12 @@ def assert_counts_match_reference(word, group, classes):
     assert counts.tolist() == python_distribution(word, group)
 
 
-def reversed_s3():
-    """S3 with its element labels reversed, so that class representatives
-    are not the first elements."""
-    s3, _ = group_and_table("S3")
-    flip = np.arange(s3.order)[::-1]
-    group = FiniteGroup(flip[s3.mul[np.ix_(flip, flip)]], name="S3-reversed")
+def reversed_group(name):
+    """A built-in group with its element labels reversed, so that class
+    representatives are not the first elements."""
+    base, _ = group_and_table(name)
+    flip = np.arange(base.order)[::-1]
+    group = FiniteGroup(flip[base.mul[np.ix_(flip, flip)]], name=f"{name}-reversed")
     table = compute_character_table(group)
     assert table.classes.representatives != tuple(range(len(table)))
     return group, table
@@ -69,7 +70,7 @@ def test_numpy_chunking_boundaries(monkeypatch):
 
 @pytest.mark.parametrize("word_id", ("commutator", "general-square", "conjugate-loop"))
 def test_counts_where_representatives_are_not_the_first_elements(word_id):
-    group, table = reversed_s3()
+    group, table = reversed_group("S3")
     assert_counts_match_reference(corpus_word(word_id), group, table.classes)
 
 
@@ -158,7 +159,7 @@ def test_character_sums_match_python_reference(group_name, rank, nwords):
 
 
 def test_character_sums_where_representatives_are_not_the_first_elements():
-    group, table = reversed_s3()
+    group, table = reversed_group("S3")
     n = group.order
     words = random_residual_words(7, 2, 2)
     chibar = class_function_rows(table, 7)
@@ -190,3 +191,128 @@ def test_character_sums_of_no_words_count_the_assignments():
     group, table = group_and_table("D4")
     sums = _kernels.split_character_sum(group, [], 2, table.classes, np.conj(table.values))
     assert np.allclose(sums, np.full(len(table), 64), rtol=0, atol=1e-9)
+
+
+# orbits of G on pairs under simultaneous conjugation, by Burnside
+# (1/|G|) * sum over g of |C(g)|^2
+PAIR_ORBITS = {
+    "S4": 43, "A4": 22, "D5": 22, "Q8": 28, "S3": 11, "D4": 28,
+    "Z1": 1, "Z4": 16, "Z7": 49, "Z12": 144,
+}
+
+
+def pair_table_cases():
+    cases = [pytest.param(*group_and_table(name), PAIR_ORBITS[name], id=name)
+             for name in PAIR_ORBITS]
+    for name in ("S3", "S4", "Q8", "A4"):
+        group, table = reversed_group(name)
+        cases.append(pytest.param(group, table, PAIR_ORBITS[name], id=group.name))
+    return cases
+
+
+@pytest.mark.parametrize("group, table, orbits", pair_table_cases())
+def test_pair_table_has_one_row_per_orbit(group, table, orbits):
+    xs, ys, weights = table.classes.pair_orbits()
+    n = group.order
+    assert weights.dtype == np.int64 and len(weights) == orbits
+    assert int(weights.sum()) == n * n
+    assert set(xs.tolist()) == set(table.classes.representatives)
+    mul, inv = group.mul, group.inv
+    h = np.arange(n)
+    seen = np.zeros((n, n), dtype=np.int64)
+    for x, y, weight in zip(xs, ys, weights):
+        both = np.count_nonzero((mul[x] == mul[:, x]) & (mul[y] == mul[:, y]))
+        assert weight == n // both  # |G| / |C(x) ∩ C(y)|
+        orbit = {(int(a), int(b)) for a, b in zip(mul[mul[h, x], inv], mul[mul[h, y], inv])}
+        assert len(orbit) == weight
+        for a, b in orbit:
+            seen[a, b] += 1
+    assert (seen == 1).all()  # the orbits are disjoint and cover G x G
+
+
+def test_pair_table_is_kept_only_for_read_only_class_data():
+    classes = group_and_table("S3")[1].classes
+    assert classes.pair_orbits() is classes.pair_orbits()
+    writable = dataclasses.replace(classes, class_of=np.array(classes.class_of))
+    first = writable.pair_orbits()
+    assert writable.pair_orbits() is not first
+    assert all(np.array_equal(a, b) for a, b in zip(first, writable.pair_orbits()))
+
+
+def python_joint_tally(group, words, rank, classes):
+    """Class tuples of the words' values over every |G|^rank assignment."""
+    tally = Counter()
+    for assigned in product(range(group.order), repeat=rank):
+        found = []
+        for letters in words:
+            acc = group.identity
+            for g, s in letters:
+                x = assigned[g] if s > 0 else int(group.inv[assigned[g]])
+                acc = int(group.mul[acc, x])
+            found.append(int(classes.class_of[acc]))
+        tally[tuple(found)] += 1
+    return tally
+
+
+def joint_words(seed, generators, count):
+    """``count`` words of 1-4 random letters over ``generators``, each used."""
+    rng = np.random.default_rng(seed)
+    words = [
+        [
+            (int(rng.choice(generators)), int(rng.choice((1, -1))))
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        for _ in range(count)
+    ]
+    words[0] += [(g, -1) for g in generators]
+    return words
+
+
+def assert_tally_matches_reference(group, words, rank, classes):
+    tuples, counts = _kernels._joint_tally(group, words, classes)
+    present = {g for letters in words for g, _ in letters}
+    assert counts.dtype == np.int64 and (counts > 0).all()
+    assert tuples.shape == (len(words), len(counts))
+    got = dict(zip(map(tuple, tuples.T.tolist()), counts.tolist()))
+    assert len(got) == len(counts)  # one column per tuple
+    absent = group.order ** (rank - len(present))
+    expected = python_joint_tally(group, words, rank, classes)
+    assert {key: value * absent for key, value in got.items()} == dict(expected)
+
+
+@pytest.mark.parametrize("generators", ((0, 2), (0, 1, 2)), ids=("absent-y", "all"))
+@pytest.mark.parametrize("nwords", (1, 2, 3, 4))
+@pytest.mark.parametrize("group_name", ("S3", "D4", "Q8", "A4"))
+def test_joint_tally_matches_python_reference(group_name, nwords, generators):
+    group, table = group_and_table(group_name)
+    words = joint_words(10 * nwords + len(generators), generators, nwords)
+    assert_tally_matches_reference(group, words, 3, table.classes)
+
+
+@pytest.mark.parametrize("dense", ("all", "tally", "none"))
+def test_joint_tally_across_chunk_edges_and_sparse_merges(monkeypatch, dense):
+    # 7 cells per chunk.  "tally" keeps the whole k^r table dense but
+    # merges chunks of several rows by sorting; "none" merges everything
+    monkeypatch.setattr(_kernels, "_CHUNK", 7)
+    for group_name in ("S3", "A4"):
+        group, table = group_and_table(group_name)
+        k = len(table.classes)
+        for nwords in (1, 2, 3, 4):
+            cap = {"all": 1 << 16, "tally": k**nwords, "none": 1}[dense]
+            monkeypatch.setattr(_kernels, "_DENSE", cap)
+            words = joint_words(nwords, (0, 2), nwords)
+            assert_tally_matches_reference(group, words, 3, table.classes)
+
+
+@pytest.mark.parametrize("word_id", ("commutator", "cube", "tambour3", "conjugate-loop"))
+@pytest.mark.parametrize("group_name", ("S3", "Q8", "A4"))
+def test_single_word_tally_is_the_oracle_class_totals(group_name, word_id):
+    group, table = group_and_table(group_name)
+    word = corpus_word(word_id)
+    (found,), counts = _kernels._joint_tally(group, [word.letters], table.classes)
+    totals = np.zeros(len(table.classes), dtype=np.int64)
+    totals[found] = counts
+    reference = np.bincount(
+        table.classes.class_of, weights=python_distribution(word, group)
+    ).astype(np.int64)  # every assignment is counted once, all generators present
+    assert totals.tolist() == reference.tolist()

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordfourier import (
+    _kernels,
     coefficient_formula,
     cyclic_shift,
     distribution,
@@ -60,6 +61,26 @@ def test_formula_rebuilds_the_exact_fiber_counts(group_name, word):
     oracle = distribution(word, group, classes=table.classes).values
     assert oracle.dtype == np.int64
     assert oracle[np.asarray(table.classes.class_of)].tolist() == reference
+
+
+@pytest.mark.parametrize("group_name", GROUPS)
+@SETTINGS
+@given(word=words())
+def test_the_walk_covers_every_assignment_once_in_fewer_rows(group_name, word):
+    group, table = group_and_table(group_name)
+    n, k = group.order, len(table.classes)
+    present = len({g for g, _ in word.letters})
+    walked = _kernels.walked_assignments(group, [word.letters], table.classes)
+    if not present:
+        assert walked == 0
+        return
+    rows = covered = 0
+    for weight, _ in _kernels._orbit_walk(group, [word.letters], table.classes, _kernels._CHUNK):
+        cells = n ** (weight.ndim - 1)  # each row spans the whole axes after it
+        rows += weight.size * cells
+        covered += int(weight.sum()) * cells
+    assert rows == walked <= k * n ** (present - 1)
+    assert covered == n**present
 
 
 def _formula(word, group_name):
