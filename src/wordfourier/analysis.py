@@ -1,10 +1,16 @@
-"""Occurrence profiles: classify each generator of a word.
+"""Occurrence scan: where each generator occurs in a word, and its class.
 
 A generator is *single* when it occurs exactly once in the word (with
 either sign), a *square* when it occurs exactly twice with the same sign,
 and *dismissible* when it occurs once positively and once negatively.
 Everything with three or more occurrences, or a mixed two-plus-one
 pattern, is *general*; generators with no occurrence are *absent*.
+
+This module owns that case split.  :func:`occurrences` scans a word once
+and :func:`kind` classifies one generator from the scan; the reduction
+rules and :func:`reduction.normalize` read the same two functions, and
+:func:`classify` builds the per-generator profile the CLI prints from
+them.
 
 Classification concerns the freely reduced word, so :func:`classify`
 reduces its input defensively and records whether that changed anything.
@@ -22,17 +28,26 @@ SQUARE = "square"
 DISMISSIBLE = "dismissible"
 GENERAL = "general"
 
+# (position, sign) of each occurrence of one generator, in word order
+Occurrences = list[tuple[int, int]]
 
-def _classification(positive: int, negative: int) -> str:
-    total = positive + negative
-    if total == 0:
+
+def occurrences(word: Word) -> list[Occurrences]:
+    """For each generator index, its occurrences in the word as given."""
+    occ: list[Occurrences] = [[] for _ in range(word.alphabet.rank)]
+    for i, (g, s) in enumerate(word.letters):
+        occ[g].append((i, s))
+    return occ
+
+
+def kind(occ: Occurrences) -> str:
+    """Classification of a generator from its occurrences."""
+    if not occ:
         return ABSENT
-    if total == 1:
+    if len(occ) == 1:
         return SINGLE
-    if total == 2:
-        if positive == 2 or negative == 2:
-            return SQUARE
-        return DISMISSIBLE
+    if len(occ) == 2:
+        return SQUARE if occ[0][1] == occ[1][1] else DISMISSIBLE
     return GENERAL
 
 
@@ -63,31 +78,6 @@ class OccurrenceProfile:
                 return g
         raise KeyError(f"unknown generator {name!r}")
 
-    def names_with(self, classification: str) -> tuple[str, ...]:
-        return tuple(
-            g.name for g in self.generators if g.classification == classification
-        )
-
-    @property
-    def absent(self) -> tuple[str, ...]:
-        return self.names_with(ABSENT)
-
-    @property
-    def single(self) -> tuple[str, ...]:
-        return self.names_with(SINGLE)
-
-    @property
-    def square(self) -> tuple[str, ...]:
-        return self.names_with(SQUARE)
-
-    @property
-    def dismissible(self) -> tuple[str, ...]:
-        return self.names_with(DISMISSIBLE)
-
-    @property
-    def general(self) -> tuple[str, ...]:
-        return self.names_with(GENERAL)
-
 
 def classify(word: Word) -> OccurrenceProfile:
     """Profile every generator of the word's alphabet.
@@ -96,25 +86,18 @@ def classify(word: Word) -> OccurrenceProfile:
     that altered the letter sequence.
     """
     reduced = free_reduce(word)
-    changed = reduced.letters != word.letters
-    rank = word.alphabet.rank
-    positive = [0] * rank
-    negative = [0] * rank
-    positions: list[list[int]] = [[] for _ in range(rank)]
-    for i, (g, s) in enumerate(reduced.letters):
-        if s > 0:
-            positive[g] += 1
-        else:
-            negative[g] += 1
-        positions[g].append(i)
-    profiles = tuple(
-        GeneratorProfile(
-            name=word.alphabet.names[g],
-            positive_count=positive[g],
-            negative_count=negative[g],
-            positions=tuple(positions[g]),
-            classification=_classification(positive[g], negative[g]),
+    profiles = []
+    for name, occ in zip(word.alphabet.names, occurrences(reduced)):
+        positive = sum(1 for _, s in occ if s > 0)
+        profiles.append(
+            GeneratorProfile(
+                name=name,
+                positive_count=positive,
+                negative_count=len(occ) - positive,
+                positions=tuple(i for i, _ in occ),
+                classification=kind(occ),
+            )
         )
-        for g in range(rank)
-    )
-    return OccurrenceProfile(word=reduced, generators=profiles, reduction_changed=changed)
+    # free reduction only ever removes letters
+    changed = len(reduced) != len(word)
+    return OccurrenceProfile(reduced, tuple(profiles), reduction_changed=changed)

@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import time
 
@@ -62,7 +63,32 @@ def _alphabet_from_arg(spec: str | None) -> Alphabet | None:
     names = tuple(n.strip() for n in spec.split(",") if n.strip())
     if not names:
         raise _UsageError("--alphabet needs a comma-separated list of names")
-    return Alphabet(names)
+    try:
+        return Alphabet(names)
+    except ValueError as exc:  # a repeated name
+        raise _UsageError(f"--alphabet: {exc}") from None
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: finite and >= 0 (nan would pass any delta)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0, as numpy's seeding needs."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser, with_group: bool) -> None:
@@ -76,8 +102,8 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool) -> None:
         parser.add_argument("--group-file", help="multiplication-table file")
         parser.add_argument("--table-file", help="character-table file")
         parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        parser.add_argument("--tol", type=float, default=1e-6)
-        parser.add_argument("--seed", type=int, default=0)
+        parser.add_argument("--tol", type=_tolerance, default=1e-6)
+        parser.add_argument("--seed", type=_seed, default=0)
 
 
 @functools.cache  # one parser per process: parse_args keeps no state between calls

@@ -29,13 +29,17 @@ paired with the slot carrying its inverse), sets sigma(k) = tau(k) + 1
 sigma.  Reading order: the cycle through segment 0 comes first and ends
 with the trailing segment; the remaining cycles start at their smallest
 unread segment index.
+
+Which rule applies to a generator is read from :mod:`analysis`, which
+owns the occurrence scan (:func:`analysis.occurrences`) and the case split
+(:func:`analysis.kind`); this module defines no scan of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .analysis import DISMISSIBLE, SINGLE, SQUARE, _classification, classify
+from .analysis import ABSENT, DISMISSIBLE, SINGLE, SQUARE, kind, occurrences
 from .errors import ReductionError
 from .words import (
     Alphabet,
@@ -194,50 +198,33 @@ def _drop_generators(word: Word, names) -> Word:
     return Word(alphabet, tuple((remap[g], s) for g, s in word.letters))
 
 
-def _occurrences(word: Word) -> dict[int, list[tuple[int, int]]]:
-    """Generator index -> list of (position, sign) in the word as given."""
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for i, (g, s) in enumerate(word.letters):
-        occ.setdefault(g, []).append((i, s))
-    return occ
-
-
-def _kind(occurrences: list[tuple[int, int]]) -> str:
-    """Classification of a generator from its (position, sign) occurrences."""
-    positive = sum(1 for _, s in occurrences if s > 0)
-    return _classification(positive, len(occurrences) - positive)
-
-
 def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
     """Eliminate dismissible letters simultaneously via the slot pairing.
 
     ``dismissibles`` names the generators to eliminate (default: every
-    generator occurring exactly once with each sign).  Occurrence counts
-    are taken on the word as given; the word need not be freely reduced.
+    generator occurring exactly once with each sign); a name given twice
+    counts once.  Occurrence counts are taken on the word as given; the
+    word need not be freely reduced.
     """
-    occ = _occurrences(word)
+    occ = occurrences(word)
     names = word.alphabet.names
 
-    def is_dismissible(g: int) -> bool:
-        return _kind(occ.get(g, [])) == DISMISSIBLE
-
     if dismissibles is None:
-        chosen = [g for g in range(word.alphabet.rank) if is_dismissible(g)]
+        chosen = [g for g, o in enumerate(occ) if kind(o) == DISMISSIBLE]
     else:
         chosen = []
-        for name in dismissibles:
+        for name in dict.fromkeys(dismissibles):  # each name once, in order
             g = word.alphabet.index(name)
-            if not is_dismissible(g):
+            if kind(occ[g]) != DISMISSIBLE:
                 raise ReductionError(f"generator {name!r} is not dismissible in {word}")
             chosen.append(g)
     if not chosen:
         raise ReductionError(f"no dismissible letter in {word}")
 
-    chosen_set = set(chosen)
-    residual_alphabet, remap = _restrict(word.alphabet, (names[g] for g in chosen_set))
+    residual_alphabet, remap = _restrict(word.alphabet, (names[g] for g in chosen))
 
     letters = word.letters
-    slot_positions = [i for i, (g, _) in enumerate(letters) if g in chosen_set]
+    slot_positions = sorted(p for g in chosen for p, _ in occ[g])
     twon = len(slot_positions)
     n = twon // 2
 
@@ -258,15 +245,12 @@ def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
         prev = p + 1
     trailing = segment(prev, len(letters))
 
+    # tau pairs the two slots of each chosen generator
+    slot_of = {p: k for k, p in enumerate(slot_positions)}
     tau = [-1] * twon
-    by_gen: dict[str, list[int]] = {}
-    for i, (name, _) in enumerate(slots):
-        by_gen.setdefault(name, []).append(i)
-    for name, pair in by_gen.items():
-        i, j = pair
-        tau[i], tau[j] = j, i
-    if any(tau[i] == i or tau[tau[i]] != i for i in range(twon)):
-        raise ReductionError("slot pairing is not a fixed-point-free involution")
+    for g in chosen:
+        (p, _), (q, _) = occ[g]
+        tau[slot_of[p]], tau[slot_of[q]] = slot_of[q], slot_of[p]
     sigma = tuple((tau[k] + 1) % twon for k in range(twon))
 
     seen = [False] * twon
@@ -319,14 +303,19 @@ def square_reduce(word: Word, generator: str) -> tuple[Word, tuple[int, int, int
     and the exponent delta (1, 1, 1): one factor |G|/chi(1)*FS.
     """
     g = word.alphabet.index(generator)
-    occ = _occurrences(word).get(g, [])
-    if _kind(occ) != SQUARE:
+    occ = occurrences(word)[g]
+    if kind(occ) != SQUARE:
         raise ReductionError(f"generator {generator!r} is not a square in {word}")
     (p1, _), (p2, _) = occ
+    alphabet, remap = _restrict(word.alphabet, (generator,))
     letters = word.letters
-    middle_inverse = tuple((h, -s) for h, s in reversed(letters[p1 + 1 : p2]))
-    joined = Word(word.alphabet, letters[:p1] + middle_inverse + letters[p2 + 1 :])
-    return free_reduce(_drop_generators(joined, (generator,))), (1, 1, 1)
+    spliced = (
+        letters[:p1]
+        + tuple((h, -s) for h, s in reversed(letters[p1 + 1 : p2]))
+        + letters[p2 + 1 :]
+    )
+    residual = Word(alphabet, tuple((remap[h], s) for h, s in spliced))
+    return free_reduce(residual), (1, 1, 1)
 
 
 def eliminate_single(word: Word, generator: str) -> ReducedForm:
@@ -336,7 +325,7 @@ def eliminate_single(word: Word, generator: str) -> ReducedForm:
     coefficient |G|^(d-1) on the trivial character and 0 elsewhere.
     """
     g = word.alphabet.index(generator)
-    if _kind(_occurrences(word).get(g, [])) != SINGLE:
+    if kind(occurrences(word)[g]) != SINGLE:
         raise ReductionError(f"generator {generator!r} is not single in {word}")
     rank = word.alphabet.rank
     step = TraceStep("single", generator, (rank, 0, 0), f"constant |G|^{rank - 1}")
@@ -386,9 +375,12 @@ def normalize(word: Word) -> ReducedForm:
         trace.append(TraceStep("free-reduce", None, (0, 0, 0), word_to_str(current)))
 
     while True:
-        profile = classify(current)
-        if profile.absent:
-            dropped = profile.absent
+        # generator names by kind, in alphabet order
+        by_kind: dict[str, list[str]] = {}
+        for name, occ in zip(current.alphabet.names, occurrences(current)):
+            by_kind.setdefault(kind(occ), []).append(name)
+        if ABSENT in by_kind:
+            dropped = by_kind[ABSENT]
             current = _drop_generators(current, dropped)
             trace.append(
                 TraceStep(
@@ -398,15 +390,15 @@ def normalize(word: Word) -> ReducedForm:
                     f"alphabet {current.alphabet}",
                 )
             )
-        elif profile.single:
-            form = eliminate_single(current, profile.single[0])
+        elif SINGLE in by_kind:
+            form = eliminate_single(current, by_kind[SINGLE][0])
             break
-        elif profile.square:
-            generator = profile.square[0]
+        elif SQUARE in by_kind:
+            generator = by_kind[SQUARE][0]
             current, delta = square_reduce(current, generator)
             trace.append(TraceStep("square", generator, delta, word_to_str(current)))
-        elif profile.dismissible:
-            form = form_from_split(split_dismissible(current, profile.dismissible))
+        elif DISMISSIBLE in by_kind:
+            form = form_from_split(split_dismissible(current, by_kind[DISMISSIBLE]))
             break
         else:
             form = ReducedForm(

@@ -15,7 +15,8 @@ Grammar accepted by :func:`parse_word`::
 
 Juxtaposition or "*" denotes concatenation and whitespace is ignored.
 "[a,b]" expands to a b a^-1 b^-1, "{a,b}" expands to a b a b^-1, and "1"
-denotes the empty word.  A zero exponent is rejected.
+denotes the empty word.  A zero exponent is rejected, and so is a power
+that would expand to more than ``MAX_POWER_LETTERS`` letters.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from .errors import WordSyntaxError
 
 # A letter is (generator index, sign) with sign +1 or -1.
 Letter = tuple[int, int]
+
+# Longest expansion one exponent may produce, so that "x^99999999999999"
+# is a syntax error instead of an attempt to build that many letters.
+MAX_POWER_LETTERS = 10**6
 
 
 @dataclass(frozen=True)
@@ -175,6 +180,8 @@ class _Parser:
         exponent = self.signed_int()
         if exponent == 0:
             self.fail("zero exponent is not allowed", at)
+        if len(letters) * abs(exponent) > MAX_POWER_LETTERS:
+            self.fail(f"power expands past {MAX_POWER_LETTERS} letters", at)
         if exponent < 0:
             letters = [(n, -s) for n, s in reversed(letters)]
             exponent = -exponent
@@ -202,8 +209,6 @@ class _Parser:
             if ch == "[":  # [a,b] -> a b a^-1 b^-1
                 return left + right + left_inv + right_inv
             return left + right + left + right_inv  # {a,b} -> a b a b^-1
-        if ch.isalpha():
-            return [(n, 1) for n in self.symbols()]
         self.fail("expected a generator symbol, '1', '(', '[' or '{'")
 
     def symbols(self) -> list[str]:
@@ -244,7 +249,10 @@ class _Parser:
             self.pos += 1
         if self.pos == digits:
             self.fail("expected an integer exponent", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past Python's limit on digits in int()
+            self.fail("exponent has too many digits", start)
 
 
 def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from wordfourier import Alphabet, classify, cyclic_shift, invert, parse_word
-from wordfourier.analysis import ABSENT, DISMISSIBLE, GENERAL, SINGLE, SQUARE
+from wordfourier.analysis import (
+    ABSENT,
+    DISMISSIBLE,
+    GENERAL,
+    SINGLE,
+    SQUARE,
+    kind,
+    occurrences,
+)
 
 from corpus import random_word
 
@@ -29,7 +37,6 @@ def test_classification_examples(text, expected):
 def test_absent_generator():
     profile = classify(parse_word("x", Alphabet(("x", "z"))))
     assert profile.by_name("z").classification == ABSENT
-    assert profile.absent == ("z",)
 
 
 def test_defensive_reduction_is_recorded():
@@ -38,6 +45,15 @@ def test_defensive_reduction_is_recorded():
     assert profile.by_name("x").classification == SINGLE
     assert profile.by_name("y").classification == ABSENT
     assert not classify(parse_word("x*y")).reduction_changed
+
+
+def test_occurrences_scan_the_word_as_given():
+    # classify reduces first; the scan the reduction rules read does not
+    word = parse_word("x*y*y^-1", Alphabet(("x", "y", "z")))
+    occ = occurrences(word)
+    assert occ == [[(0, 1)], [(1, 1), (2, -1)], []]
+    assert [kind(o) for o in occ] == [SINGLE, DISMISSIBLE, ABSENT]
+    assert classify(word).by_name("y").classification == ABSENT
 
 
 def test_positions_and_count_sum():

@@ -321,6 +321,35 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    def test_repeated_alphabet_name_is_a_usage_error(self, capsys):
+        for argv in (
+            ("expand", "[x,y]", "--group", "S3", "--alphabet", "x,y,x"),
+            ("classify", "x", "--alphabet", "x,x"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: --alphabet: duplicate") and err.count("\n") == 1
+
+    def test_tol_must_be_finite_and_nonnegative(self, capsys):
+        # nan used to switch --verify off and -1 to fail every word
+        for tol in ("nan", "-1", "inf", "tiny"):
+            code, out, err = run(
+                capsys, "expand", "x^2", "--group", "S3", "--verify", "--tol", tol
+            )
+            assert (code, out) == (1, "") and "argument --tol" in err
+        code, _, _ = run(capsys, "expand", "x^2", "--group", "S3", "--verify", "--tol", "1e-3")
+        assert code == 0
+
+    def test_seed_must_be_a_nonnegative_integer(self, capsys, tmp_path):
+        group, _ = group_and_table("Z4")
+        gpath = tmp_path / "z4.grp"
+        save_group(group, gpath)
+        for seed in ("-1", "1.5"):
+            code, out, err = run(
+                capsys, "expand", "x^2", "--group-file", str(gpath), "--seed", seed
+            )
+            assert (code, out) == (1, "") and "argument --seed" in err
+
 
 class TestOneProcess:
     """Calls in one process share the parser and the built-in groups and

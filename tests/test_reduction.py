@@ -84,6 +84,14 @@ class TestSplit:
         assert split.residual_alphabet.names == ("a",)
         assert [word_to_str(s) for s in split.split_words] == ["a", "a^-1"]
 
+    def test_a_repeated_name_counts_once(self):
+        w = parse_word("a*y*a^-1*y^-1", Alphabet(("a", "y")))
+        assert split_dismissible(w, ("y", "y")) == split_dismissible(w, ("y",))
+        names = ("y1", "y2", "y1", "y3", "y2")
+        assert split_dismissible(intro_word(), names) == split_dismissible(
+            intro_word(), ("y1", "y2", "y3")
+        )
+
     def test_unreduced_slots_are_allowed(self):
         split = split_dismissible(parse_word("y*y^-1", Alphabet(("y",))))
         assert (split.n, split.r) == (1, 2)

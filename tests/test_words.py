@@ -16,6 +16,7 @@ from wordfourier import (
     word_to_str,
 )
 from wordfourier.groups import build_builtin
+from wordfourier.words import MAX_POWER_LETTERS
 
 from corpus import random_word
 
@@ -91,6 +92,18 @@ class TestParser:
     def test_partial_run_is_an_error(self):
         with pytest.raises(WordSyntaxError):
             parse_word("x1", Alphabet(("x",)))
+
+    def test_power_past_the_letter_cap_is_a_syntax_error(self):
+        assert len(parse_word(f"x^-{MAX_POWER_LETTERS}")) == MAX_POWER_LETTERS
+        for text, position in (
+            (f"y*x^{MAX_POWER_LETTERS + 1}", 4),
+            (f"(x*y)^{MAX_POWER_LETTERS // 2 + 1}", 6),
+            ("x^99999999999999999999", 2),  # used to die with OverflowError
+            ("x^" + "9" * 5000, 2),  # past int()'s digit limit
+        ):
+            with pytest.raises(WordSyntaxError) as err:
+                parse_word(text)
+            assert err.value.position == position
 
 
 class TestAlphabet:
