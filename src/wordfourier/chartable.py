@@ -1,7 +1,10 @@
 """Irreducible character tables: computation, file I/O, validation.
 
-Values are complex floating point; every table is validated against row and
-column orthogonality (tolerance 1e-9) and the degree identity before use.
+Values are complex floating point; every table is validated when it is
+built against row and column orthogonality (tolerance 1e-9) and the degree
+identity, and every row's Frobenius-Schur indicator must lie within
+``FS_TOL`` of -1, 0 or +1.  The table keeps the indicators and the index of
+its trivial row, so users read them without checking again.
 Tables are computed by simultaneously diagonalizing the class-sum
 multiplication matrices of the group's class algebra: a random real linear
 combination of those matrices has the character-column vectors as
@@ -33,7 +36,9 @@ _COMPUTE_RETRIES = 12
 class CharacterTable:
     """Rows are irreducible characters, columns are conjugacy classes."""
 
-    __slots__ = ("group", "classes", "values", "degrees", "meta", "_fs_sums")
+    __slots__ = (
+        "group", "classes", "values", "degrees", "meta", "indicators", "trivial_index"
+    )
 
     def __init__(
         self,
@@ -70,6 +75,22 @@ class CharacterTable:
         if np.max(np.abs(col - expected)) > ORTHOGONALITY_TOL * order:
             raise TableValidationError("column orthogonality violated")
 
+        # Frobenius-Schur: (1/|G|) sum_g chi(g^2), summed class-wise
+        squared = values[:, list(classes.power_class_map)]
+        indicators = []
+        for chi, value in enumerate((squared * sizes).sum(axis=1) / order):
+            value = complex(value)
+            nearest = round(value.real)
+            # |value - nearest| bounds the imaginary part too
+            if nearest not in (-1, 0, 1) or abs(value - nearest) > FS_TOL:
+                raise TableValidationError(
+                    f"indicator {value} of row {chi} is not near -1, 0 or +1"
+                )
+            indicators.append(nearest)
+        trivial = np.flatnonzero(np.isclose(values, 1.0, atol=1e-9).all(axis=1))
+        if not trivial.size:
+            raise TableValidationError("no trivial character row")
+
         values.setflags(write=False)
         degrees.setflags(write=False)
         for attr, value in (
@@ -78,7 +99,8 @@ class CharacterTable:
             ("values", values),
             ("degrees", degrees),
             ("meta", MappingProxyType(dict(meta or {}))),
-            ("_fs_sums", _indicator_sums(group, classes, values)),
+            ("indicators", tuple(indicators)),
+            ("trivial_index", int(trivial[0])),
         ):
             object.__setattr__(self, attr, value)
 
@@ -95,13 +117,6 @@ class CharacterTable:
     def __len__(self) -> int:
         return len(self.degrees)
 
-    @property
-    def trivial_index(self) -> int:
-        for i in range(len(self)):
-            if np.allclose(self.values[i], 1.0, atol=1e-9):
-                return i
-        raise TableValidationError("no trivial character row")
-
     def is_real(self, chi: int) -> bool:
         return bool(np.max(np.abs(self.values[chi].imag)) <= ORTHOGONALITY_TOL)
 
@@ -109,31 +124,10 @@ class CharacterTable:
         return f"CharacterTable({self.group.name}, degrees={self.degrees.tolist()})"
 
 
-def _indicator_sums(group, classes, values) -> tuple[complex, ...]:
-    """(1/|G|) sum_g chi(g^2) for every row, summed class-wise."""
-    sizes = np.array(classes.sizes, dtype=np.float64)
-    squared = values[:, list(classes.power_class_map)]
-    return tuple(complex(v) for v in (squared * sizes).sum(axis=1) / group.order)
-
-
 def fs_indicator(table: CharacterTable, chi: int) -> int:
-    """Frobenius-Schur indicator: (1/|G|) sum_g chi(g^2), in {-1, 0, +1}.
-
-    A :class:`CharacterTable` carries the sums of all its rows from
-    construction; any other object with ``group``, ``classes`` and
-    ``values`` has them computed on each call.
-    """
-    sums = getattr(table, "_fs_sums", None)
-    if sums is None:
-        sums = _indicator_sums(table.group, table.classes, table.values)
-    value = sums[chi]
-    nearest = round(value.real)
-    # |value - nearest| bounds the imaginary part too
-    if nearest not in (-1, 0, 1) or abs(value - nearest) > FS_TOL:
-        raise TableValidationError(
-            f"indicator {value} of row {chi} is not near -1, 0 or +1"
-        )
-    return nearest
+    """Frobenius-Schur indicator: (1/|G|) sum_g chi(g^2), in {-1, 0, +1},
+    as checked when the table was built."""
+    return table.indicators[chi]
 
 
 # ---------------------------------------------------------------------------
@@ -152,25 +146,21 @@ def _structure_constants(group: FiniteGroup, classes: ConjugacyClasses) -> np.nd
     return a
 
 
-def compute_character_table(
-    group: FiniteGroup,
-    classes: ConjugacyClasses | None = None,
-    seed: int = DEFAULT_SEED,
-    max_order: int = COMPUTE_ORDER_BOUND,
-) -> CharacterTable:
-    """Compute the table of irreducible characters of a small group.
+def compute_character_table(group: FiniteGroup, seed: int = DEFAULT_SEED) -> CharacterTable:
+    """Compute the table of irreducible characters of a group of order at
+    most ``COMPUTE_ORDER_BOUND``.
 
     Rows come out ordered by degree, then lexicographically by value.
     Raises :class:`CharacterComputationError` when no random combination of
     class-sum matrices separates the eigenvalues within ``_COMPUTE_RETRIES``
     draws.
     """
-    if group.order > max_order:
+    if group.order > COMPUTE_ORDER_BOUND:
         raise CharacterComputationError(
-            f"|{group.name}| = {group.order} exceeds the computation bound {max_order}"
+            f"|{group.name}| = {group.order} exceeds the computation bound "
+            f"{COMPUTE_ORDER_BOUND}"
         )
-    if classes is None:
-        classes = conjugacy_classes(group)
+    classes = conjugacy_classes(group)
     k = len(classes)
     order = group.order
     sizes = np.array(classes.sizes, dtype=np.float64)

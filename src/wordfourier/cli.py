@@ -80,8 +80,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: an integer >= 0, as numpy's seeding needs."""
+def _count(text: str) -> int:
+    """argparse type of --seed and --budget: an integer >= 0 (numpy's
+    seeding needs one, and a negative budget would refuse every word)."""
     try:
         value = int(text)
     except ValueError:
@@ -101,9 +102,9 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool) -> None:
         parser.add_argument("--group", help=f"built-in group: {', '.join(builtin_names())}")
         parser.add_argument("--group-file", help="multiplication-table file")
         parser.add_argument("--table-file", help="character-table file")
-        parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        parser.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
         parser.add_argument("--tol", type=_tolerance, default=1e-6)
-        parser.add_argument("--seed", type=_seed, default=0)
+        parser.add_argument("--seed", type=_count, default=0)
 
 
 @functools.cache  # one parser per process: parse_args keeps no state between calls

@@ -15,9 +15,10 @@ factor |G| each.  The walk tallies the class tuples of the words' values
 exactly in int64: the oracle's counts are that tally's integers, and the
 formula is one float contraction of it.  Both are gated by an evaluation
 budget, capped at the int64 range, and fail cleanly rather than
-approximate.  Class data, tables and groups must belong to one group
-object, and the class data must be that group's conjugation orbits;
-anything else raises :class:`GroupValidationError`.
+approximate.  Class data and tables must have been built on the group
+object they are used with; anything else raises
+:class:`GroupValidationError`.  Both are checked once, when they are
+built (the class data are worked out from the group), and trusted here.
 """
 
 from __future__ import annotations
@@ -61,18 +62,13 @@ def _check_budget(total: int, budget: int) -> None:
 
 
 def _check_same_group(group: FiniteGroup, classes: ConjugacyClasses, *tables) -> None:
-    """Raise unless the class data and tables were built on this group object
-    and the classes are its conjugation orbits (``ConjugacyClasses.check_orbits``).
-    """
+    """Raise unless the class data and tables were built on this group object."""
     if classes.group is not group or any(
-        table.group is not group
-        or not np.array_equal(table.classes.class_of, classes.class_of)
-        for table in tables
+        table.group is not group or table.classes.group is not group for table in tables
     ):
         raise GroupValidationError(
             f"class data or character table does not belong to group {group.name}"
         )
-    classes.check_orbits()
 
 
 def distribution(

@@ -8,7 +8,8 @@ computed under this convention.
 Groups are immutable after validated construction: attributes cannot be
 reassigned and the tables are marked read-only, so they can be shared
 freely across workers.  Each built-in group is loaded and validated once
-per process and then shared.
+per process and then shared.  Conjugacy classes are made from the group
+alone, ``ConjugacyClasses(group)``, so they cannot disagree with it.
 """
 
 from __future__ import annotations
@@ -118,48 +119,49 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class ConjugacyClasses:
-    """Orbit partition of a group under conjugation."""
+    """Orbit partition of a group under conjugation.
+
+    The group is the only argument: every other field is worked out from it
+    on construction, so the classes are the group's conjugation orbits.
+    """
 
     group: FiniteGroup
-    class_of: np.ndarray            # element index -> class index
-    representatives: tuple[int, ...]  # smallest element index per class
-    sizes: tuple[int, ...]
-    centralizer_sizes: tuple[int, ...]
-    power_class_map: tuple[int, ...]  # class of rep**2 per class
-    _orbits_checked: bool = field(default=False, init=False, repr=False, compare=False)
+    class_of: np.ndarray = field(init=False)  # element index -> class index, read-only
+    representatives: tuple[int, ...] = field(init=False)  # smallest element index per class
+    sizes: tuple[int, ...] = field(init=False)
+    centralizer_sizes: tuple[int, ...] = field(init=False)
+    power_class_map: tuple[int, ...] = field(init=False)  # class of rep**2 per class
     _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        group = self.group
+        n = group.order
+        mul, inv = group.mul, group.inv
+        elems = np.arange(n)
+        class_of = np.full(n, -1, dtype=np.int64)
+        reps: list[int] = []
+        for g in range(n):
+            if class_of[g] >= 0:
+                continue
+            orbit = mul[mul[elems, g], inv[elems]]  # h * g * h^-1 over all h
+            class_of[orbit] = len(reps)
+            reps.append(g)
+        sizes = tuple(int((class_of == c).sum()) for c in range(len(reps)))
+        # above _EXHAUSTIVE_ASSOC_BOUND the group's associativity is only sampled
+        if sum(sizes) != n or any(n % s for s in sizes):
+            raise GroupValidationError("conjugacy class sizes are inconsistent")
+        class_of.setflags(write=False)
+        for attr, value in (
+            ("class_of", class_of),
+            ("representatives", tuple(reps)),
+            ("sizes", sizes),
+            ("centralizer_sizes", tuple(n // s for s in sizes)),
+            ("power_class_map", tuple(int(class_of[mul[r, r]]) for r in reps)),
+        ):
+            object.__setattr__(self, attr, value)
 
     def __len__(self) -> int:
         return len(self.representatives)
-
-    def check_orbits(self) -> None:
-        """Raise unless the classes are the conjugation orbits of ``group``.
-
-        The kernels walk the class representatives, alone or paired, and
-        weight them by class or orbit size, so every class must be exactly
-        the orbit of its representative, the orbits must cover G, and the
-        sizes must count the members.  A pass is remembered on the object, so the O(k·|G|)
-        test runs once per object; only when ``class_of`` is read-only,
-        because a writable array could change after the test.
-        """
-        if self._orbits_checked:
-            return
-        group = self.group
-        class_of = np.asarray(self.class_of)
-        k = len(self)
-        # [h, c] -> h r_c h^-1, the orbit of representative c down column c
-        orbits = group.mul[group.mul[:, self.representatives], group.inv[:, None]]
-        if (
-            class_of.shape != (group.order,)
-            or not np.bincount(orbits.ravel(), minlength=group.order).all()
-            or np.any(class_of[orbits] != np.arange(k))
-            or np.bincount(class_of, minlength=k).tolist() != list(self.sizes)
-        ):
-            raise GroupValidationError(
-                f"class data are not the conjugacy classes of group {group.name}"
-            )
-        if isinstance(self.class_of, np.ndarray) and not self.class_of.flags.writeable:
-            object.__setattr__(self, "_orbits_checked", True)
 
     def pair_orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One pair (x, y) per orbit of G on G x G under simultaneous
@@ -167,8 +169,7 @@ class ConjugacyClasses:
 
         x runs over the class representatives and y over the least element
         of each orbit of C(x) acting on G by conjugation, so the sizes sum
-        to |G|^2.  Kept on the object under the rule of ``check_orbits``:
-        only when ``class_of`` is read-only.
+        to |G|^2.  Built on the first call and kept on the object.
         """
         if self._pairs is not None:
             return self._pairs
@@ -186,8 +187,7 @@ class ConjugacyClasses:
         pairs = tuple(np.concatenate(a).astype(np.int64) for a in (xs, ys, sizes))
         for a in pairs:
             a.setflags(write=False)
-        if isinstance(self.class_of, np.ndarray) and not self.class_of.flags.writeable:
-            object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_pairs", pairs)
         return pairs
 
     @property
@@ -196,31 +196,7 @@ class ConjugacyClasses:
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
-    n = group.order
-    mul, inv = group.mul, group.inv
-    elems = np.arange(n)
-    class_of = np.full(n, -1, dtype=np.int64)
-    reps: list[int] = []
-    for g in range(n):
-        if class_of[g] >= 0:
-            continue
-        orbit = mul[mul[elems, g], inv[elems]]  # h * g * h^-1 over all h
-        class_of[orbit] = len(reps)
-        reps.append(g)
-    sizes = tuple(int((class_of == c).sum()) for c in range(len(reps)))
-    if sum(sizes) != n or any(n % s for s in sizes):
-        raise GroupValidationError("conjugacy class sizes are inconsistent")
-    centralizers = tuple(n // s for s in sizes)
-    power_map = tuple(int(class_of[mul[r, r]]) for r in reps)
-    class_of.setflags(write=False)
-    return ConjugacyClasses(
-        group=group,
-        class_of=class_of,
-        representatives=tuple(reps),
-        sizes=sizes,
-        centralizer_sizes=centralizers,
-        power_class_map=power_map,
-    )
+    return ConjugacyClasses(group)
 
 
 # ---------------------------------------------------------------------------

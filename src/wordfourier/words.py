@@ -16,7 +16,7 @@ Grammar accepted by :func:`parse_word`::
 Juxtaposition or "*" denotes concatenation and whitespace is ignored.
 "[a,b]" expands to a b a^-1 b^-1, "{a,b}" expands to a b a b^-1, and "1"
 denotes the empty word.  A zero exponent is rejected, and so is a power
-that would expand to more than ``MAX_POWER_LETTERS`` letters.
+or a bracket that would expand to more than ``MAX_POWER_LETTERS`` letters.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .errors import WordSyntaxError
 # A letter is (generator index, sign) with sign +1 or -1.
 Letter = tuple[int, int]
 
-# Longest expansion one exponent may produce, so that "x^99999999999999"
-# is a syntax error instead of an attempt to build that many letters.
+# Longest expansion one exponent or bracket may produce, so that
+# "x^99999999999999", or brackets nested thirty deep, are a syntax error
+# instead of an attempt to build that many letters.
 MAX_POWER_LETTERS = 10**6
 
 
@@ -199,11 +200,14 @@ class _Parser:
             return body
         if ch in "[{":
             closing = "]" if ch == "[" else "}"
+            at = self.pos
             self.pos += 1
             left = self.word_body(stoppers=",")
             self.expect(",")
             right = self.word_body(stoppers=closing)
             self.expect(closing)
+            if 2 * (len(left) + len(right)) > MAX_POWER_LETTERS:
+                self.fail(f"bracket expands past {MAX_POWER_LETTERS} letters", at)
             left_inv = [(n, -s) for n, s in reversed(left)]
             right_inv = [(n, -s) for n, s in reversed(right)]
             if ch == "[":  # [a,b] -> a b a^-1 b^-1

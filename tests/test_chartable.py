@@ -7,6 +7,7 @@ import pytest
 
 from wordfourier import (
     CharacterTable,
+    FiniteGroup,
     TableValidationError,
     builtin_group,
     builtin_names,
@@ -64,9 +65,10 @@ class TestCompute:
     def test_order_bound_is_enforced(self):
         from wordfourier import CharacterComputationError
 
-        group = build_builtin("S4")
+        r = np.arange(121)
+        group = FiniteGroup(np.add.outer(r, r) % 121)  # one past COMPUTE_ORDER_BOUND
         with pytest.raises(CharacterComputationError, match="bound"):
-            compute_character_table(group, max_order=20)
+            compute_character_table(group)
 
 
 class TestValidation:
@@ -91,17 +93,17 @@ class TestValidation:
         with pytest.raises(TableValidationError):
             CharacterTable(group, table.classes, values)
 
-    def test_fs_indicator_rejects_corrupt_row(self, s3):
-        from types import SimpleNamespace
-
-        group, table = s3
-        fake = SimpleNamespace(
-            group=group,
-            classes=table.classes,
-            values=table.values * 0.7,
-        )
+    def test_fs_indicator_rejects_corrupt_row(self):
+        # a unitary mix of Z4's rows 3 (FS +1) and 1 (FS 0) keeps both
+        # orthogonality relations and every degree, but each mixed row's
+        # indicator is (1 -+ i)/2
+        group, table = group_and_table("Z4")
+        assert fs_indicator(table, 3) == 1 and fs_indicator(table, 1) == 0
+        p, q = (1 + 1j) / 2, (1 - 1j) / 2
+        values = table.values.copy()
+        values[[3, 1]] = np.array([[p, q], [q, p]]) @ table.values[[3, 1]]
         with pytest.raises(TableValidationError, match="indicator"):
-            fs_indicator(fake, 2)
+            CharacterTable(group, table.classes, values)
 
 
 class TestImmutability:

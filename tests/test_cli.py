@@ -309,6 +309,14 @@ class TestExitCodes:
         )
         assert code == 3 and "budget" in err
 
+    def test_budget_must_be_a_nonnegative_integer(self, capsys):
+        # -1 used to reach the oracle and exit 3 with "budget is -1"
+        for budget in ("-1", "1e6", "many"):
+            code, out, err = run(
+                capsys, "expand", "x^2", "--group", "S3", "--verify", "--budget", budget
+            )
+            assert (code, out) == (1, "") and "argument --budget" in err
+
     def test_budget_past_int64_is_three(self, capsys):
         # 2^70 assignments overflow int64, so even a larger budget refuses them
         alphabet = ",".join(["x"] + [f"a{i}" for i in range(69)])

@@ -1,14 +1,11 @@
 """Distributions, projections, formula evaluation, and the oracle sweep."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from wordfourier import (
     Alphabet,
     BudgetExceededError,
-    CharacterTable,
     ClassFunction,
     GroupValidationError,
     builtin_names,
@@ -163,35 +160,6 @@ class TestGroupBinding:
         _, q8_table = group_and_table("Q8")
         with pytest.raises(GroupValidationError):
             distribution(parse_word("x^2"), d4, classes=q8_table.classes)
-
-    def test_distribution_rejects_classes_that_split_a_fiber(self):
-        d4, d4_table = group_and_table("D4")
-        class_of = np.array(d4_table.classes.class_of)
-        class_of[1] = class_of[d4.identity]  # x^2 hits e six times, g1 never
-        classes = dataclasses.replace(d4_table.classes, class_of=class_of)
-        with pytest.raises(GroupValidationError):
-            distribution(parse_word("x^2"), d4, classes=classes)
-        # the formula walks one representative per class, so it would weight
-        # the wrong orbits; a table over these classes is refused too
-        table = CharacterTable(d4, classes, d4_table.values)
-        with pytest.raises(GroupValidationError):
-            coefficient_formula(normalize(parse_word("x^3")), d4, table)
-
-    def test_classes_must_be_conjugation_orbits(self):
-        # swapping two members of equal-size classes keeps every count and
-        # covers G, but the classes are no longer conjugation orbits
-        d4, d4_table = group_and_table("D4")
-        class_of = np.array(d4_table.classes.class_of)
-        sizes = np.array(d4_table.classes.sizes)
-        a, b = (int(np.flatnonzero(sizes[class_of] == 2)[i]) for i in (0, -1))
-        assert class_of[a] != class_of[b]
-        class_of[a], class_of[b] = class_of[b], class_of[a]
-        classes = dataclasses.replace(d4_table.classes, class_of=class_of)
-        with pytest.raises(GroupValidationError):
-            distribution(parse_word("[x,y]"), d4, classes=classes)
-        table = CharacterTable(d4, classes, d4_table.values)
-        with pytest.raises(GroupValidationError):
-            coefficient_formula(normalize(parse_word("x^3")), d4, table)
 
 
 class TestDerivedOperations:

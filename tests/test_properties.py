@@ -21,6 +21,7 @@ from wordfourier import (
     distribution,
     invert,
     normalize,
+    project,
 )
 from wordfourier.words import Alphabet, Word
 
@@ -92,6 +93,22 @@ def _assert_close(got, expected, group_name, word):
     group, _ = group_and_table(group_name)
     tol = 1e-9 * group.order**word.alphabet.rank
     assert np.all(np.abs(got - expected) <= tol)
+
+
+# |G|*c/chi(1) is the sum over classes C of N_w(C) times the conjugate of
+# the central character |C|*chi(g_C)/chi(1), an algebraic integer
+# (Frobenius); every character of S3, D4 and Q8 is rational-valued, so the
+# sum is an integer
+@pytest.mark.parametrize("group_name", GROUPS)
+@SETTINGS
+@given(word=words())
+def test_order_over_degree_times_each_coefficient_is_an_integer(group_name, word):
+    group, table = group_and_table(group_name)
+    oracle = project(distribution(word, group, classes=table.classes), table)
+    tol = 1e-9 * group.order**word.alphabet.rank
+    for coefficients in (_formula(word, group_name), oracle):
+        scaled = group.order * coefficients / table.degrees
+        assert np.all(np.abs(scaled - np.rint(scaled.real)) <= tol)
 
 
 # Z3's characters are not real, so there conjugation changes coefficients

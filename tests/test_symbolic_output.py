@@ -1,13 +1,17 @@
-"""Byte-stable symbolic output of reduce, classify and genus.
+"""Byte-stable JSON output of reduce, classify, genus and expand.
 
 Each command runs with ``--format json`` on every corpus word (over its
 corpus alphabet) and on the tambour words y1..yn*y1^-1..yn^-1 of
-``corpus.split_tambour``.  A word's record is its exit code and stdout;
-genus prints only for admissible words, so for the others the record is
-the exit code alone.  The records of one command, in word order, hash to
-one SHA-256 digest.  The JSON holds no floats, so the digests do not
-depend on the platform.  Each word also keeps an 8-digit fingerprint, so
-that a changed digest names the first word whose output differs.
+``corpus.split_tambour``; expand runs, with and without ``--verify``, once
+per word on each of ``EXPAND_GROUPS``.  A run's record is its exit code and
+stdout; genus prints only for admissible words, so for the others the
+record is the exit code alone.  The records of one command, in run order,
+hash to one SHA-256 digest.  The reduce, classify and genus JSON holds no
+floats.  Of expand's JSON only the exact fields are kept: the header and,
+per row, ``EXPAND_ROW_FIELDS``; the float coefficients, oracle values and
+deltas are left out.  So the digests do not depend on the platform.  Each
+run also keeps an 8-digit fingerprint, so that a changed digest names the
+first run whose output differs.
 
 To record new digests after an intended change of output, run
 ``PYTHONPATH=src python tests/test_symbolic_output.py`` from the repo root.
@@ -16,6 +20,7 @@ To record new digests after an intended change of output, run
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -24,8 +29,10 @@ from wordfourier.cli import main
 from corpus import CORPUS
 
 TAMBOUR_SIZES = range(1, 7)
+EXPAND_GROUPS = ("S3", "Q8", "A4", "D5", "Z5")
+EXPAND_ROW_FIELDS = ("chi", "degree", "fs", "display", "rational")
 
-# command -> (SHA-256 over all records, fingerprint of each word's record)
+# command -> (SHA-256 over all records, fingerprint of each run's record)
 EXPECTED = {
     "reduce": (
         "068aa21ea0266b2b988bc1b074b874128e46900bb53ec8b56b10dda3c912095f",
@@ -41,6 +48,29 @@ EXPECTED = {
         "40ff7eae e6ac0221 186250ce 8fa10b5b eb253946 382e1b02 c3e7ae86 "
         "a6973ec8 7594093d 7df50ad1 7d0b93ea eabd8ff4 77c1d0f0 2045d99f",
     ),
+    "expand": (
+        "e7e3709f4aa01f01226b2c81aeaf295c7673325b3b3e2d10ad76611f7e1aaf91",
+        "ba49c3f7 bcef24ef 6ef367f3 5c38267a 9797a9a3 b253cda6 c4e6bcaa "
+        "23eb7eda a83a5540 55261f16 7da213ab f400977c 93562138 89e82a9a "
+        "afc6c93e e78fa99c 9ef3f830 29afa677 5f805b6c aadf13d7 e68dcd50 "
+        "8da4e349 7b459d36 b9313d9a 9d1628b0 9c52ed67 b6fe6753 90678d10 "
+        "d06c2ebf 76db26d2 0a270042 97dc1482 315e38ca 0cda67ae db3178a9 "
+        "2e6deaaa aa067cd9 a628000d 52367150 671b7f43 1d82e95c ef7b86c1 "
+        "7d38c254 2395eed1 e845a9fa a22f21dd 2053fee3 def7b3dc 1879e0fa "
+        "62ba4e28 e8a96355 52d0dd68 9d2f4d3e 2e292041 f51639e7 4c1c9814 "
+        "3e16b565 94e74d57 e54a9efa dda2aa6c 8e04c5a4 88f87343 2380e0f1 "
+        "780da295 2140fe0e f0ba0425 61fa4305 543cfbb2 023eafa0 27cf444a "
+        "1d1dfed5 b519cac6 c07f3985 ed7acb5e 50124d62 2d61f862 0926407a "
+        "86e595be fdf2cb1d 65990cce 58df27ce 1e935983 6fdfa225 20874f7f "
+        "3ab80d53 72cd5a82 27190ecb 3b9e0f67 e971b369 d47af87b 805e2bd5 "
+        "c2a5aab3 176fb382 0764a673 ca2220ca e1c9ba9f 9d25ec12 0891773c "
+        "425f35db 8fe9ed21 036ddd97 e867a98b 21950eeb 7099b4f4 a83704c0 "
+        "cb41dcbb 0d62637d 272eb4fe 735cec84 5dfc591a e4e87a75 2cc57db1 "
+        "fdf23522 2802dced f458638d d9216b02 65d3bfc6 2b12ea9a 765b778d "
+        "2f066172 4c1c9814 3e16b565 94e74d57 e54a9efa dda2aa6c 8e04c5a4 "
+        "88f87343 2380e0f1 780da295 2140fe0e 739d5829 d751036b 04978ac5 "
+        "95b90184 81b931f5 ecc6d86c 63db6635 1c3f1be4 c9269988 1c2d9be2",
+    ),
     "genus": (
         "e8f7febc95d98b9c8230e59c6bcabd1c8d6c1ae53125cf3552d24989c64b91f5",
         "4355a46b 4355a46b 4355a46b 4355a46b 4355a46b 4355a46b 850b76db "
@@ -49,6 +79,9 @@ EXPECTED = {
         "4355a46b 4355a46b 886edbf6 bf20994c ce097f26 d542c78f 39bc1aa9",
     ),
 }
+# --verify adds only floats to expand's JSON, so its records differ from
+# plain expand's only if an exit code does
+EXPECTED["expand --verify"] = EXPECTED["expand"]
 
 
 def words():
@@ -60,14 +93,36 @@ def words():
         yield f"tambour{n}", ("*".join(ys + [f"{y}^-1" for y in ys]),)
 
 
-def records(command):
-    """(label, record bytes) of every word under one command."""
-    out = []
+def runs(command):
+    """(label, argv) of every run one command's digest covers, in order."""
+    name, *flags = command.split()
     for label, word_argv in words():
+        if name != "expand":
+            yield label, (name, *word_argv, *flags)
+            continue
+        for group in EXPAND_GROUPS:
+            yield f"{label}/{group}", (name, *word_argv, "--group", group, *flags)
+
+
+def exact_fields(text):
+    """expand's JSON without its floats: the header and the exact row fields."""
+    doc = json.loads(text)
+    doc.pop("max_delta", None)
+    doc["rows"] = [{key: row[key] for key in EXPAND_ROW_FIELDS} for row in doc["rows"]]
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def records(command):
+    """(label, record bytes) of every run of one command."""
+    out = []
+    for label, argv in runs(command):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, *word_argv, "--format", "json"])
-        out.append((label, f"{code}\n{stdout.getvalue()}".encode()))
+            code = main([*argv, "--format", "json"])
+        text = stdout.getvalue()
+        if text and argv[0] == "expand":
+            text = exact_fields(text)
+        out.append((label, f"{code}\n{text}".encode()))
     return out
 
 

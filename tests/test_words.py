@@ -105,6 +105,16 @@ class TestParser:
                 parse_word(text)
             assert err.value.position == position
 
+    def test_bracket_past_the_letter_cap_is_a_syntax_error(self):
+        half = MAX_POWER_LETTERS // 2
+        # [[...[x,y],y]...,y] nested k deep has 3*2^k - 2 letters, so the
+        # 19th bracket from the inside is the first past the cap
+        nested = "[" * 30 + "x" + ",y]" * 30
+        for text, position in ((f"y*[x^{half},y]", 2), (nested, 11)):
+            with pytest.raises(WordSyntaxError, match="bracket") as err:
+                parse_word(text)
+            assert err.value.position == position
+
 
 class TestAlphabet:
     def test_duplicate_names_rejected(self):

@@ -14,7 +14,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from wordfourier.chartable import compute_character_table, save_character_table
-from wordfourier.groups import build_builtin, builtin_names, conjugacy_classes, save_group
+from wordfourier.groups import build_builtin, builtin_names, save_group
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "wordfourier" / "data"
 
@@ -27,8 +27,8 @@ def main() -> None:
 
     for name in builtin_names():
         group = build_builtin(name)
-        classes = conjugacy_classes(group)
-        table = compute_character_table(group, classes)
+        table = compute_character_table(group)
+        classes = table.classes
 
         # certify well below the runtime validation tolerance before shipping
         sizes = np.array(classes.sizes, dtype=np.float64)
