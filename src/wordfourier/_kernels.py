@@ -6,10 +6,21 @@ and both make the same walk, ``_orbit_walk``, and the same exact tally,
 
 * Generators absent from every word are left out; each one multiplies the
   result by |G|.
+* Fiber table.  A generator z that occurs exactly twice in a single word,
+  w = A z^e1 B z^e2 C, is summed out without being walked: conjugating by
+  A gives class(w) = class(z^e1 B z^e2 (C A)), so the count over z
+  depends only on the values b, c of the segments B and C A, and
+  ``ConjugacyClasses.fiber_table(e1, e2)`` holds it per (b, c) and class.
+  The walk then runs over the other generators, tallies (b, c), and that
+  histogram times the table is the class tally.  z is the last such
+  generator in order of first appearance (``_fiber_split``).  Everything
+  else takes the plain walk below: several words, a lone generator, no
+  generator that occurs exactly twice, a table past ``_FIBER_CELLS``, or
+  a walk of 2^53 assignments or more.
 * Orbits.  Every summand depends only on the conjugacy classes of the
   words' values, and those do not change when all generators are
-  conjugated by one element.  So the first two generators to appear run
-  over one pair (x, y) per orbit of G on pairs
+  conjugated by one element (summing z out keeps this).  So the first two
+  generators to appear run over one pair (x, y) per orbit of G on pairs
   (``ConjugacyClasses.pair_orbits``): x over the class representatives, y
   over the orbits of x's centraliser, and each row is weighted by its
   orbit size |G|/|C(x) ∩ C(y)|.  A lone generator runs over the class
@@ -38,6 +49,10 @@ from .errors import GroupValidationError
 _CHUNK = 1 << 16
 # largest (rows x k^r) table one chunk is tallied into with bincount
 _DENSE = 1 << 16
+# largest fiber table, |G|^2 x k cells
+_FIBER_CELLS = 1 << 20
+# a float64 bincount adds integer weights exactly while their total stays below
+_FLOAT_EXACT = 1 << 53
 
 
 def active_backend() -> str:
@@ -55,27 +70,55 @@ def _present_generators(word_letter_lists) -> list[int]:
     return list(dict.fromkeys(g for letters in word_letter_lists for g, _ in letters))
 
 
+def _fiber_split(group, word_letter_lists, classes):
+    """``(segments, signs)`` when the tally sums a generator z out through
+    its fiber table, else None.
+
+    It does for a single word with at least two present generators, one
+    of which occurs exactly twice, while the |G|^2 x k table fits
+    ``_FIBER_CELLS`` and the walk of the other generators stays below
+    2^53 assignments.  z is the last such generator in order of first
+    appearance; for w = A z^e1 B z^e2 C the segments are B and C A, and
+    the signs (e1, e2).
+    """
+    order = group.order
+    if len(word_letter_lists) != 1 or order * order * len(classes) > _FIBER_CELLS:
+        return None
+    (letters,) = word_letter_lists
+    occurs = {}  # generator -> its letter count, in order of first appearance
+    for g, _ in letters:
+        occurs[g] = occurs.get(g, 0) + 1
+    twice = [g for g, times in occurs.items() if times == 2]
+    if not twice or len(occurs) < 2 or order ** (len(occurs) - 1) >= _FLOAT_EXACT:
+        return None
+    i, j = (at for at, (g, _) in enumerate(letters) if g == twice[-1])
+    segments = [letters[i + 1 : j], letters[j + 1 :] + letters[:i]]
+    return segments, (letters[i][1], letters[j][1])
+
+
 def walked_assignments(group, word_letter_lists, classes) -> int:
-    """Assignments ``_orbit_walk`` evaluates for these words: P*|G|^(p-2)
-    for p >= 2 present generators and P pair orbits, k for one, or 0 when
-    none is present and nothing is walked."""
-    present = len(_present_generators(word_letter_lists))
-    if present < 2:
-        return len(classes) * present
-    return len(classes.pair_orbits()[2]) * group.order ** (present - 2)
+    """Rows ``_joint_tally`` walks for these words: P*|G|^(p-2) for p >= 2
+    walked generators and P pair orbits, k for one, or 0 when none is
+    present and nothing is walked.  The walked generators are the present
+    ones, less the one a fiber table sums out (``_fiber_split``), so a
+    fiber walk covers P*|G|^(p-3) rows for p >= 3 present generators."""
+    fiber = _fiber_split(group, word_letter_lists, classes)
+    walked = len(_present_generators(fiber[0] if fiber else word_letter_lists))
+    if walked < 2:
+        return len(classes) * walked
+    return len(classes.pair_orbits()[2]) * group.order ** (walked - 2)
 
 
 def _orbit_walk(group, word_letter_lists, classes, cells):
     """Walk the assignments of the present generators, up to conjugation.
 
     Yields ``(weight, values)`` per chunk of rows.  ``weight`` is the int64
-    size of each row's conjugation orbit, and ``values`` holds the class
-    index of each word's value; all are arrays of one dimension count that
+    size of each row's conjugation orbit, and ``values`` holds each word's
+    value (an element index); all are arrays of one dimension count that
     broadcast to (rows, |G|, ..., |G|).  Needs at least one present
     generator.
     """
     order, mul, inv = group.order, group.mul, group.inv
-    class_of = np.asarray(classes.class_of)
     present = _present_generators(word_letter_lists)
     if len(present) == 1:
         heads = (np.asarray(classes.representatives, dtype=np.int64),)
@@ -114,7 +157,7 @@ def _orbit_walk(group, word_letter_lists, classes, cells):
             acc = identity
             for g, s in letters:
                 acc = mul[acc, letter_values[g, s]]
-            values.append(class_of[acc])
+            values.append(acc)
         yield weights[row], values
 
 
@@ -128,22 +171,49 @@ def _sum_by_column(tuples, counts):
     return tuples[:, starts], np.add.reduceat(counts, starts)
 
 
+def _fiber_tally(group, classes, segments, signs):
+    """The one-word tally with z summed out (``_fiber_split``): the
+    weighted histogram of the segment values (b, c) over the walk of the
+    other generators, times the fiber table."""
+    order = group.order
+    # float weights: every partial sum is an integer below 2^53, so exact
+    pairs = np.zeros(order * order)
+    for weight, (b, c) in _orbit_walk(group, segments, classes, _CHUNK):
+        key = b * order + c
+        shape = np.broadcast_shapes(weight.shape, key.shape)
+        pairs += np.bincount(
+            np.broadcast_to(key, shape).ravel(),
+            np.broadcast_to(weight.astype(np.float64), shape).ravel(),
+            minlength=pairs.size,
+        )
+    totals = pairs.astype(np.int64) @ classes.fiber_table(*signs)
+    found = np.flatnonzero(totals)
+    return found[None, :], totals[found]
+
+
 def _joint_tally(group, word_letter_lists, classes):
     """Count the class tuples (c_1..c_r) of the r words' values over every
     assignment of the present generators (at least one), exactly in int64.
 
     Returns ``(tuples, counts)``: an (r, m) array whose columns are the
-    tuples that occur, and their counts.  A chunk is tallied with one
-    ``bincount`` over (row, tuple) while rows*k^r fits ``_DENSE`` and rows
-    are weighted after; past that its tuples are sorted and merged, so the
-    memory grows with the tuples that occur, not with k^r.
+    tuples that occur, and their counts.  A single word with a generator
+    to sum out goes through its fiber table (``_fiber_tally``).  Otherwise
+    a chunk is tallied with one ``bincount`` over (row, tuple) while
+    rows*k^r fits ``_DENSE`` and rows are weighted after; past that its
+    tuples are sorted and merged, so the memory grows with the tuples that
+    occur, not with k^r.
     """
+    fiber = _fiber_split(group, word_letter_lists, classes)
+    if fiber is not None:
+        return _fiber_tally(group, classes, *fiber)
     k, r = len(classes), len(word_letter_lists)
+    class_of = np.asarray(classes.class_of)
     size = k**r
     dense = np.zeros(size if size <= _DENSE else 0, dtype=np.int64)
     tuples = np.zeros((r, 0), dtype=np.int64)
     counts = np.zeros(0, dtype=np.int64)
     for weight, values in _orbit_walk(group, word_letter_lists, classes, _CHUNK):
+        values = [class_of[value] for value in values]
         rows = weight.size
         if rows * size <= _DENSE:
             joint = np.arange(rows).reshape(weight.shape)

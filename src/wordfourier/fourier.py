@@ -8,17 +8,22 @@ evaluates the symbolic claim carried by a
 :class:`~wordfourier.reduction.ReducedForm` instead.  Both routes return
 the same thing, a complex array with one coefficient per character row.
 Both go through the one walk and tally in ``_kernels`` (numpy only): the
-first two generators to appear run over one pair per orbit of
-simultaneous conjugation, weighted by orbit size, later generators share
-the letters evaluated before them, and absent generators contribute a
-factor |G| each.  The walk tallies the class tuples of the words' values
+first two generators to appear run over one pair per orbit of simultaneous
+conjugation, weighted by orbit size, later generators share the letters
+evaluated before them, and absent generators contribute a factor |G| each.
+In a single word, a generator z occurring exactly twice is not walked:
+w = A z^e1 B z^e2 C is conjugate to z^e1 B z^e2 (C A), so the walk
+tallies the values of B and C A and a cached table of counts over z turns that into
+the class tally (the oracle takes this path; the formula's residual words,
+as a rule, do not, and several words or a word with no such generator take
+the plain walk).  The walk tallies the class tuples of the words' values
 exactly in int64: the oracle's counts are that tally's integers, and the
 formula is one float contraction of it.  Both are gated by an evaluation
 budget, capped at the int64 range, and fail cleanly rather than
 approximate.  Class data and tables must have been built on the group
 object they are used with; anything else raises
-:class:`GroupValidationError`.  Both are checked once, when they are
-built (the class data are worked out from the group), and trusted here.
+:class:`GroupValidationError`.  Both are checked once, when they are built
+(the class data are worked out from the group), and trusted here.
 """
 
 from __future__ import annotations

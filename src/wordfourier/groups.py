@@ -126,12 +126,14 @@ class ConjugacyClasses:
     """
 
     group: FiniteGroup
-    class_of: np.ndarray = field(init=False)  # element index -> class index, read-only
-    representatives: tuple[int, ...] = field(init=False)  # smallest element index per class
-    sizes: tuple[int, ...] = field(init=False)
-    centralizer_sizes: tuple[int, ...] = field(init=False)
-    power_class_map: tuple[int, ...] = field(init=False)  # class of rep**2 per class
+    # every field below follows from ``group``, so objects compare and hash by it
+    class_of: np.ndarray = field(init=False, compare=False)  # element -> class, read-only
+    representatives: tuple[int, ...] = field(init=False, compare=False)  # least element per class
+    sizes: tuple[int, ...] = field(init=False, compare=False)
+    centralizer_sizes: tuple[int, ...] = field(init=False, compare=False)
+    power_class_map: tuple[int, ...] = field(init=False, compare=False)  # class of rep**2
     _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _fibers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         group = self.group
@@ -189,6 +191,39 @@ class ConjugacyClasses:
             a.setflags(write=False)
         object.__setattr__(self, "_pairs", pairs)
         return pairs
+
+    def fiber_table(self, e1: int, e2: int) -> np.ndarray:
+        """For the signs e1, e2 of two letters of one generator z, the
+        read-only int64 (|G|^2, k) table whose row b*|G| + c counts, per
+        class, the z with z^e1 b z^e2 c in it; every row sums to |G|.
+
+        Substituting h z h^-1 for z shows that a row is the same for (b, c)
+        and (h b h^-1, h c h^-1), so only the row of one pair per orbit
+        (``pair_orbits``) is counted, over every z, and copied to the rest
+        of its orbit.  Work arrays have P*|G| <= k*|G|^2 cells for P
+        orbits.  Built on the first call per sign pair and kept on the
+        object.
+        """
+        if (e1, e2) in self._fibers:
+            return self._fibers[e1, e2]
+        group = self.group
+        n, k = group.order, len(self)
+        mul, inv = group.mul, group.inv
+        xs, ys, _ = self.pair_orbits()
+        orbits = np.arange(len(xs))
+        z = np.arange(n)
+        left, right = (z if e > 0 else inv for e in (e1, e2))
+        # [orbit, z] -> class of z^e1 x z^e2 y
+        landed = self.class_of[mul[mul[mul[left, xs[:, None]], right], ys[:, None]]]
+        rows = np.bincount((orbits[:, None] * k + landed).ravel(), minlength=len(xs) * k)
+        # [h, orbit] -> h x h^-1 and h y h^-1, which name every pair once or more
+        h = z[:, None]
+        orbit_of = np.empty(n * n, dtype=np.int64)
+        orbit_of[mul[mul[h, xs], inv[h]] * n + mul[mul[h, ys], inv[h]]] = orbits
+        table = rows.reshape(len(xs), k)[orbit_of]
+        table.setflags(write=False)
+        self._fibers[e1, e2] = table
+        return table
 
     @property
     def identity_class(self) -> int:

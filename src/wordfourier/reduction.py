@@ -122,7 +122,8 @@ class ReducedForm:
         This is the sum the claim stands for; the walk that evaluates it
         runs over orbits of simultaneous conjugation and is smaller
         (``_kernels.walked_assignments``: P*|G|^(rank-2) for P orbits on
-        pairs).
+        pairs, one factor |G| fewer when a generator is summed out through
+        its fiber table).
         """
         if self.trivial_only or self.residual_rank == 0:
             return 0

@@ -15,8 +15,9 @@ Grammar accepted by :func:`parse_word`::
 
 Juxtaposition or "*" denotes concatenation and whitespace is ignored.
 "[a,b]" expands to a b a^-1 b^-1, "{a,b}" expands to a b a b^-1, and "1"
-denotes the empty word.  A zero exponent is rejected, and so is a power
-or a bracket that would expand to more than ``MAX_POWER_LETTERS`` letters.
+denotes the empty word.  A zero exponent is rejected, and so is a power,
+a bracket or a whole word that would expand to more than
+``MAX_POWER_LETTERS`` letters.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .errors import WordSyntaxError
 # A letter is (generator index, sign) with sign +1 or -1.
 Letter = tuple[int, int]
 
-# Longest expansion one exponent or bracket may produce, so that
-# "x^99999999999999", or brackets nested thirty deep, are a syntax error
-# instead of an attempt to build that many letters.
+# Longest expansion one exponent, bracket or word may produce, so that
+# "x^99999999999999", brackets nested thirty deep, or "(x^1000000)"
+# repeated, are a syntax error instead of an attempt to build that many
+# letters.
 MAX_POWER_LETTERS = 10**6
 
 
@@ -157,7 +159,10 @@ class _Parser:
             if ch == "*":
                 self.pos += 1
                 continue
+            at = self.pos
             out.extend(self.term())
+            if len(out) > MAX_POWER_LETTERS:
+                self.fail(f"word expands past {MAX_POWER_LETTERS} letters", at)
             saw_term = True
         if not saw_term:
             self.fail('empty word (write "1" for the identity)')

@@ -185,8 +185,9 @@ class TestBench:
         assert code == 0
         doc = json.loads(out)
         by_route = {r["route"]: r for r in doc["routes"]}
-        # the walk covers one row per orbit of S4 on pairs
-        assert by_route["oracle"]["assignments"] == 43
+        # y occurs twice and is summed out through its fiber table, so the
+        # walk covers x alone, one row per class of S4
+        assert by_route["oracle"]["assignments"] == 5
         assert list(by_route) == ["oracle", "formula"]
         assert by_route["formula"]["assignments"] == 0
         assert all(r["max_delta"] < 1e-6 for r in doc["routes"])
@@ -212,8 +213,9 @@ class TestBench:
         assert code == 0
         doc = json.loads(out)
         by_route = {r["route"]: r for r in doc["routes"]}
-        # 11 orbits of S3 on pairs, times |G| per further present generator
-        assert by_route["oracle"]["assignments"] == 11 * 6**4
+        # y2 occurs twice and is summed out; 11 orbits of S3 on pairs, times
+        # |G| per further walked generator
+        assert by_route["oracle"]["assignments"] == 11 * 6**3
         assert by_route["formula"]["assignments"] == 11
 
     def test_both_routes_walk_the_same_residual(self, capsys):
@@ -271,6 +273,11 @@ class TestExitCodes:
     def test_parse_error_is_one(self, capsys):
         code, _, err = run(capsys, "classify", "x^0")
         assert code == 1 and "syntax" in err
+
+    def test_word_past_the_letter_cap_is_one(self, capsys):
+        code, out, err = run(capsys, "classify", "(x^1000000)" * 2)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "word expands past 1000000 letters" in err
 
     def test_usage_error_is_one(self, capsys):
         code, _, _ = run(capsys, "expand", "[x,y]")  # no group given

@@ -143,6 +143,17 @@ class TestConjugacyClasses:
             classes.class_of[0] = 1
         assert classes.pair_orbits() is classes.pair_orbits()
 
+    def test_class_data_compare_and_hash_by_their_group_object(self):
+        group = build_builtin("S3")
+        first, second = conjugacy_classes(group), conjugacy_classes(group)
+        second.pair_orbits()  # what is kept on an object does not count
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+        # equal tables, but another group object
+        twin = conjugacy_classes(FiniteGroup(group.mul, name="S3"))
+        assert first != twin and {first: 1}.get(twin) is None
+
 
 class TestBuiltins:
     def test_one_object_per_group_in_any_case(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wordfourier import (
+    ConjugacyClasses,
     FiniteGroup,
     GroupValidationError,
     _kernels,
@@ -16,7 +17,7 @@ from wordfourier import (
 )
 from wordfourier.words import Alphabet
 
-from corpus import corpus_word, group_and_table, python_distribution
+from corpus import CORPUS, MASTER_CAP, corpus_word, group_and_table, python_distribution
 
 COUNT_WORDS = (
     "empty",
@@ -320,3 +321,141 @@ def test_single_word_tally_is_the_oracle_class_totals(group_name, word_id):
         table.classes.class_of, weights=python_distribution(word, group)
     ).astype(np.int64)  # every assignment is counted once, all generators present
     assert totals.tolist() == reference.tolist()
+
+
+# fiber table: a generator z occurring exactly twice in one word is summed
+# out through ConjugacyClasses.fiber_table instead of being walked
+
+SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+SIGN_IDS = ("z-z", "z-zinv", "zinv-z", "zinv-zinv")
+
+
+def fiber_word(seed, present, z, signs, last_times=None):
+    """One word over generators 0..present-1, first appearing in index
+    order, where z occurs exactly twice with ``signs`` and no generator
+    after z occurs twice: the last one ``last_times`` times when given and
+    not z, the others once or three times."""
+    rng = np.random.default_rng(seed)
+    times = [int(rng.choice((1, 2, 3) if g < z else (1, 3))) for g in range(present)]
+    times[z] = 2
+    if last_times is not None and z != present - 1:
+        times[-1] = last_times
+    letters = [(g, int(rng.choice((1, -1)))) for g in range(present)]
+    for g in range(present):
+        for _ in range(times[g] - 1):
+            first = next(at for at, (h, _) in enumerate(letters) if h == g)
+            letters.insert(int(rng.integers(first + 1, len(letters) + 1)),
+                           (g, int(rng.choice((1, -1)))))
+    i, j = (at for at, (g, _) in enumerate(letters) if g == z)
+    letters[i], letters[j] = (z, signs[0]), (z, signs[1])
+    return letters
+
+
+def assert_fiber_tally_matches_reference(group, classes, word, present, z, signs):
+    fiber = _kernels._fiber_split(group, [word], classes)
+    assert fiber is not None and fiber[1] == signs
+    walked = {g for segment in fiber[0] for g, _ in segment}
+    assert walked == set(range(present)) - {z}
+    assert_tally_matches_reference(group, [word], present, classes)
+
+
+@pytest.mark.parametrize("signs", SIGN_PAIRS, ids=SIGN_IDS)
+@pytest.mark.parametrize("group_name", ("S3", "D4", "Q8", "A4"))
+def test_fiber_tally_matches_python_reference(group_name, signs):
+    # z first to appear (in the head pair) and last to appear (outside it
+    # from three generators on), for 2 to 5 present generators; 5 only on
+    # S3, where the reference loops over 6^5 assignments
+    group, table = group_and_table(group_name)
+    for present in range(2, 6 if group.order <= 6 else 5):
+        for z in (0, present - 1):
+            word = fiber_word(10 * present + z, present, z, signs)
+            assert_fiber_tally_matches_reference(group, table.classes, word, present, z, signs)
+
+
+@pytest.mark.parametrize("last_times", (1, 3, 4))
+@pytest.mark.parametrize("group_name", ("S3", "D4", "Q8", "A4"))
+def test_fiber_skips_a_last_generator_that_does_not_occur_twice(group_name, last_times):
+    # z is the last generator occurring exactly twice, not the last to appear
+    group, table = group_and_table(group_name)
+    for z in (1, 2):
+        word = fiber_word(last_times + z, 4, z, (1, -1), last_times)
+        assert sum(g == 3 for g, _ in word) == last_times
+        assert_fiber_tally_matches_reference(group, table.classes, word, 4, z, (1, -1))
+
+
+def test_fiber_tally_across_chunk_edges(monkeypatch):
+    # 7 cells per chunk: every walked generator is a row digit, and chunk
+    # edges fall inside the block of rows of a class representative
+    monkeypatch.setattr(_kernels, "_CHUNK", 7)
+    for group_name in ("S3", "A4"):
+        group, table = group_and_table(group_name)
+        for present in (2, 3, 4):
+            for signs in SIGN_PAIRS:
+                word = fiber_word(present, present, present - 2, signs)
+                assert_fiber_tally_matches_reference(
+                    group, table.classes, word, present, present - 2, signs
+                )
+
+
+@pytest.mark.parametrize("group_name", ("S3", "D4", "Q8", "A4"))
+def test_oracle_counts_are_the_plain_walks_on_the_corpus(monkeypatch, group_name):
+    group, table = group_and_table(group_name)
+    for word_id, _, names in CORPUS:
+        word = corpus_word(word_id)
+        if group.order ** len(names) > MASTER_CAP:
+            continue
+        args = (group, word.letters, word.alphabet.rank, table.classes)
+        with monkeypatch.context() as plain:
+            plain.setattr(_kernels, "_FIBER_CELLS", 0)
+            expected = _kernels.element_counts(*args)
+        assert _kernels.element_counts(*args).tolist() == expected.tolist()
+
+
+def test_fiber_falls_back_to_the_plain_walk(monkeypatch):
+    group, table = group_and_table("S3")
+    classes = table.classes
+    word = fiber_word(0, 3, 1, (1, 1))
+    assert _kernels._fiber_split(group, [word], classes) is not None
+    # two words, one generator, or no generator occurring exactly twice
+    assert _kernels._fiber_split(group, [word, word], classes) is None
+    assert _kernels._fiber_split(group, [[(0, 1), (0, 1)]], classes) is None
+    thrice = [(0, 1), (1, 1), (1, 1), (0, -1), (1, 1), (0, 1)]
+    assert _kernels._fiber_split(group, [thrice], classes) is None
+    assert _kernels._fiber_split(group, [[(0, 1), (1, 1), (0, 1), (1, 1)] * 2], classes) is None
+    # a table past the cell cap, or a walk too large for exact float sums
+    n, k = group.order, len(classes)
+    monkeypatch.setattr(_kernels, "_FIBER_CELLS", n * n * k - 1)
+    assert _kernels._fiber_split(group, [word], classes) is None
+    monkeypatch.setattr(_kernels, "_FIBER_CELLS", n * n * k)
+    assert _kernels._fiber_split(group, [word], classes) is not None
+    monkeypatch.setattr(_kernels, "_FLOAT_EXACT", n * n)  # two walked generators
+    assert _kernels._fiber_split(group, [word], classes) is None
+    assert_tally_matches_reference(group, [word], 3, classes)
+
+
+@pytest.mark.parametrize("group_name", ("S3", "D4", "Q8", "A4", "S3-reversed"))
+def test_fiber_table_counts_each_z_once_and_is_built_once(group_name):
+    if group_name.endswith("-reversed"):
+        group, _ = reversed_group(group_name.split("-")[0])
+    else:
+        group, _ = group_and_table(group_name)
+    classes = ConjugacyClasses(group)  # fresh, so nothing is kept on it yet
+    n, mul = group.order, group.mul
+    word = fiber_word(1, 3, 2, (-1, 1))
+    _kernels.element_counts(group, word, 3, classes)
+    built = classes.fiber_table(-1, 1)
+    _kernels.element_counts(group, word, 3, classes)
+    assert classes.fiber_table(-1, 1) is built
+    for e1, e2 in SIGN_PAIRS:
+        table = classes.fiber_table(e1, e2)
+        assert table.dtype == np.int64 and table.shape == (n * n, len(classes))
+        assert not table.flags.writeable
+        assert (table.sum(axis=1) == n).all()  # one class per z
+        expected = np.zeros_like(table)
+        for z in range(n):
+            left, right = (z if e > 0 else group.inv[z] for e in (e1, e2))
+            for b in range(n):
+                middle = mul[mul[left, b], right]
+                for c in range(n):
+                    expected[b * n + c, classes.class_of[mul[middle, c]]] += 1
+        assert table.tolist() == expected.tolist()

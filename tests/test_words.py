@@ -115,6 +115,14 @@ class TestParser:
                 parse_word(text)
             assert err.value.position == position
 
+    def test_word_past_the_letter_cap_is_a_syntax_error(self):
+        # each power is within the cap, but the word they make is not
+        power = f"(x^{MAX_POWER_LETTERS})"
+        for text, position in ((power * 2, 11), (f"y*{power}", 2), (f"[y,x]({power})", 5)):
+            with pytest.raises(WordSyntaxError, match="word expands") as err:
+                parse_word(text)
+            assert err.value.position == position
+
 
 class TestAlphabet:
     def test_duplicate_names_rejected(self):
