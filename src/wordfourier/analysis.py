@@ -7,10 +7,12 @@ Everything with three or more occurrences, or a mixed two-plus-one
 pattern, is *general*; generators with no occurrence are *absent*.
 
 This module owns that case split.  :func:`occurrences` scans a word once
-and :func:`kind` classifies one generator from the scan; the reduction
-rules and :func:`reduction.normalize` read the same two functions, and
-:func:`classify` builds the per-generator profile the CLI prints from
-them.
+and :func:`kind` classifies one generator from the scan, through
+:func:`tally_kind`, which decides from the occurrence count and the sum of
+the signs alone.  The reduction rules read :func:`occurrences` and
+:func:`kind`, :func:`reduction.normalize` keeps a table of counts and sign
+sums and reads :func:`tally_kind`, and :func:`classify` builds the
+per-generator profile the CLI prints.
 
 Classification concerns the freely reduced word, so :func:`classify`
 reduces its input defensively and records whether that changed anything.
@@ -42,12 +44,19 @@ def occurrences(word: Word) -> list[Occurrences]:
 
 def kind(occ: Occurrences) -> str:
     """Classification of a generator from its occurrences."""
-    if not occ:
+    return tally_kind(len(occ), sum(s for _, s in occ))
+
+
+def tally_kind(count: int, sign_sum: int) -> str:
+    """Classification of a generator occurring ``count`` times with signs
+    adding up to ``sign_sum``: two occurrences are a square when their
+    signs agree and dismissible when they cancel."""
+    if count == 0:
         return ABSENT
-    if len(occ) == 1:
+    if count == 1:
         return SINGLE
-    if len(occ) == 2:
-        return SQUARE if occ[0][1] == occ[1][1] else DISMISSIBLE
+    if count == 2:
+        return DISMISSIBLE if sign_sum == 0 else SQUARE
     return GENERAL
 
 

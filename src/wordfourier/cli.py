@@ -281,11 +281,13 @@ def _expand_rows(form, group, table, args, verify: bool):
     worst = 0.0
     for chi in range(len(table)):
         value = complex(values[chi])
-        denoms = divisors(group.order * int(table.degrees[chi]) ** max(form.deg_exponent, 1))
-        rational = rational_annotation(value, denoms, tol=args.tol)
+        degree = int(table.degrees[chi])
+        # |G|*c/chi(1) is an algebraic integer (Frobenius), so a rational c
+        # has a denominator dividing |G|/chi(1)
+        rational = rational_annotation(value, divisors(group.order // degree), tol=args.tol)
         row = {
             "chi": chi,
-            "degree": int(table.degrees[chi]),
+            "degree": degree,
             "fs": fs_indicator(table, chi),
             "coefficient": _cnum(value),
             "display": _fmt_value(value),

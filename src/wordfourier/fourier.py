@@ -150,7 +150,8 @@ def coefficient_formula(
 def rational_annotation(
     value: complex, denominators, tol: float = 1e-6
 ) -> Fraction | None:
-    """The fraction p/q nearest ``value`` over allowed q, when within tol."""
+    """The fraction p/q within tol of ``value`` with the smallest allowed q,
+    or None."""
     if abs(complex(value).imag) > tol:
         return None
     real = complex(value).real

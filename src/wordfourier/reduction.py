@@ -30,24 +30,37 @@ sigma.  Reading order: the cycle through segment 0 comes first and ends
 with the trailing segment; the remaining cycles start at their smallest
 unread segment index.
 
-Which rule applies to a generator is read from :mod:`analysis`, which
-owns the occurrence scan (:func:`analysis.occurrences`) and the case split
-(:func:`analysis.kind`); this module defines no scan of its own.
+Which rule applies to a generator is decided by :mod:`analysis`
+(:func:`analysis.kind` over its occurrence scan, which reads
+:func:`analysis.tally_kind`).  The rule functions read that scan.
+:func:`normalize` instead keeps one table of each generator's occurrence
+count and sign sum, and a square step updates it only for the letters it
+changes, so each step does work linear in the word.  A trace step's detail
+is rendered when it is first read: ``reduce`` prints every intermediate
+word, so its output grows with the square of the word length, while
+``expand`` and ``genus`` never render the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from .analysis import ABSENT, DISMISSIBLE, SINGLE, SQUARE, kind, occurrences
-from .errors import ReductionError
-from .words import (
-    Alphabet,
-    Word,
-    concat_all,
-    free_reduce,
-    word_to_str,
+from .analysis import (
+    ABSENT,
+    DISMISSIBLE,
+    GENERAL,
+    SINGLE,
+    SQUARE,
+    kind,
+    occurrences,
+    tally_kind,
 )
+from .errors import ReductionError
+from .words import Alphabet, Word, _word, concat_all, free_reduce
+
+# exponent delta of one square step: one factor |G|/chi(1)*FS
+_SQUARE_DELTA = (1, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -55,7 +68,14 @@ class TraceStep:
     rule: str                     # "free-reduce" | "absent" | "single" | "square" | "split"
     generator: str | None         # generator(s) the rule consumed
     delta: tuple[int, int, int]   # contribution to (a, b, s)
-    detail: str                   # resulting word(s), human-readable
+    template: str                 # detail, with "{}" for each of the values
+    values: tuple = ()            # resulting word(s), alphabet or number
+
+    @cached_property
+    def detail(self) -> str:
+        """The resulting word(s), human-readable; rendered when first read,
+        so callers that never print the trace never render it."""
+        return self.template.format(*self.values)
 
     def __str__(self) -> str:
         da, db, ds = self.delta
@@ -196,7 +216,7 @@ def _restrict(alphabet: Alphabet, drop) -> tuple[Alphabet, dict[int, int]]:
 
 def _drop_generators(word: Word, names) -> Word:
     alphabet, remap = _restrict(word.alphabet, names)
-    return Word(alphabet, tuple((remap[g], s) for g, s in word.letters))
+    return _word(alphabet, tuple((remap[g], s) for g, s in word.letters))
 
 
 def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
@@ -230,9 +250,7 @@ def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
     n = twon // 2
 
     def segment(lo: int, hi: int) -> Word:
-        return Word(
-            residual_alphabet, tuple((remap[g], s) for g, s in letters[lo:hi])
-        )
+        return _word(residual_alphabet, tuple((remap[g], s) for g, s in letters[lo:hi]))
 
     # 2n+1 segments of the unshifted word; the trailing one wraps into
     # segment 0 once the canonical shift puts a slot last
@@ -295,6 +313,39 @@ def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
     )
 
 
+def _join(left: tuple, right: tuple) -> tuple[tuple, list[int]]:
+    """left*right with the inverse pairs at the seam cancelled, and the
+    generator of each cancelled pair.  Freely reduced when both sides are."""
+    k = 0
+    most = min(len(left), len(right))
+    while k < most and left[-1 - k][0] == right[k][0] and left[-1 - k][1] != right[k][1]:
+        k += 1
+    return left[: len(left) - k] + right[k:], [g for g, _ in right[:k]]
+
+
+class _Inverses(dict):
+    """Letter -> inverse letter, each inverse made once and then shared, so
+    that the words of a trace hold references to the same few letters."""
+
+    def __missing__(self, letter):
+        g, s = letter
+        inverse = self[letter] = (g, -s)
+        return inverse
+
+
+def _splice(letters: tuple, p1: int, p2: int, inverses: _Inverses) -> tuple[tuple, list[int]]:
+    """The square rule on letters: w1*y*w2*y*w3, y at positions p1 < p2,
+    becomes w1*w2^-1*w3, cancelled at the two joins.
+
+    Returns the letters and the generator of each pair that cancelled.  The
+    result is freely reduced when ``letters`` is.
+    """
+    middle = tuple(map(inverses.__getitem__, reversed(letters[p1 + 1 : p2])))
+    head, first = _join(letters[:p1], middle)
+    spliced, second = _join(head, letters[p2 + 1 :])
+    return spliced, first + second
+
+
 def square_reduce(word: Word, generator: str) -> tuple[Word, tuple[int, int, int]]:
     """Remove one square letter: w1*y*w2*y*w3 becomes w1*w2^-1*w3.
 
@@ -308,15 +359,9 @@ def square_reduce(word: Word, generator: str) -> tuple[Word, tuple[int, int, int
     if kind(occ) != SQUARE:
         raise ReductionError(f"generator {generator!r} is not a square in {word}")
     (p1, _), (p2, _) = occ
-    alphabet, remap = _restrict(word.alphabet, (generator,))
-    letters = word.letters
-    spliced = (
-        letters[:p1]
-        + tuple((h, -s) for h, s in reversed(letters[p1 + 1 : p2]))
-        + letters[p2 + 1 :]
-    )
-    residual = Word(alphabet, tuple((remap[h], s) for h, s in spliced))
-    return free_reduce(residual), (1, 1, 1)
+    spliced, _ = _splice(word.letters, p1, p2, _Inverses())
+    residual = _drop_generators(_word(word.alphabet, spliced), (generator,))
+    return free_reduce(residual), _SQUARE_DELTA
 
 
 def eliminate_single(word: Word, generator: str) -> ReducedForm:
@@ -329,7 +374,7 @@ def eliminate_single(word: Word, generator: str) -> ReducedForm:
     if kind(occurrences(word)[g]) != SINGLE:
         raise ReductionError(f"generator {generator!r} is not single in {word}")
     rank = word.alphabet.rank
-    step = TraceStep("single", generator, (rank, 0, 0), f"constant |G|^{rank - 1}")
+    step = TraceStep("single", generator, (rank, 0, 0), "constant |G|^{}", (rank - 1,))
     return ReducedForm(
         trivial_only=True,
         residual_alphabet=Alphabet(()),
@@ -341,15 +386,14 @@ def eliminate_single(word: Word, generator: str) -> ReducedForm:
 
 def form_from_split(split: SplitDecomposition) -> ReducedForm:
     """Claim obtained by eliminating the split's dismissible letters alone."""
-    detail = ", ".join(
-        f"W{i + 1}={word_to_str(w)}" for i, w in enumerate(split.split_words)
-    )
+    words = ", ".join(f"W{i}={{}}" for i in range(1, split.r + 1))
     split_names = {name for name, _ in split.slots}
     step = TraceStep(
         "split",
         ",".join(n for n in split.word.alphabet.names if n in split_names),
         (split.n, split.n, 0),
-        f"r={split.r}: {detail}",
+        "r={}: " + words,
+        (split.r, *split.split_words),
     )
     return ReducedForm(
         trivial_only=False,
@@ -366,50 +410,96 @@ def normalize(word: Word) -> ReducedForm:
     letter, eliminate squares exhaustively, then split all dismissible
     letters at once.
 
-    The single and split cases are :func:`eliminate_single` and
-    :func:`form_from_split` on the word the earlier steps left, with those
-    steps prepended to the trace.
+    The loop keeps the letters in the input's generator indexing and one
+    table of each generator's occurrence count and sign sum.  A square
+    step (the splice :func:`square_reduce` applies) changes the table only
+    for the generator it removes, the middle segment whose signs flip and
+    the pairs that cancel at the two joins, so each step does work linear
+    in the word and no rescan.  The alphabet is restricted once, when the
+    loop ends; the single and split cases are then :func:`eliminate_single`
+    and :func:`form_from_split` on that word, with the loop's steps
+    prepended to the trace.
     """
+    alphabet = word.alphabet
+    names = alphabet.names
     trace: list[TraceStep] = []
     current = free_reduce(word)
-    if current.letters != word.letters:
-        trace.append(TraceStep("free-reduce", None, (0, 0, 0), word_to_str(current)))
+    letters = current.letters
+    if len(letters) != len(word.letters):
+        trace.append(TraceStep("free-reduce", None, (0, 0, 0), "{}", (current,)))
+
+    count = [0] * alphabet.rank
+    sign_sum = [0] * alphabet.rank
+    for g, s in letters:
+        count[g] += 1
+        sign_sum[g] += s
+    kind_of = [tally_kind(c, s) for c, s in zip(count, sign_sum)]
+    by_kind: dict[str, set[int]] = {
+        k: set() for k in (ABSENT, SINGLE, SQUARE, DISMISSIBLE, GENERAL)
+    }
+    for g, k in enumerate(kind_of):
+        by_kind[k].add(g)
+    removed: set[int] = set()
+    inverses = _Inverses()
 
     while True:
-        # generator names by kind, in alphabet order
-        by_kind: dict[str, list[str]] = {}
-        for name, occ in zip(current.alphabet.names, occurrences(current)):
-            by_kind.setdefault(kind(occ), []).append(name)
-        if ABSENT in by_kind:
-            dropped = by_kind[ABSENT]
-            current = _drop_generators(current, dropped)
+        if by_kind[ABSENT]:
+            dropped = sorted(by_kind[ABSENT])
+            by_kind[ABSENT].clear()
+            removed.update(dropped)
+            kept = Alphabet(tuple(n for g, n in enumerate(names) if g not in removed))
             trace.append(
                 TraceStep(
                     "absent",
-                    ",".join(dropped),
+                    ",".join(names[g] for g in dropped),
                     (len(dropped), 0, 0),
-                    f"alphabet {current.alphabet}",
+                    "alphabet {}",
+                    (kept,),
                 )
             )
-        elif SINGLE in by_kind:
-            form = eliminate_single(current, by_kind[SINGLE][0])
+            continue
+        if by_kind[SINGLE] or not by_kind[SQUARE]:
             break
-        elif SQUARE in by_kind:
-            generator = by_kind[SQUARE][0]
-            current, delta = square_reduce(current, generator)
-            trace.append(TraceStep("square", generator, delta, word_to_str(current)))
-        elif DISMISSIBLE in by_kind:
-            form = form_from_split(split_dismissible(current, by_kind[DISMISSIBLE]))
-            break
-        else:
-            form = ReducedForm(
-                trivial_only=False,
-                residual_alphabet=current.alphabet,
-                residual_words=(current,),
-                trace=(),
-                word=current,
-            )
-            break
+        g = min(by_kind[SQUARE])
+        by_kind[SQUARE].remove(g)
+        removed.add(g)
+        s = sign_sum[g] // 2
+        p1 = letters.index((g, s))
+        p2 = letters.index((g, s), p1 + 1)
+        touched = set()
+        for h, t in letters[p1 + 1 : p2]:
+            sign_sum[h] -= 2 * t
+            touched.add(h)
+        letters, cancelled = _splice(letters, p1, p2, inverses)
+        for h in cancelled:
+            count[h] -= 2
+        touched.update(cancelled)
+        for h in touched:
+            k = tally_kind(count[h], sign_sum[h])
+            if k != kind_of[h]:
+                by_kind[kind_of[h]].remove(h)
+                by_kind[k].add(h)
+                kind_of[h] = k
+        trace.append(
+            TraceStep("square", names[g], _SQUARE_DELTA, "{}", (_word(alphabet, letters),))
+        )
+
+    current = _word(alphabet, letters)
+    if removed:
+        current = _drop_generators(current, (names[g] for g in removed))
+    if by_kind[SINGLE]:
+        form = eliminate_single(current, names[min(by_kind[SINGLE])])
+    elif by_kind[DISMISSIBLE]:
+        chosen = [names[g] for g in sorted(by_kind[DISMISSIBLE])]
+        form = form_from_split(split_dismissible(current, chosen))
+    else:
+        form = ReducedForm(
+            trivial_only=False,
+            residual_alphabet=current.alphabet,
+            residual_words=(current,),
+            trace=(),
+            word=current,
+        )
     return replace(form, trace=tuple(trace) + form.trace, word=word)
 
 

@@ -22,6 +22,7 @@ a bracket or a whole word that would expand to more than
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -99,12 +100,26 @@ class Word:
         return word_to_str(self)
 
 
+def _word(alphabet: Alphabet, letters: tuple[Letter, ...]) -> Word:
+    """A word from letters known to be valid: int indices inside the
+    alphabet and signs +1 or -1.  Skips ``Word``'s per-letter check, for
+    the words this package builds out of valid ones."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "alphabet", alphabet)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 def word_to_str(word: Word) -> str:
     """Render with "*" separators, collapsing runs into powers: x*y^-2."""
-    if not word.letters:
+    letters = word.letters
+    if not letters:
         return "1"
+    names = word.alphabet.names
+    if not any(map(operator.eq, letters, letters[1:])):  # no run to collapse
+        return "*".join([names[g] if s > 0 else names[g] + "^-1" for g, s in letters])
     runs: list[tuple[int, int, int]] = []  # (gen, sign, count)
-    for g, s in word.letters:
+    for g, s in letters:
         if runs and runs[-1][0] == g and runs[-1][1] == s:
             runs[-1] = (g, s, runs[-1][2] + 1)
         else:
@@ -112,19 +127,27 @@ def word_to_str(word: Word) -> str:
     parts = []
     for g, s, c in runs:
         e = s * c
-        name = word.alphabet.names[g]
+        name = names[g]
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
 
 
 class _Parser:
-    """Recursive-descent parser for the word grammar."""
+    """Recursive-descent parser for the word grammar.
+
+    Letters are (generator index, sign) from the start: ``index`` maps each
+    name to its index, the explicit alphabet's or, when the alphabet is
+    inferred, the order of first appearance.
+    """
 
     def __init__(self, text: str, alphabet: Alphabet | None):
         self.text = text
         self.pos = 0
         self.alphabet = alphabet
-        self.seen: list[str] = []  # inference order of first appearance
+        names = () if alphabet is None else alphabet.names
+        self.index = {name: i for i, name in enumerate(names)}
+        # greedy splitting of a symbol run tries the longest name first
+        self.by_length = sorted(names, key=len, reverse=True)
 
     def fail(self, message: str, position: int | None = None):
         raise WordSyntaxError(message, self.pos if position is None else position)
@@ -143,14 +166,13 @@ class _Parser:
         letters = self.word_body(stoppers="")
         if self.peek() != "":
             self.fail("unexpected trailing input")
-        if self.alphabet is not None:
-            alphabet = self.alphabet
-        else:
-            alphabet = Alphabet(tuple(self.seen))
-        return Word(alphabet, tuple((alphabet.index(n), s) for n, s in letters))
+        alphabet = self.alphabet
+        if alphabet is None:
+            alphabet = Alphabet(tuple(self.index))
+        return _word(alphabet, tuple(letters))
 
-    def word_body(self, stoppers: str) -> list[tuple[str, int]]:
-        out: list[tuple[str, int]] = []
+    def word_body(self, stoppers: str) -> list[Letter]:
+        out: list[Letter] = []
         saw_term = False
         while True:
             ch = self.peek()
@@ -168,17 +190,17 @@ class _Parser:
             self.fail('empty word (write "1" for the identity)')
         return out
 
-    def term(self) -> list[tuple[str, int]]:
+    def term(self) -> list[Letter]:
         ch = self.peek()
         if ch.isalpha():
             # a run of juxtaposed generators; the exponent binds to the last
-            names = self.symbols()
-            letters = [(n, 1) for n in names[:-1]]
-            tail = [(names[-1], 1)]
+            gens = self.symbols()
+            letters = [(g, 1) for g in gens[:-1]]
+            tail = [(gens[-1], 1)]
             return letters + self._apply_exponent(tail)
         return self._apply_exponent(self.factor())
 
-    def _apply_exponent(self, letters: list[tuple[str, int]]) -> list[tuple[str, int]]:
+    def _apply_exponent(self, letters: list[Letter]) -> list[Letter]:
         if self.peek() != "^":
             return letters
         self.pos += 1
@@ -189,11 +211,11 @@ class _Parser:
         if len(letters) * abs(exponent) > MAX_POWER_LETTERS:
             self.fail(f"power expands past {MAX_POWER_LETTERS} letters", at)
         if exponent < 0:
-            letters = [(n, -s) for n, s in reversed(letters)]
+            letters = [(g, -s) for g, s in reversed(letters)]
             exponent = -exponent
         return letters * exponent
 
-    def factor(self) -> list[tuple[str, int]]:
+    def factor(self) -> list[Letter]:
         ch = self.peek()
         if ch == "1":
             self.pos += 1
@@ -213,19 +235,19 @@ class _Parser:
             self.expect(closing)
             if 2 * (len(left) + len(right)) > MAX_POWER_LETTERS:
                 self.fail(f"bracket expands past {MAX_POWER_LETTERS} letters", at)
-            left_inv = [(n, -s) for n, s in reversed(left)]
-            right_inv = [(n, -s) for n, s in reversed(right)]
+            left_inv = [(g, -s) for g, s in reversed(left)]
+            right_inv = [(g, -s) for g, s in reversed(right)]
             if ch == "[":  # [a,b] -> a b a^-1 b^-1
                 return left + right + left_inv + right_inv
             return left + right + left + right_inv  # {a,b} -> a b a b^-1
         self.fail("expected a generator symbol, '1', '(', '[' or '{'")
 
-    def symbols(self) -> list[str]:
-        """Read one maximal symbol run and resolve it to generator names.
+    def symbols(self) -> list[int]:
+        """Read one maximal symbol run and resolve it to generator indices.
 
         Against an explicit alphabet the run is split greedily into known
-        names (so "xy" over (x, y) means x*y); with an inferred alphabet
-        the whole run is a single generator.
+        names, longest first (so "xy" over (x, y) means x*y); with an
+        inferred alphabet the whole run is a single generator.
         """
         start = self.pos
         self.pos += 1
@@ -234,20 +256,21 @@ class _Parser:
         ):
             self.pos += 1
         run = self.text[start : self.pos]
+        index = self.index
+        if run in index:  # no longer name can be a prefix of the run
+            return [index[run]]
         if self.alphabet is None:
-            if run not in self.seen:
-                self.seen.append(run)
-            return [run]
-        by_length = sorted(self.alphabet.names, key=len, reverse=True)
-        names = []
+            index[run] = len(index)
+            return [index[run]]
+        gens = []
         rest = run
         while rest:
-            match = next((n for n in by_length if rest.startswith(n)), None)
+            match = next((n for n in self.by_length if rest.startswith(n)), None)
             if match is None:
                 self.fail(f"unknown generator {run!r}", start)
-            names.append(match)
+            gens.append(index[match])
             rest = rest[len(match) :]
-        return names
+        return gens
 
     def signed_int(self) -> int:
         start = self.pos
@@ -284,12 +307,12 @@ def free_reduce(word: Word) -> Word:
             out.append((g, s))
     if len(out) == len(word.letters):
         return word
-    return Word(word.alphabet, tuple(out))
+    return _word(word.alphabet, tuple(out))
 
 
 def invert(word: Word) -> Word:
     """Reverse the letter sequence and flip every sign."""
-    return Word(word.alphabet, tuple((g, -s) for g, s in reversed(word.letters)))
+    return _word(word.alphabet, tuple((g, -s) for g, s in reversed(word.letters)))
 
 
 def cyclic_shift(word: Word, k: int) -> Word:
@@ -299,7 +322,7 @@ def cyclic_shift(word: Word, k: int) -> Word:
     k %= len(word.letters)
     if k == 0:
         return word
-    return Word(word.alphabet, word.letters[k:] + word.letters[:k])
+    return _word(word.alphabet, word.letters[k:] + word.letters[:k])
 
 
 def concat(first: Word, second: Word) -> Word:
@@ -307,7 +330,7 @@ def concat(first: Word, second: Word) -> Word:
         raise ValueError(
             f"cannot concatenate words over {first.alphabet} and {second.alphabet}"
         )
-    return Word(first.alphabet, first.letters + second.letters)
+    return _word(first.alphabet, first.letters + second.letters)
 
 
 def concat_all(alphabet: Alphabet, words: Iterable[Word]) -> Word:
@@ -316,7 +339,7 @@ def concat_all(alphabet: Alphabet, words: Iterable[Word]) -> Word:
         if w.alphabet != alphabet:
             raise ValueError("alphabet mismatch in concatenation")
         letters += w.letters
-    return Word(alphabet, letters)
+    return _word(alphabet, letters)
 
 
 def evaluate(word: Word, assignment: Mapping[str, int], group) -> int:

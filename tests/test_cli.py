@@ -115,6 +115,16 @@ class TestExpand:
         doc = json.loads(out)
         assert [r["rational"] for r in doc["rows"]] == ["1/6", "1/6", "1/3"]
 
+    def test_a_large_tol_picks_from_the_divisors_of_order_over_degree(self, capsys):
+        # the degree-2 row of the empty word on S3 is 1/3; at --tol 0.2 the
+        # wider search over the divisors of |G|*chi(1) would stop at 1/2
+        code, out, _ = run(
+            capsys, "expand", "1", "--group", "S3", "--tol", "0.2", "--format", "json"
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert [r["rational"] for r in doc["rows"]] == ["0", "0", "1/3"]
+
     def test_verify_flag(self, capsys):
         code, out, _ = run(capsys, "expand", "{x,y}", "--group", "S3", "--verify")
         assert code == 0

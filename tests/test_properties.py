@@ -9,6 +9,10 @@ inverting the word sends each value to its inverse, which conjugates every
 coefficient.
 """
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +26,10 @@ from wordfourier import (
     invert,
     normalize,
     project,
+    word_to_str,
 )
+from wordfourier.cli import main
+from wordfourier.fourier import divisors, rational_annotation
 from wordfourier.words import Alphabet, Word
 
 from corpus import group_and_table, python_distribution
@@ -112,6 +119,27 @@ def test_order_over_degree_times_each_coefficient_is_an_integer(group_name, word
     for coefficients in (_formula(word, group_name), oracle):
         scaled = group.order * coefficients / table.degrees
         assert np.all(np.abs(scaled - np.rint(scaled.real)) <= tol)
+
+
+# So the exact column of expand searches only the denominators dividing
+# |G|/chi(1).  At the default --tol it picks the same fraction as a search
+# over the divisors of |G|*chi(1)^max(b, 1), which holds them all.
+@pytest.mark.parametrize("group_name", GROUPS + ("S4",))
+@SETTINGS
+@given(word=words())
+def test_exact_column_matches_the_wider_denominator_search(group_name, word):
+    group, _ = group_and_table(group_name)
+    argv = ["expand", word_to_str(word), "--group", group_name, "--format", "json"]
+    if word.alphabet.rank:
+        argv += ["--alphabet", ",".join(word.alphabet.names)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    b = normalize(word).deg_exponent
+    for row in json.loads(stdout.getvalue())["rows"]:
+        wider = divisors(group.order * row["degree"] ** max(b, 1))
+        pick = rational_annotation(complex(*row["coefficient"]), wider)
+        assert row["rational"] == (None if pick is None else str(pick))
 
 
 # Z3's characters are not real, so there conjugation changes coefficients

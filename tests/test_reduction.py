@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordfourier import (
     Alphabet,
     ReductionError,
     Word,
     evaluate,
+    free_reduce,
     genus,
     normalize,
     parse_word,
@@ -15,8 +18,10 @@ from wordfourier import (
     square_reduce,
     word_to_str,
 )
+from wordfourier.analysis import ABSENT, DISMISSIBLE, SINGLE, SQUARE, kind, occurrences
 from wordfourier.groups import build_builtin, conjugacy_classes
 from wordfourier.reduction import (
+    _drop_generators,
     eliminate_single,
     form_from_split,
     format_trace,
@@ -372,3 +377,75 @@ class TestPrefactorDisplay:
 
         assert closed_form_str(normalize(corpus_word("cube"))) is None
         assert closed_form_str(normalize(parse_word("x"))) is None
+
+
+def rebuild(word):
+    """normalize, one public rule at a time: the (rule, generator, delta,
+    detail) of each step, and the residual alphabet, words and split."""
+    steps = []
+    current = free_reduce(word)
+    if current.letters != word.letters:
+        steps.append(("free-reduce", None, (0, 0, 0), word_to_str(current)))
+    while True:
+        kinds = [kind(occ) for occ in occurrences(current)]
+        names = {k: [n for n, got in zip(current.alphabet.names, kinds) if got == k]
+                 for k in (ABSENT, SINGLE, SQUARE, DISMISSIBLE)}
+        if names[ABSENT]:
+            current = _drop_generators(current, names[ABSENT])
+            dropped = ",".join(names[ABSENT])
+            delta = (len(names[ABSENT]), 0, 0)
+            steps.append(("absent", dropped, delta, f"alphabet {current.alphabet}"))
+        elif names[SINGLE]:
+            form = eliminate_single(current, names[SINGLE][0])
+            break
+        elif names[SQUARE]:
+            current, delta = square_reduce(current, names[SQUARE][0])
+            steps.append(("square", names[SQUARE][0], delta, word_to_str(current)))
+        elif names[DISMISSIBLE]:
+            form = form_from_split(split_dismissible(current))
+            break
+        else:
+            return steps, (current.alphabet, (current,), None)
+    steps += [(step.rule, step.generator, step.delta, step.detail) for step in form.trace]
+    return steps, (form.residual_alphabet, form.residual_words, form.split)
+
+
+REFERENCE_NAMES = ("a", "b", "c", "d", "e", "y")
+
+
+@st.composite
+def reduction_words(draw):
+    """Words over up to six generators, some of them unused: random
+    letters, words in which every letter occurs twice, and words
+    u*v*y*v*y*u^-1*w, whose square y cancels across both splice joins."""
+    shape = draw(st.sampled_from(("random", "twice", "cascade")))
+    rank = draw(st.integers(2 if shape == "cascade" else 1, len(REFERENCE_NAMES)))
+    letter = st.tuples(st.integers(0, rank - 1), st.sampled_from((1, -1)))
+    if shape == "random":
+        letters = draw(st.lists(letter, max_size=16))
+    elif shape == "twice":
+        used = draw(st.integers(0, rank))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=2 * used, max_size=2 * used))
+        letters = draw(st.permutations([(g // 2, s) for g, s in zip(range(2 * used), signs)]))
+    else:
+        y = rank - 1
+        other = st.tuples(st.integers(0, rank - 2), st.sampled_from((1, -1)))
+        u, v, w = (draw(st.lists(other, max_size=5)) for _ in range(3))
+        sign = draw(st.sampled_from((1, -1)))
+        u_inv = [(g, -s) for g, s in reversed(u)]
+        letters = u + v + [(y, sign)] + v + [(y, sign)] + u_inv + w
+    return Word(Alphabet(REFERENCE_NAMES[:rank]), tuple(letters))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(word=reduction_words())
+def test_normalize_equals_the_step_by_step_rebuild(word):
+    form = normalize(word)
+    steps, (alphabet, residual_words, split) = rebuild(word)
+    assert [(s.rule, s.generator, s.delta, s.detail) for s in form.trace] == steps
+    assert form.residual_alphabet == alphabet
+    assert form.residual_words == residual_words
+    assert form.split == split
+    assert form.word == word
+    a, b, c = (sum(delta[i] for _, _, delta, _ in steps) for i in range(3))
+    assert (form.g_exponent, form.deg_exponent, form.fs_exponent) == (a - 1, b, c)

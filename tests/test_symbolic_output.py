@@ -3,7 +3,9 @@
 Each command runs with ``--format json`` on every corpus word (over its
 corpus alphabet) and on the tambour words y1..yn*y1^-1..yn^-1 of
 ``corpus.split_tambour``; expand runs, with and without ``--verify``, once
-per word on each of ``EXPAND_GROUPS``.  A run's record is its exit code and
+per word on each of ``EXPAND_GROUPS``.  Separate digests (``EXPECTED_LONG``)
+pin reduce, classify and genus on seeded long words in which every letter
+occurs twice (``long_words``), where the square steps cascade.  A run's record is its exit code and
 stdout; genus prints only for admissible words, so for the others the
 record is the exit code alone.  The records of one command, in run order,
 hash to one SHA-256 digest.  The reduce, classify and genus JSON holds no
@@ -21,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -79,9 +82,62 @@ EXPECTED = {
         "4355a46b 4355a46b 886edbf6 bf20994c ce097f26 d542c78f 39bc1aa9",
     ),
 }
+# the same for the long words
+EXPECTED_LONG = {
+    "reduce": (
+        "57b1a48819c23107a90ebdafd889c6aac45eaba1f7ca3a8f96eb5038b5a39dea",
+        "90563074 ac0d8485 7c44ad17 904f07dc 3d9e80b2 e4171bfd bc860c9d "
+        "eb3fd441 50729a1e 47aa1142 f93c5ed8 1d22be2b",
+    ),
+    "classify": (
+        "1f06c1737efa1a677d67fe50d61ff6f1a6c0bff49c579e9e2f006ad83ddacf9d",
+        "b5b5b2fb 449534f1 014f463d d205cfd2 37db4242 b4f2da83 24f0986a "
+        "13f39a0d 3aebdebd 59cd4233 5cfe7505 e7ebafe3",
+    ),
+    "genus": (
+        "558a0bba7e1ec7690807970f2bf527ef28c4762fe581fa5e8d665007df41afb3",
+        "31d91ea4 4355a46b 2d4d79be c4d5c70d c37b8421 4355a46b 86a89b89 "
+        "db041ddf 4355a46b 98a60a73 4355a46b 4355a46b",
+    ),
+}
 # --verify adds only floats to expand's JSON, so its records differ from
 # plain expand's only if an exit code does
 EXPECTED["expand --verify"] = EXPECTED["expand"]
+
+
+# generators of the long words: 40, 100, 200 and 400 letters
+LONG_SIZES = (20, 50, 100, 200)
+LONG_WORDS_PER_SIZE = 3
+
+
+def two_occurrence_text(rng, n, orientable):
+    """Word text in which each of n letters occurs twice.
+
+    An orientable word has only dismissible letters, so it splits at once.
+    Otherwise each letter draws its sign pattern, so squares, dismissible
+    letters, cancelling neighbours and non-reduced input all occur, and
+    the square steps cascade.
+    """
+    slots = [g for g in range(n) for _ in (0, 1)]
+    rng.shuffle(slots)
+    choices = ((1, -1), (-1, 1)) if orientable else ((1, -1), (-1, 1), (1, 1), (-1, -1))
+    patterns = [rng.choice(choices) for _ in range(n)]
+    seen = [0] * n
+    parts = []
+    for g in slots:
+        sign = patterns[g][seen[g]]
+        seen[g] += 1
+        parts.append(f"x{g + 1}" if sign > 0 else f"x{g + 1}^-1")
+    return "*".join(parts)
+
+
+def long_words():
+    """(label, word argv) of the seeded long words, in order."""
+    for n in LONG_SIZES:
+        rng = random.Random(f"long:{n}")
+        for i in range(LONG_WORDS_PER_SIZE):
+            text = two_occurrence_text(rng, n, orientable=i == 0)
+            yield f"long{2 * n}/{i}", (text,)
 
 
 def words():
@@ -93,10 +149,10 @@ def words():
         yield f"tambour{n}", ("*".join(ys + [f"{y}^-1" for y in ys]),)
 
 
-def runs(command):
+def runs(command, source=words):
     """(label, argv) of every run one command's digest covers, in order."""
     name, *flags = command.split()
-    for label, word_argv in words():
+    for label, word_argv in source():
         if name != "expand":
             yield label, (name, *word_argv, *flags)
             continue
@@ -112,10 +168,10 @@ def exact_fields(text):
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
-def records(command):
+def records(command, source=words):
     """(label, record bytes) of every run of one command."""
     out = []
-    for label, argv in runs(command):
+    for label, argv in runs(command, source):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = main([*argv, "--format", "json"])
@@ -126,17 +182,16 @@ def records(command):
     return out
 
 
-def digests(command):
-    recs = records(command)
+def digests(command, source=words):
+    recs = records(command, source)
     digest = hashlib.sha256(b"".join(rec for _, rec in recs)).hexdigest()
     prints = " ".join(hashlib.sha256(rec).hexdigest()[:8] for _, rec in recs)
     return digest, prints, [label for label, _ in recs]
 
 
-@pytest.mark.parametrize("command", sorted(EXPECTED))
-def test_json_output_matches_the_recorded_digest(command):
-    digest, prints, labels = digests(command)
-    want_digest, want_prints = EXPECTED[command]
+def check_digest(command, source, expected):
+    digest, prints, labels = digests(command, source)
+    want_digest, want_prints = expected[command]
     if digest == want_digest:
         return
     changed = [
@@ -148,7 +203,22 @@ def test_json_output_matches_the_recorded_digest(command):
     pytest.fail(f"{command} --format json output changed; first differing word: {first}")
 
 
+@pytest.mark.parametrize("command", sorted(EXPECTED))
+def test_json_output_matches_the_recorded_digest(command):
+    check_digest(command, words, EXPECTED)
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED_LONG))
+def test_long_word_json_output_matches_the_recorded_digest(command):
+    check_digest(command, long_words, EXPECTED_LONG)
+
+
 if __name__ == "__main__":
-    for command in sorted(EXPECTED):
-        digest, prints, _ = digests(command)
-        print(f"{command}:\n  {digest}\n  {prints}")
+    for name, source, expected in (
+        ("EXPECTED", words, EXPECTED),
+        ("EXPECTED_LONG", long_words, EXPECTED_LONG),
+    ):
+        print(f"{name}:")
+        for command in sorted(expected):
+            digest, prints, _ = digests(command, source)
+            print(f"{command}:\n  {digest}\n  {prints}")
