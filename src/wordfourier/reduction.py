@@ -65,6 +65,11 @@ _SQUARE_DELTA = (1, 1, 1)
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One rule applied by the pipeline.  A square step made by
+    :func:`normalize` holds its word in the input's generator indexing
+    (the generators already removed no longer occur in it), which renders
+    as the word over the smaller alphabet does."""
+
     rule: str                     # "free-reduce" | "absent" | "single" | "square" | "split"
     generator: str | None         # generator(s) the rule consumed
     delta: tuple[int, int, int]   # contribution to (a, b, s)

@@ -312,7 +312,7 @@ def free_reduce(word: Word) -> Word:
 
 def invert(word: Word) -> Word:
     """Reverse the letter sequence and flip every sign."""
-    return _word(word.alphabet, tuple((g, -s) for g, s in reversed(word.letters)))
+    return Word(word.alphabet, tuple((g, -s) for g, s in reversed(word.letters)))
 
 
 def cyclic_shift(word: Word, k: int) -> Word:
@@ -322,7 +322,7 @@ def cyclic_shift(word: Word, k: int) -> Word:
     k %= len(word.letters)
     if k == 0:
         return word
-    return _word(word.alphabet, word.letters[k:] + word.letters[:k])
+    return Word(word.alphabet, word.letters[k:] + word.letters[:k])
 
 
 def concat(first: Word, second: Word) -> Word:
@@ -330,7 +330,7 @@ def concat(first: Word, second: Word) -> Word:
         raise ValueError(
             f"cannot concatenate words over {first.alphabet} and {second.alphabet}"
         )
-    return _word(first.alphabet, first.letters + second.letters)
+    return Word(first.alphabet, first.letters + second.letters)
 
 
 def concat_all(alphabet: Alphabet, words: Iterable[Word]) -> Word:

@@ -426,7 +426,7 @@ def reduction_words(draw):
     elif shape == "twice":
         used = draw(st.integers(0, rank))
         signs = draw(st.lists(st.sampled_from((1, -1)), min_size=2 * used, max_size=2 * used))
-        letters = draw(st.permutations([(g // 2, s) for g, s in zip(range(2 * used), signs)]))
+        letters = draw(st.permutations([(i // 2, s) for i, s in enumerate(signs)]))
     else:
         y = rank - 1
         other = st.tuples(st.integers(0, rank - 2), st.sampled_from((1, -1)))

@@ -3,12 +3,13 @@
 Each command runs with ``--format json`` on every corpus word (over its
 corpus alphabet) and on the tambour words y1..yn*y1^-1..yn^-1 of
 ``corpus.split_tambour``; expand runs, with and without ``--verify``, once
-per word on each of ``EXPAND_GROUPS``.  Separate digests (``EXPECTED_LONG``)
-pin reduce, classify and genus on seeded long words in which every letter
-occurs twice (``long_words``), where the square steps cascade.  A run's record is its exit code and
-stdout; genus prints only for admissible words, so for the others the
-record is the exit code alone.  The records of one command, in run order,
-hash to one SHA-256 digest.  The reduce, classify and genus JSON holds no
+per word on each of ``EXPAND_GROUPS``.  Separate digests
+(``EXPECTED_LONG``) pin reduce, classify and genus on seeded long words
+in which every letter occurs twice (``long_words``), where the square
+steps cascade.  A run's record is its exit code and stdout; genus prints
+only for admissible words, so for the others the record is the exit code
+alone.  The records of one command, in run order, hash to one SHA-256
+digest.  The reduce, classify and genus JSON holds no
 floats.  Of expand's JSON only the exact fields are kept: the header and,
 per row, ``EXPAND_ROW_FIELDS``; the float coefficients, oracle values and
 deltas are left out.  So the digests do not depend on the platform.  Each
