@@ -36,9 +36,10 @@ Which rule applies to a generator is decided by :mod:`analysis`
 :func:`normalize` instead keeps one table of each generator's occurrence
 count and sign sum, and a square step updates it only for the letters it
 changes, so each step does work linear in the word.  A trace step's detail
-is rendered when it is first read: ``reduce`` prints every intermediate
-word, so its output grows with the square of the word length, while
-``expand`` and ``genus`` never render the trace.
+is rendered when it is first read, and a square step keeps only the
+square's positions, from which its word is rebuilt then: ``reduce`` prints
+every intermediate word, so its output grows with the square of the word
+length, while ``expand`` and ``genus`` never render the trace.
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ _SQUARE_DELTA = (1, 1, 1)
 @dataclass(frozen=True)
 class TraceStep:
     """One rule applied by the pipeline.  A square step made by
-    :func:`normalize` holds its word in the input's generator indexing
-    (the generators already removed no longer occur in it), which renders
-    as the word over the smaller alphabet does."""
+    :func:`normalize` holds a :class:`_SquareWord`, which rebuilds its
+    word when rendered."""
 
     rule: str                     # "free-reduce" | "absent" | "single" | "square" | "split"
     generator: str | None         # generator(s) the rule consumed
@@ -328,27 +328,62 @@ def _join(left: tuple, right: tuple) -> tuple[tuple, list[int]]:
     return left[: len(left) - k] + right[k:], [g for g, _ in right[:k]]
 
 
-class _Inverses(dict):
-    """Letter -> inverse letter, each inverse made once and then shared, so
-    that the words of a trace hold references to the same few letters."""
-
-    def __missing__(self, letter):
-        g, s = letter
-        inverse = self[letter] = (g, -s)
-        return inverse
-
-
-def _splice(letters: tuple, p1: int, p2: int, inverses: _Inverses) -> tuple[tuple, list[int]]:
+def _splice(letters: tuple, p1: int, p2: int) -> tuple[tuple, list[int]]:
     """The square rule on letters: w1*y*w2*y*w3, y at positions p1 < p2,
     becomes w1*w2^-1*w3, cancelled at the two joins.
 
     Returns the letters and the generator of each pair that cancelled.  The
     result is freely reduced when ``letters`` is.
     """
-    middle = tuple(map(inverses.__getitem__, reversed(letters[p1 + 1 : p2])))
+    middle = tuple((g, -s) for g, s in reversed(letters[p1 + 1 : p2]))
     head, first = _join(letters[:p1], middle)
     spliced, second = _join(head, letters[p2 + 1 :])
     return spliced, first + second
+
+
+class _SquareRun:
+    """The square steps of one :func:`normalize` run: the letters before
+    the first step and each step's square positions, in the input's
+    generator indexing (the generators already removed no longer occur).
+
+    A step's word is rebuilt when it is read, from the last word rebuilt
+    or from the first, so a trace holds no letters per step, and reading
+    the steps in order splices each step once.
+    """
+
+    def __init__(self, alphabet: Alphabet, letters: tuple):
+        self.alphabet = alphabet
+        self.first = letters
+        self.squares: list[tuple[int, int]] = []
+        self._last = (-1, letters)  # last step rebuilt and its letters
+
+    def add(self, p1: int, p2: int) -> _SquareWord:
+        """Record the next step, which splices the squares at p1 < p2."""
+        self.squares.append((p1, p2))
+        return _SquareWord(self, len(self.squares) - 1)
+
+    def word(self, step: int) -> Word:
+        done, letters = self._last
+        if done > step:
+            done, letters = -1, self.first
+        for p1, p2 in self.squares[done + 1 : step + 1]:
+            letters, _ = _splice(letters, p1, p2)
+        self._last = (step, letters)
+        return _word(self.alphabet, letters)
+
+
+class _SquareWord:
+    """The word after one step of a :class:`_SquareRun`; renders as the
+    word over the alphabet without the removed generators does."""
+
+    __slots__ = ("run", "step")
+
+    def __init__(self, run: _SquareRun, step: int):
+        self.run = run
+        self.step = step
+
+    def __str__(self) -> str:
+        return str(self.run.word(self.step))
 
 
 def square_reduce(word: Word, generator: str) -> tuple[Word, tuple[int, int, int]]:
@@ -364,7 +399,7 @@ def square_reduce(word: Word, generator: str) -> tuple[Word, tuple[int, int, int
     if kind(occ) != SQUARE:
         raise ReductionError(f"generator {generator!r} is not a square in {word}")
     (p1, _), (p2, _) = occ
-    spliced, _ = _splice(word.letters, p1, p2, _Inverses())
+    spliced, _ = _splice(word.letters, p1, p2)
     residual = _drop_generators(_word(word.alphabet, spliced), (generator,))
     return free_reduce(residual), _SQUARE_DELTA
 
@@ -420,10 +455,11 @@ def normalize(word: Word) -> ReducedForm:
     step (the splice :func:`square_reduce` applies) changes the table only
     for the generator it removes, the middle segment whose signs flip and
     the pairs that cancel at the two joins, so each step does work linear
-    in the word and no rescan.  The alphabet is restricted once, when the
-    loop ends; the single and split cases are then :func:`eliminate_single`
-    and :func:`form_from_split` on that word, with the loop's steps
-    prepended to the trace.
+    in the word and no rescan.  Each square step's trace entry records the
+    square's positions in a :class:`_SquareRun`.  The alphabet is
+    restricted once, when the loop ends; the single and split cases are
+    then :func:`eliminate_single` and :func:`form_from_split` on that word,
+    with the loop's steps prepended to the trace.
     """
     alphabet = word.alphabet
     names = alphabet.names
@@ -445,7 +481,7 @@ def normalize(word: Word) -> ReducedForm:
     for g, k in enumerate(kind_of):
         by_kind[k].add(g)
     removed: set[int] = set()
-    inverses = _Inverses()
+    run = _SquareRun(alphabet, letters)
 
     while True:
         if by_kind[ABSENT]:
@@ -475,7 +511,7 @@ def normalize(word: Word) -> ReducedForm:
         for h, t in letters[p1 + 1 : p2]:
             sign_sum[h] -= 2 * t
             touched.add(h)
-        letters, cancelled = _splice(letters, p1, p2, inverses)
+        letters, cancelled = _splice(letters, p1, p2)
         for h in cancelled:
             count[h] -= 2
         touched.update(cancelled)
@@ -485,9 +521,7 @@ def normalize(word: Word) -> ReducedForm:
                 by_kind[kind_of[h]].remove(h)
                 by_kind[k].add(h)
                 kind_of[h] = k
-        trace.append(
-            TraceStep("square", names[g], _SQUARE_DELTA, "{}", (_word(alphabet, letters),))
-        )
+        trace.append(TraceStep("square", names[g], _SQUARE_DELTA, "{}", (run.add(p1, p2),)))
 
     current = _word(alphabet, letters)
     if removed:

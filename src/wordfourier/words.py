@@ -22,7 +22,6 @@ a bracket or a whole word that would expand to more than
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -112,23 +111,22 @@ def _word(alphabet: Alphabet, letters: tuple[Letter, ...]) -> Word:
 
 def word_to_str(word: Word) -> str:
     """Render with "*" separators, collapsing runs into powers: x*y^-2."""
-    letters = word.letters
-    if not letters:
+    if not word.letters:
         return "1"
     names = word.alphabet.names
-    if not any(map(operator.eq, letters, letters[1:])):  # no run to collapse
-        return "*".join([names[g] if s > 0 else names[g] + "^-1" for g, s in letters])
-    runs: list[tuple[int, int, int]] = []  # (gen, sign, count)
-    for g, s in letters:
-        if runs and runs[-1][0] == g and runs[-1][1] == s:
-            runs[-1] = (g, s, runs[-1][2] + 1)
-        else:
-            runs.append((g, s, 1))
     parts = []
-    for g, s, c in runs:
-        e = s * c
-        name = names[g]
-        parts.append(name if e == 1 else f"{name}^{e}")
+    run, count = None, 0  # the letter repeated and how often so far
+    for letter in (*word.letters, None):  # None ends the last run
+        if letter == run:
+            count += 1
+            continue
+        if run is not None:
+            g, s = run
+            if count == 1:
+                parts.append(names[g] if s > 0 else names[g] + "^-1")
+            else:
+                parts.append(f"{names[g]}^{s * count}")
+        run, count = letter, 1
     return "*".join(parts)
 
 

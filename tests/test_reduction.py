@@ -296,6 +296,19 @@ class TestNormalize:
         assert "square" in text and "split" in text
         assert "delta(a,b,s)" in text
 
+    def test_square_details_read_in_any_order(self):
+        # square steps rebuild their words when read; reading backwards,
+        # or skipping ahead, gives the details an in-order read gives
+        text = "a*b*c*a*d*b*e*c*d*e*b*f*f"
+        in_order = [step.detail for step in normalize(parse_word(text)).trace]
+        trace = normalize(parse_word(text)).trace
+        assert sum(step.rule == "square" for step in trace) >= 4
+        backwards = [step.detail for step in reversed(trace)][::-1]
+        assert backwards == in_order
+        trace = normalize(parse_word(text)).trace
+        order = (3, 1, 4, 0, 2)
+        assert [trace[i].detail for i in order] == [in_order[i] for i in order]
+
 
 class TestFormFromSplit:
     def test_exponents_follow_the_split(self):
