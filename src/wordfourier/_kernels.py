@@ -60,11 +60,6 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _chunk_digits(start, stop, strides, radix):
-    idx = np.arange(start, stop, dtype=np.int64)
-    return (idx[:, None] // strides[None, :]) % radix
-
-
 def _present_generators(word_letter_lists) -> list[int]:
     """Generators occurring in the words, in order of first appearance."""
     return list(dict.fromkeys(g for letters in word_letter_lists for g, _ in letters))
@@ -114,9 +109,8 @@ def _orbit_walk(group, word_letter_lists, classes, cells):
 
     Yields ``(weight, values)`` per chunk of rows.  ``weight`` is the int64
     size of each row's conjugation orbit, and ``values`` holds each word's
-    value (an element index); all are arrays of one dimension count that
-    broadcast to (rows, |G|, ..., |G|).  Needs at least one present
-    generator.
+    value (an element index, a scalar for an empty word); all broadcast to
+    (rows, |G|, ..., |G|).  Needs at least one present generator.
     """
     order, mul, inv = group.order, group.mul, group.inv
     present = _present_generators(word_letter_lists)
@@ -138,25 +132,27 @@ def _orbit_walk(group, word_letter_lists, classes, cells):
         shape[axis] = order
         x = np.arange(order, dtype=np.int64).reshape(shape)
         letter_values[g, 1], letter_values[g, -1] = x, inv[x]
-    identity = np.full((1,) * ndim, group.identity, dtype=np.int64)
 
-    radix = np.array([len(weights)] + [order] * free, dtype=np.int64)
-    strides = order ** np.arange(free, -1, -1, dtype=np.int64)
+    column = (-1,) + (1,) * inner
+    heads = [head.reshape(column) for head in heads]
+    weights = weights.reshape(column)
     total = len(weights) * order**free
     rows = max(1, cells // order**inner)
     for start in range(0, total, rows):
         stop = min(start + rows, total)
-        column = (stop - start,) + (1,) * inner
-        digits = _chunk_digits(start, stop, strides, radix).T.reshape((1 + free,) + column)
-        row = digits[0]
-        enumerated = [head[row] for head in heads] + list(digits[1:])
-        for g, x in zip(present, enumerated):
+        if free:  # mixed-radix digits of the chunk's assignments, row first
+            row, rest = np.divmod(np.arange(start, stop, dtype=np.int64), order**free)
+            digits = [(rest // order**i % order).reshape(column) for i in range(free - 1, -1, -1)]
+        else:  # the chunk's rows are a range of the pair or class table
+            row, digits = slice(start, stop), []
+        for g, x in zip(present, [head[row] for head in heads] + digits):
             letter_values[g, 1], letter_values[g, -1] = x, inv[x]
         values = []
         for letters in word_letter_lists:
-            acc = identity
-            for g, s in letters:
-                acc = mul[acc, letter_values[g, s]]
+            # an empty word is the identity; any other starts at its first letter
+            acc = letter_values[letters[0]] if letters else np.int64(group.identity)
+            for letter in letters[1:]:
+                acc = mul[acc, letter_values[letter]]
             values.append(acc)
         yield weights[row], values
 

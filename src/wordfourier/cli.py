@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -165,11 +166,24 @@ def _resolve_group(args):
     return group, table
 
 
-def _emit(doc: dict, fmt: str, human: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(human + "\n")
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for str keys.  With
+    ``indent`` set, ``json`` encodes in pure Python; here strings go through
+    its C escaper and the rest is written as it writes it."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [_json_str(key) + ": " + _json(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
+    return "null" if value is None else json.dumps(value)  # bools, nan, inf, {}, []
 
 
 def _cnum(z: complex) -> list[float]:
@@ -205,6 +219,9 @@ def cmd_classify(args) -> int:
         "reduction_changed": profile.reduction_changed,
         "generators": rows,
     }
+    if args.fmt == "json":
+        print(_json(doc))
+        return 0
     lines = [f"word: {doc['word']}"]
     if profile.reduction_changed:
         lines.append(f"freely reduced to: {doc['reduced']}")
@@ -213,7 +230,7 @@ def cmd_classify(args) -> int:
         lines.append(
             f"{r['generator']:<12} {r['positive']:>3} {r['negative']:>3}  {r['classification']}"
         )
-    _emit(doc, args.fmt, "\n".join(lines))
+    print("\n".join(lines))
     return 0
 
 
@@ -235,11 +252,8 @@ def cmd_reduce(args) -> int:
         "residual_words": [word_to_str(w) for w in form.residual_words],
         "trace": [str(step) for step in form.trace],
     }
-    lines = [f"word: {doc['word']}", f"prefactor: {prefactor_str(form)}"]
-    if doc["closed_form"]:
-        lines.append(f"closed form: {doc['closed_form']}")
-    if form.split is not None:
-        split = form.split
+    split = form.split
+    if split is not None:
         doc["split"] = {
             "n": split.n,
             "r": split.r,
@@ -250,6 +264,13 @@ def cmd_reduce(args) -> int:
             "cycles": [list(c) for c in split.cycles],
             "segments": [word_to_str(s) for s in split.segments],
         }
+    if args.fmt == "json":
+        print(_json(doc))
+        return 0
+    lines = [f"word: {doc['word']}", f"prefactor: {doc['prefactor']['display']}"]
+    if doc["closed_form"]:
+        lines.append(f"closed form: {doc['closed_form']}")
+    if split is not None:
         lines.append(f"split: n={split.n}, r={split.r}, shift={split.shift}")
         lines.append(
             "slots: " + " ".join(f"{nm}^{sg:+d}" for nm, sg in split.slots)
@@ -257,17 +278,15 @@ def cmd_reduce(args) -> int:
         lines.append(f"tau:   {list(split.tau)}")
         lines.append(f"sigma: {list(split.sigma)}")
         lines.append("cycles: " + " ".join(str(tuple(c)) for c in split.cycles))
-        lines.append(
-            "segments: " + ", ".join(word_to_str(s) for s in split.segments)
-        )
+        lines.append("segments: " + ", ".join(doc["split"]["segments"]))
     if form.trivial_only:
         lines.append("residual: constant (trivial character only)")
     else:
-        for i, w in enumerate(form.residual_words):
-            lines.append(f"W{i + 1} = {word_to_str(w)}")
+        for i, w in enumerate(doc["residual_words"]):
+            lines.append(f"W{i + 1} = {w}")
     lines.append("trace:")
     lines.append(format_trace(form))
-    _emit(doc, args.fmt, "\n".join(lines))
+    print("\n".join(lines))
     return 0
 
 
@@ -279,9 +298,7 @@ def _expand_rows(form, group, table, args, verify: bool):
     values = coefficient_formula(form, group, table, budget=args.budget)
     rows = []
     worst = 0.0
-    for chi in range(len(table)):
-        value = complex(values[chi])
-        degree = int(table.degrees[chi])
+    for chi, (value, degree) in enumerate(zip(values.tolist(), table.degrees.tolist())):
         # |G|*c/chi(1) is an algebraic integer (Frobenius), so a rational c
         # has a denominator dividing |G|/chi(1)
         rational = rational_annotation(value, divisors(group.order // degree), tol=args.tol)
@@ -317,25 +334,29 @@ def cmd_expand(args) -> int:
         "backend": _kernels.active_backend(),
         "rows": rows,
     }
-    width = max(10, *(len(r["display"]) for r in rows))
-    lines = [
-        f"word: {doc['word']}  group: {group.name} (|G|={group.order})",
-        f"prefactor: {prefactor_str(form)}",
-        f"{'chi':>4} {'deg':>4} {'FS':>3}  {'coefficient':>{width}}  exact"
-        + ("  oracle, delta" if args.verify else ""),
-    ]
-    for r in rows:
-        line = (
-            f"{r['chi']:>4} {r['degree']:>4} {r['fs']:>3}  "
-            f"{r['display']:>{width}}  {r['rational'] or '-'}"
-        )
-        if args.verify:
-            line += f"  {_fmt_value(complex(*r['oracle']))}, {r['delta']:.2e}"
-        lines.append(line)
     if args.verify:
         doc["max_delta"] = worst
-        lines.append(f"max |formula - oracle| = {worst:.3e}")
-    _emit(doc, args.fmt, "\n".join(lines))
+    if args.fmt == "json":
+        print(_json(doc))
+    else:
+        width = max(10, *(len(r["display"]) for r in rows))
+        lines = [
+            f"word: {doc['word']}  group: {group.name} (|G|={group.order})",
+            f"prefactor: {doc['prefactor']}",
+            f"{'chi':>4} {'deg':>4} {'FS':>3}  {'coefficient':>{width}}  exact"
+            + ("  oracle, delta" if args.verify else ""),
+        ]
+        for r in rows:
+            line = (
+                f"{r['chi']:>4} {r['degree']:>4} {r['fs']:>3}  "
+                f"{r['display']:>{width}}  {r['rational'] or '-'}"
+            )
+            if args.verify:
+                line += f"  {_fmt_value(complex(*r['oracle']))}, {r['delta']:.2e}"
+            lines.append(line)
+        if args.verify:
+            lines.append(f"max |formula - oracle| = {worst:.3e}")
+        print("\n".join(lines))
     if args.verify and worst > args.tol:
         sys.stderr.write(
             f"verification failed: max delta {worst:.3e} exceeds tol {args.tol}\n"
@@ -387,17 +408,20 @@ def cmd_bench(args) -> int:
         "backend": _kernels.active_backend(),
         "routes": routes,
     }
-    lines = [
-        f"word: {doc['word']}  group: {group.name}  backend: {doc['backend']}",
-        f"{'route':<26} {'assignments':>12} {'seconds':>10} {'max delta':>10}"
-        f" {'normalize s':>11}",
-    ]
-    for r in routes:
-        lines.append(
-            f"{r['route']:<26} {r['assignments']:>12} {r['seconds']:>10.4f} {r['max_delta']:>10.2e}"
-            f" {r['normalize_seconds']:>11.4f}"
-        )
-    _emit(doc, args.fmt, "\n".join(lines))
+    if args.fmt == "json":
+        print(_json(doc))
+    else:
+        lines = [
+            f"word: {doc['word']}  group: {group.name}  backend: {doc['backend']}",
+            f"{'route':<26} {'assignments':>12} {'seconds':>10} {'max delta':>10}"
+            f" {'normalize s':>11}",
+        ]
+        for r in routes:
+            lines.append(
+                f"{r['route']:<26} {r['assignments']:>12} {r['seconds']:>10.4f}"
+                f" {r['max_delta']:>10.2e} {r['normalize_seconds']:>11.4f}"
+            )
+        print("\n".join(lines))
     if args.csv:
         with open(args.csv, "w", newline="", encoding="ascii") as fh:
             writer = csv.DictWriter(
@@ -424,7 +448,7 @@ def cmd_genus(args) -> int:
         "r": r,
         "genus": value,
     }
-    _emit(doc, args.fmt, f"word: {doc['word']}\nn={n} r={r} genus={value}")
+    print(_json(doc) if args.fmt == "json" else f"word: {doc['word']}\nn={n} r={r} genus={value}")
     return 0
 
 

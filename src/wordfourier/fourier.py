@@ -28,6 +28,8 @@ object they are used with; anything else raises
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,9 +37,9 @@ import numpy as np
 
 from . import _kernels
 from .chartable import CharacterTable, fs_indicator
-from .errors import BudgetExceededError, GroupValidationError
+from .errors import BudgetExceededError, FloatRangeError, GroupValidationError
 from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes
-from .reduction import ReducedForm
+from .reduction import ReducedForm, prefactor_str
 from .words import Word
 
 DEFAULT_BUDGET = 10_000_000
@@ -121,15 +123,20 @@ def coefficient_formula(
     empty residual alphabet contributes the single empty assignment, under
     which every residual word evaluates to the identity and chibar gives
     chi(1).  Rows whose prefactor vanishes are 0 without enumeration.
+    Raises FloatRangeError when a coefficient lies past the float range.
     """
     _check_same_group(group, table.classes, table)
     order = group.order
     coefficients = np.zeros(len(table), dtype=np.complex128)
-    if form.trivial_only:
-        coefficients[table.trivial_index] = order**form.g_exponent
-        return coefficients
+    try:
+        if form.trivial_only:
+            coefficients[table.trivial_index] = order**form.g_exponent
+            return coefficients
+        scale = float(order) ** form.g_exponent
+    except OverflowError:
+        raise _past_float_range(form, group) from None
     degrees = table.degrees.astype(np.float64)
-    prefactor = float(order) ** form.g_exponent / degrees**form.deg_exponent
+    prefactor = scale / degrees**form.deg_exponent
     if form.fs_exponent:
         fs = [fs_indicator(table, chi) for chi in range(len(table))]
         prefactor *= np.array(fs, dtype=np.float64) ** form.fs_exponent
@@ -144,20 +151,28 @@ def coefficient_formula(
         np.conj(table.values[live]),
     )
     coefficients[live] = prefactor[live] * inner
+    if not np.isfinite(coefficients).all():
+        raise _past_float_range(form, group)
     return coefficients
+
+
+def _past_float_range(form: ReducedForm, group: FiniteGroup) -> FloatRangeError:
+    return FloatRangeError(f"a coefficient with prefactor {prefactor_str(form)} over {group.name}")
 
 
 def rational_annotation(
     value: complex, denominators, tol: float = 1e-6
 ) -> Fraction | None:
     """The fraction p/q within tol of ``value`` with the smallest allowed q,
-    or None."""
+    or None.  Raises FloatRangeError when ``value`` times q is not finite."""
     if abs(complex(value).imag) > tol:
         return None
     real = complex(value).real
-    for q in sorted(set(int(d) for d in denominators)):
+    for q in sorted({int(d) for d in denominators}):
         if q <= 0:
             continue
+        if not math.isfinite(real * q):
+            raise FloatRangeError(f"coefficient {real!r} times {q}")
         p = round(real * q)
         if abs(real - p / q) <= tol:
             return Fraction(p, q)
@@ -165,7 +180,12 @@ def rational_annotation(
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    n = abs(int(n))
+    """The divisors of |n| in increasing order."""
+    return _divisors(abs(int(n)))
+
+
+@functools.lru_cache(maxsize=1024)  # expand asks for the divisors of |G|/chi(1) per row
+def _divisors(n: int) -> tuple[int, ...]:
     small, large = [], []
     d = 1
     while d * d <= n:

@@ -58,7 +58,7 @@ from .analysis import (
     tally_kind,
 )
 from .errors import ReductionError
-from .words import Alphabet, Word, _word, concat_all, free_reduce
+from .words import Alphabet, Word, _word, free_reduce
 
 # exponent delta of one square step: one factor |G|/chi(1)*FS
 _SQUARE_DELTA = (1, 1, 1)
@@ -249,25 +249,17 @@ def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
 
     residual_alphabet, remap = _restrict(word.alphabet, (names[g] for g in chosen))
 
-    letters = word.letters
+    # letters over the residual alphabet; the slots' own are never read
+    letters = tuple([(remap.get(g), s) for g, s in word.letters])
     slot_positions = sorted(p for g in chosen for p, _ in occ[g])
     twon = len(slot_positions)
     n = twon // 2
-
-    def segment(lo: int, hi: int) -> Word:
-        return _word(residual_alphabet, tuple((remap[g], s) for g, s in letters[lo:hi]))
-
+    slots = [(names[word.letters[p][0]], word.letters[p][1]) for p in slot_positions]
     # 2n+1 segments of the unshifted word; the trailing one wraps into
     # segment 0 once the canonical shift puts a slot last
-    raw_segments: list[Word] = []
-    slots: list[tuple[str, int]] = []
-    prev = 0
-    for p in slot_positions:
-        raw_segments.append(segment(prev, p))
-        g, s = letters[p]
-        slots.append((names[g], s))
-        prev = p + 1
-    trailing = segment(prev, len(letters))
+    bounds = [-1, *slot_positions, len(letters)]
+    raw_segments = [letters[lo + 1 : hi] for lo, hi in zip(bounds, bounds[1:])]
+    trailing = raw_segments.pop()
 
     # tau pairs the two slots of each chosen generator
     slot_of = {p: k for k, p in enumerate(slot_positions)}
@@ -277,38 +269,31 @@ def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
         tau[slot_of[p]], tau[slot_of[q]] = slot_of[q], slot_of[p]
     sigma = tuple((tau[k] + 1) % twon for k in range(twon))
 
-    seen = [False] * twon
+    seen: set[int] = set()
     cycles: list[tuple[int, ...]] = []
     for start in range(twon):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = sigma[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = sigma[nxt]
-        cycles.append(tuple(cycle))
+        if start not in seen:
+            cycle = [start]
+            while sigma[cycle[-1]] != start:
+                cycle.append(sigma[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(tuple(cycle))
 
     split_words = []
     for cycle in cycles:
-        factors = [raw_segments[c] for c in cycle]
+        factors = [letter for c in cycle for letter in raw_segments[c]]
         if cycle[0] == 0:
             # the cycle through segment 0 reads to the end of the word
-            factors.append(trailing)
-        split_words.append(free_reduce(concat_all(residual_alphabet, factors)))
+            factors += trailing
+        split_words.append(free_reduce(_word(residual_alphabet, tuple(factors))))
 
     shift = (slot_positions[-1] + 1) % len(letters)
-    canonical_segments = (
-        concat_all(residual_alphabet, (trailing, raw_segments[0])),
-        *raw_segments[1:],
-    )
+    raw_segments[0] = trailing + raw_segments[0]
     return SplitDecomposition(
         word=word,
         n=n,
         shift=shift,
-        segments=canonical_segments,
+        segments=tuple(_word(residual_alphabet, seg) for seg in raw_segments),
         slots=tuple(slots),
         tau=tuple(tau),
         sigma=sigma,

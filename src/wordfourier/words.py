@@ -22,6 +22,7 @@ a bracket or a whole word that would expand to more than
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -35,6 +36,9 @@ Letter = tuple[int, int]
 # repeated, are a syntax error instead of an attempt to build that many
 # letters.
 MAX_POWER_LETTERS = 10**6
+
+# a flat word: ASCII names joined by "*", each with an optional exponent of 1-7 digits
+_FLAT_WORD = re.compile(r"[A-Za-z]\w*(?:\^-?\d{1,7})?(?:\*[A-Za-z]\w*(?:\^-?\d{1,7})?)*", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -292,6 +296,18 @@ def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:
     the alphabet is inferred as the distinct symbols in order of first
     appearance.
     """
+    if alphabet is None and _FLAT_WORD.fullmatch(text):
+        # in one pass; a zero exponent or a word past the cap is left to _Parser
+        index: dict[str, int] = {}
+        letters: list[Letter] = []
+        for name, _, power in (term.partition("^") for term in text.split("*")):
+            exponent = int(power or 1)
+            if not exponent or len(letters) + abs(exponent) > MAX_POWER_LETTERS:
+                break
+            g = index.setdefault(name, len(index))
+            letters += [(g, 1)] * exponent if exponent > 0 else [(g, -1)] * -exponent
+        else:
+            return _word(Alphabet(tuple(index)), tuple(letters))
     return _Parser(text, alphabet).parse()
 
 
@@ -329,15 +345,6 @@ def concat(first: Word, second: Word) -> Word:
             f"cannot concatenate words over {first.alphabet} and {second.alphabet}"
         )
     return Word(first.alphabet, first.letters + second.letters)
-
-
-def concat_all(alphabet: Alphabet, words: Iterable[Word]) -> Word:
-    letters: tuple[Letter, ...] = ()
-    for w in words:
-        if w.alphabet != alphabet:
-            raise ValueError("alphabet mismatch in concatenation")
-        letters += w.letters
-    return _word(alphabet, letters)
 
 
 def evaluate(word: Word, assignment: Mapping[str, int], group) -> int:

@@ -343,6 +343,20 @@ class TestExitCodes:
         )
         assert code == 3 and "budget" in err
 
+    def test_coefficient_past_the_float_range_is_three(self, capsys):
+        # 300 squares give |G|^299 = 24^299; a single letter over 301
+        # generators gives the trivial row |G|^300
+        squares = "*".join(f"x{i}^2" for i in range(1, 301))
+        alphabet = ",".join(["x"] + [f"a{i}" for i in range(300)])
+        for argv in (
+            ("expand", squares, "--group", "S4"),
+            ("expand", "x", "--alphabet", alphabet, "--group", "S4"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err.startswith("budget exceeded: a coefficient with prefactor |G|^")
+            assert err.endswith(" over S4 is past the float range\n") and err.count("\n") == 1
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 

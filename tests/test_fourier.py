@@ -290,6 +290,11 @@ class TestRationalAnnotation:
         assert rational_annotation(0.123456, (1, 2, 3)) is None
         assert rational_annotation(1 + 1j, (1,)) is None
 
+    def test_a_product_past_the_float_range_is_a_budget_error(self):
+        assert rational_annotation(1.5e308, (1, 2)) == 1.5e308
+        with pytest.raises(BudgetExceededError, match="times 2 is past the float range"):
+            rational_annotation(1.5e308, (2, 3))
+
 
 class TestWordMoveInvariance:
     """Free reduction, shifts and inversion act predictably on N_w."""

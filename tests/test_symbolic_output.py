@@ -14,7 +14,9 @@ floats.  Of expand's JSON only the exact fields are kept: the header and,
 per row, ``EXPAND_ROW_FIELDS``; the float coefficients, oracle values and
 deltas are left out.  So the digests do not depend on the platform.  Each
 run also keeps an 8-digit fingerprint, so that a changed digest names the
-first run whose output differs.
+first run whose output differs.  The ``--format human`` output is pinned
+the same way, whole (``EXPECTED_HUMAN``, ``EXPECTED_LONG_HUMAN``): reduce,
+classify and genus on both word sets, and expand without ``--verify``.
 
 To record new digests after an intended change of output, run
 ``PYTHONPATH=src python tests/test_symbolic_output.py`` from the repo root.
@@ -104,6 +106,71 @@ EXPECTED_LONG = {
 # --verify adds only floats to expand's JSON, so its records differ from
 # plain expand's only if an exit code does
 EXPECTED["expand --verify"] = EXPECTED["expand"]
+# the same for --format human, whole stdout: expand without --verify only,
+# since --verify prints the oracle values and deltas
+EXPECTED_HUMAN = {
+    "classify": (
+        "4d30168bfa9d2febf96e872452b36dfc0c611f7b1d2027ccee3204dd14947782",
+        "afcd8aa0 c548afda 5598e2e4 61c7323d bb983334 e6ee410d c59a86ea "
+        "f1427801 c97dcbe6 c184de9e bb424e41 5d46a3b6 e3d2427a b62d0489 "
+        "9ea5f5c0 325ea918 44af2813 20314ddd 5e857250 9e162733 44dcf7f6 "
+        "6b0dcadc 2fdff039 761ca474 5d46a3b6 e3d2427a 0c1a077d 79682eed",
+    ),
+    "expand": (
+        "018b83d4456928ea3cf278300cb86a8f7bf61918398e91da0a095e767be6bd49",
+        "50ffe8f5 0158b1e7 cf65e588 836575dd dd67e629 8c498262 faeac2f3 "
+        "d9871552 b5bf139f 6bc3afc7 2518a352 5aaba13a d52d851e 341feabe "
+        "985952f6 7e95743a 37c2a352 23f04d37 20f68423 984b7c77 c3efa787 "
+        "c1b0b590 0c3bef6f c19fac9c 59e51042 7828b81d 9e1c5b90 9a56a0a2 "
+        "8a15ebe6 2ed488e5 bffea4ac 9406f667 2e48a28c 74c293de e53c2af9 "
+        "b91658d3 6a06903e a8e581f6 5da20dc4 8a9dfd05 c56bd604 a5a04fb1 "
+        "4ea5e0a6 a8e8eafc 0c8fb5e7 ba341929 ac6aa9a1 a3fa158f 9c2aefa1 "
+        "093d6443 7dc1a4df 311c187a 8caa9d2a 681d7e7d be1d79ca 0cc87b49 "
+        "f38935e8 ff9ef563 3cf26f58 ad0bd580 70006ea6 00213e94 dd085a57 "
+        "b7ba95c0 a0f374e1 4f5fa546 c7d3e295 92392e9f f7eb7ad8 eda2f8f0 "
+        "8817ecff ab7fe83c b12273a4 70bca318 4478ca4b 1c64110b a08830ea "
+        "3eb7c3ad 89fb32a1 c9a88cd6 4f91d57b 6a14e491 a8c24ae3 5dc72964 "
+        "365c7a1f d20c16bb 9b97ccc6 5c644de4 b4289017 3d19a288 59027748 "
+        "1844c038 be519f1c 651993a9 1024dc9a 761a74b2 afea9438 6840a776 "
+        "54ae7130 6759fd7a 1488fd9e 232ce001 c9d5a6ce fa333a9f be1bac5d "
+        "d80dd4b7 9238d81d 252817b8 7580d703 e68c7706 8b8f00c5 6e5413a0 "
+        "eea1be0a dd0737d6 218388a2 27b290f7 8a780323 6b1956e9 52622c79 "
+        "9c3405c4 0cc87b49 f38935e8 ff9ef563 3cf26f58 ad0bd580 70006ea6 "
+        "00213e94 dd085a57 b7ba95c0 a0f374e1 5dbbdaab f7370828 b14a95b3 "
+        "aec19bd8 660d86a5 42eb2cba ace469c1 169368ce 11a72a66 cc61dfc8",
+    ),
+    "genus": (
+        "d20cd38a9201c121fa1d40af529b968781d5952811d0c4cb6407855b4849237a",
+        "4355a46b 4355a46b 4355a46b 4355a46b 4355a46b 4355a46b 73836e7d "
+        "87381701 4355a46b 4355a46b 4355a46b ca798155 8f853a33 59308d37 "
+        "4355a46b 4355a46b 4355a46b ec5d0205 4355a46b 4355a46b 4355a46b "
+        "4355a46b 4355a46b f490479e ca798155 8f853a33 c4b4bcea 021de2db",
+    ),
+    "reduce": (
+        "8aad02e025f94612bcd812dfd8dc21be886a2bfa204caf7bc1c0df8ed2a0f896",
+        "3c55591d 48ad0ef4 3ec4a376 7b5ca1d0 a02c877c 55400a97 7fc9acd7 "
+        "1834f258 50c2ce15 9b731435 f84a7d02 1ddde0de 7cdd9d1a ca9479f7 "
+        "ff2b39ce ca43034e d5184928 d43ffb71 3537d648 c938935f ca6b03e0 "
+        "04ce95a6 23f79215 b5bf1dda 1ddde0de 7cdd9d1a 19416d3a d745e6d4",
+    ),
+}
+EXPECTED_LONG_HUMAN = {
+    "classify": (
+        "49670805ebdf8e2e9e45e329a8862ae5b711570403a0d1204e019b3b9ff5ac6b",
+        "08484084 5fed8a3a 8eeea290 88bba8e6 e7aedea6 8ca0a9e8 53d73756 "
+        "e01c9ecb 66701093 fdcd472e b75a4e40 c08acb09",
+    ),
+    "genus": (
+        "0f33acf352c89d5141a6afacbd0ba44773e1c97a95cf1cbcb37863542ef8bd37",
+        "518199fd 4355a46b 99c203c0 77c26fb7 a2d2b72f 4355a46b 90b64f68 "
+        "396ab0b5 4355a46b c2615463 4355a46b 4355a46b",
+    ),
+    "reduce": (
+        "46686b4348f62f2040404a4dbe2cda571a38f7e5699837ada52d0769b408e4c3",
+        "0f3478a1 f89a030a 441cb7b6 9c3c923c 135535a1 810361a6 7cbfe85c "
+        "8fe05470 f1cf38de 07b56a22 4e718c18 6e72e9ab",
+    ),
+}
 
 
 # generators of the long words: 40, 100, 200 and 400 letters
@@ -169,29 +236,29 @@ def exact_fields(text):
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
-def records(command, source=words):
+def records(command, source=words, fmt="json"):
     """(label, record bytes) of every run of one command."""
     out = []
     for label, argv in runs(command, source):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            code = main([*argv, "--format", "json"])
+            code = main([*argv, "--format", fmt])
         text = stdout.getvalue()
-        if text and argv[0] == "expand":
+        if text and argv[0] == "expand" and fmt == "json":
             text = exact_fields(text)
         out.append((label, f"{code}\n{text}".encode()))
     return out
 
 
-def digests(command, source=words):
-    recs = records(command, source)
+def digests(command, source=words, fmt="json"):
+    recs = records(command, source, fmt)
     digest = hashlib.sha256(b"".join(rec for _, rec in recs)).hexdigest()
     prints = " ".join(hashlib.sha256(rec).hexdigest()[:8] for _, rec in recs)
     return digest, prints, [label for label, _ in recs]
 
 
-def check_digest(command, source, expected):
-    digest, prints, labels = digests(command, source)
+def check_digest(command, source, expected, fmt="json"):
+    digest, prints, labels = digests(command, source, fmt)
     want_digest, want_prints = expected[command]
     if digest == want_digest:
         return
@@ -201,7 +268,7 @@ def check_digest(command, source, expected):
         if got != want
     ]
     first = changed[0] if changed else "none of the fingerprints"
-    pytest.fail(f"{command} --format json output changed; first differing word: {first}")
+    pytest.fail(f"{command} --format {fmt} output changed; first differing word: {first}")
 
 
 @pytest.mark.parametrize("command", sorted(EXPECTED))
@@ -214,12 +281,24 @@ def test_long_word_json_output_matches_the_recorded_digest(command):
     check_digest(command, long_words, EXPECTED_LONG)
 
 
+@pytest.mark.parametrize("command", sorted(EXPECTED_HUMAN))
+def test_human_output_matches_the_recorded_digest(command):
+    check_digest(command, words, EXPECTED_HUMAN, "human")
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED_LONG_HUMAN))
+def test_long_word_human_output_matches_the_recorded_digest(command):
+    check_digest(command, long_words, EXPECTED_LONG_HUMAN, "human")
+
+
 if __name__ == "__main__":
-    for name, source, expected in (
-        ("EXPECTED", words, EXPECTED),
-        ("EXPECTED_LONG", long_words, EXPECTED_LONG),
+    for name, source, expected, fmt in (
+        ("EXPECTED", words, EXPECTED, "json"),
+        ("EXPECTED_LONG", long_words, EXPECTED_LONG, "json"),
+        ("EXPECTED_HUMAN", words, EXPECTED_HUMAN, "human"),
+        ("EXPECTED_LONG_HUMAN", long_words, EXPECTED_LONG_HUMAN, "human"),
     ):
         print(f"{name}:")
         for command in sorted(expected):
-            digest, prints, _ = digests(command, source)
+            digest, prints, _ = digests(command, source, fmt)
             print(f"{command}:\n  {digest}\n  {prints}")
