@@ -3,7 +3,7 @@
 Subcommands: classify, reduce, expand, bench, genus.  Exit codes: 0 on
 success, 1 for usage or word-syntax problems, 2 for group/table validation
 failures (including --verify mismatches), 3 when the evaluation budget
-would be exceeded.
+would be exceeded or a coefficient would lie past the float range.
 """
 
 from __future__ import annotations
@@ -109,7 +109,8 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool) -> None:
 
 
 @functools.cache  # one parser per process: parse_args keeps no state between calls
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The whole parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="wordfourier",
         description="Fourier expansion of word-map distributions on finite groups",
@@ -137,11 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genus", help="n, r and genus of an admissible word")
     _add_common(p, with_group=False)
     p.set_defaults(func=cmd_genus)
-    return parser
-
-
-def _parse_word_arg(args) -> "Word":
-    return parse_word(args.word, _alphabet_from_arg(args.alphabet))
+    return parser, sub.choices
 
 
 def _resolve_group(args):
@@ -167,9 +164,8 @@ def _resolve_group(args):
 
 
 def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for str keys.  With
-    ``indent`` set, ``json`` encodes in pure Python; here strings go through
-    its C escaper and the rest is written as it writes it."""
+    """``json.dumps(value, sort_keys=True, indent=2)`` for str keys, which
+    ``json`` encodes in pure Python; strings go through its C escaper here."""
     kind = type(value)
     if kind is str:
         return _json_str(value)
@@ -183,7 +179,7 @@ def _json(value, indent: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, (list, tuple)) and value:
         return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
-    return "null" if value is None else json.dumps(value)  # bools, nan, inf, {}, []
+    return "null" if value is None else json.dumps(value)  # bools, nan, inf, {}, [], subclasses
 
 
 def _cnum(z: complex) -> list[float]:
@@ -200,7 +196,7 @@ def _fmt_value(z: complex) -> str:
 
 
 def cmd_classify(args) -> int:
-    word = _parse_word_arg(args)
+    word = parse_word(args.word, _alphabet_from_arg(args.alphabet))
     profile = classify(word)
     rows = [
         {
@@ -235,7 +231,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    word = _parse_word_arg(args)
+    word = parse_word(args.word, _alphabet_from_arg(args.alphabet))
     form = normalize(word)
     doc = {
         "command": "reduce",
@@ -320,7 +316,7 @@ def _expand_rows(form, group, table, args, verify: bool):
 
 
 def cmd_expand(args) -> int:
-    word = _parse_word_arg(args)
+    word = parse_word(args.word, _alphabet_from_arg(args.alphabet))
     group, table = _resolve_group(args)
     form = normalize(word)
     rows, worst = _expand_rows(form, group, table, args, args.verify)
@@ -366,7 +362,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    word = _parse_word_arg(args)
+    word = parse_word(args.word, _alphabet_from_arg(args.alphabet))
     group, table = _resolve_group(args)
 
     routes = []
@@ -436,7 +432,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    word = _parse_word_arg(args)
+    word = parse_word(args.word, _alphabet_from_arg(args.alphabet))
     form = normalize(word)
     value = _genus_of_form(form)
     n = form.split.n
@@ -453,9 +449,15 @@ def cmd_genus(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        # the subcommand's parser alone is quicker; the whole one reports leftovers
+        args, rest = None, True
+        if argv and argv[0] in commands:
+            args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if rest:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; usage maps to 1
         return 0 if exc.code in (0, None) else 1

@@ -180,7 +180,6 @@ def rational_annotation(
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    """The divisors of |n| in increasing order."""
     return _divisors(abs(int(n)))
 
 

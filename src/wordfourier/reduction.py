@@ -253,7 +253,6 @@ def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
     letters = tuple([(remap.get(g), s) for g, s in word.letters])
     slot_positions = sorted(p for g in chosen for p, _ in occ[g])
     twon = len(slot_positions)
-    n = twon // 2
     slots = [(names[word.letters[p][0]], word.letters[p][1]) for p in slot_positions]
     # 2n+1 segments of the unshifted word; the trailing one wraps into
     # segment 0 once the canonical shift puts a slot last
@@ -291,7 +290,7 @@ def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
     raw_segments[0] = trailing + raw_segments[0]
     return SplitDecomposition(
         word=word,
-        n=n,
+        n=twon // 2,
         shift=shift,
         segments=tuple(_word(residual_alphabet, seg) for seg in raw_segments),
         slots=tuple(slots),
