@@ -30,6 +30,7 @@ from .chartable import (
 from .errors import (
     BudgetExceededError,
     CharacterComputationError,
+    FloatRangeError,
     GroupValidationError,
     ReductionError,
     TableValidationError,
@@ -109,8 +110,7 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool) -> None:
 
 
 @functools.cache  # one parser per process: parse_args keeps no state between calls
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The whole parser, and each subcommand's parser by name."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wordfourier",
         description="Fourier expansion of word-map distributions on finite groups",
@@ -138,7 +138,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("genus", help="n, r and genus of an admissible word")
     _add_common(p, with_group=False)
     p.set_defaults(func=cmd_genus)
-    return parser, sub.choices
+    return parser
+
+
+def _parse_word_arg(args) -> "Word":
+    return parse_word(args.word, _alphabet_from_arg(args.alphabet))
 
 
 def _resolve_group(args):
@@ -196,7 +200,7 @@ def _fmt_value(z: complex) -> str:
 
 
 def cmd_classify(args) -> int:
-    word = parse_word(args.word, _alphabet_from_arg(args.alphabet))
+    word = _parse_word_arg(args)
     profile = classify(word)
     rows = [
         {
@@ -231,7 +235,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    word = parse_word(args.word, _alphabet_from_arg(args.alphabet))
+    word = _parse_word_arg(args)
     form = normalize(word)
     doc = {
         "command": "reduce",
@@ -316,7 +320,7 @@ def _expand_rows(form, group, table, args, verify: bool):
 
 
 def cmd_expand(args) -> int:
-    word = parse_word(args.word, _alphabet_from_arg(args.alphabet))
+    word = _parse_word_arg(args)
     group, table = _resolve_group(args)
     form = normalize(word)
     rows, worst = _expand_rows(form, group, table, args, args.verify)
@@ -362,7 +366,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    word = parse_word(args.word, _alphabet_from_arg(args.alphabet))
+    word = _parse_word_arg(args)
     group, table = _resolve_group(args)
 
     routes = []
@@ -432,7 +436,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    word = parse_word(args.word, _alphabet_from_arg(args.alphabet))
+    word = _parse_word_arg(args)
     form = normalize(word)
     value = _genus_of_form(form)
     n = form.split.n
@@ -449,15 +453,9 @@ def cmd_genus(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
     try:
-        # the subcommand's parser alone is quicker; the whole one reports leftovers
-        args, rest = None, True
-        if argv and argv[0] in commands:
-            args, rest = commands[argv[0]].parse_known_args(argv[1:])
-        if rest:
-            args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; usage maps to 1
         return 0 if exc.code in (0, None) else 1
@@ -477,6 +475,9 @@ def main(argv=None) -> int:
         return 2
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
+        return 3
+    except FloatRangeError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 3
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")

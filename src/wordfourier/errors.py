@@ -2,7 +2,7 @@
 
 The CLI maps these onto process exit codes: parse/usage problems exit 1,
 group or character-table validation failures exit 2, enumeration budget
-overruns exit 3, and so do coefficients past the float range.
+overruns and coefficients past the float range exit 3.
 """
 
 
@@ -41,9 +41,5 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-class FloatRangeError(BudgetExceededError):
-    """A coefficient past the float range, an edge like the int64 cap."""
-
-    def __init__(self, what: str):
-        RuntimeError.__init__(self, f"{what} is past the float range")
-        self.needed = self.budget = None
+class FloatRangeError(ArithmeticError):
+    """A coefficient lies past the float range."""

@@ -136,7 +136,8 @@ def coefficient_formula(
     except OverflowError:
         raise _past_float_range(form, group) from None
     degrees = table.degrees.astype(np.float64)
-    prefactor = scale / degrees**form.deg_exponent
+    with np.errstate(over="ignore"):  # the isfinite test below reports an overflow
+        prefactor = scale / degrees**form.deg_exponent
     if form.fs_exponent:
         fs = [fs_indicator(table, chi) for chi in range(len(table))]
         prefactor *= np.array(fs, dtype=np.float64) ** form.fs_exponent
@@ -150,14 +151,16 @@ def coefficient_formula(
         table.classes,
         np.conj(table.values[live]),
     )
-    coefficients[live] = prefactor[live] * inner
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients[live] = prefactor[live] * inner
     if not np.isfinite(coefficients).all():
         raise _past_float_range(form, group)
     return coefficients
 
 
 def _past_float_range(form: ReducedForm, group: FiniteGroup) -> FloatRangeError:
-    return FloatRangeError(f"a coefficient with prefactor {prefactor_str(form)} over {group.name}")
+    what = f"a coefficient with prefactor {prefactor_str(form)} over {group.name}"
+    return FloatRangeError(f"{what} is past the float range")
 
 
 def rational_annotation(
@@ -172,7 +175,7 @@ def rational_annotation(
         if q <= 0:
             continue
         if not math.isfinite(real * q):
-            raise FloatRangeError(f"coefficient {real!r} times {q}")
+            raise FloatRangeError(f"coefficient {real!r} times {q} is past the float range")
         p = round(real * q)
         if abs(real - p / q) <= tol:
             return Fraction(p, q)

@@ -4,9 +4,7 @@
 byte ``json.dumps(doc, sort_keys=True, indent=2)``.  ``parse_word`` reads
 a flat word with an inferred alphabet in one pass; it must give the Word,
 or the WordSyntaxError message and position, that the recursive-descent
-``_Parser`` gives.  ``cli.main`` parses with the subcommand's own parser
-and falls back to the whole parser for anything left over; exit code,
-stdout and stderr must be those of the whole parser alone.
+``_Parser`` gives.
 """
 
 import json
@@ -152,25 +150,3 @@ def test_the_flat_parse_enforces_the_letter_cap():
             with pytest.raises(WordSyntaxError) as err:
                 parse_word(text)
             assert str(err.value) == message
-
-
-ODD_ARGV = (
-    [], ["--help"], ["-h"], ["--version"], ["exp", "x"], ["expand"], ["expand", "-h"],
-    ["expand", "x", "--help"], ["expand", "x", "--h"], ["expand", "x", "--group"],
-    ["expand", "x", "--group", "S3", "extra"], ["expand", "x", "--fo", "json", "--gr", "S3"],
-    ["expand", "x", "--format=json", "--group=S3"], ["expand", "x", "--format", "xml"],
-    ["expand", "--", "x", "--group", "S3"], ["expand", "x", "--group", "S3", "--", "y"],
-    ["expand", "x", "--group", "S3", "--budget", "-1"], ["expand", "-x", "--group", "S3"],
-    ["expand", "x", "--group", "S3", "--group", "Q8"], ["expand", "x", "--group", "S3", "-v"],
-    ["expand", "x", "--group", "S3", "--tol", "nan"], ["classify", "x", "--group", "S3"],
-    ["classify", "x", "y"], ["reduce", "x", "--alphabet"], ["reduce", "--alphabet", "x,y", "xy"],
-    ["genus", "[x,y]", "--format", "json", "--format", "human"], ["bench", "x", "--csv"],
-)
-
-
-@pytest.mark.parametrize("argv", ODD_ARGV, ids=" ".join)
-def test_the_subcommand_parser_answers_as_the_whole_parser(argv, monkeypatch, capsys):
-    got = cli.main(argv), *capsys.readouterr()
-    whole, _ = cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", lambda: (whole, {}))
-    assert got == (cli.main(argv), *capsys.readouterr())

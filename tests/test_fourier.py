@@ -19,6 +19,7 @@ from wordfourier import (
     project,
     split_dismissible,
 )
+from wordfourier.errors import FloatRangeError
 from wordfourier.fourier import divisors, rational_annotation
 from wordfourier.reduction import form_from_split
 
@@ -290,9 +291,9 @@ class TestRationalAnnotation:
         assert rational_annotation(0.123456, (1, 2, 3)) is None
         assert rational_annotation(1 + 1j, (1,)) is None
 
-    def test_a_product_past_the_float_range_is_a_budget_error(self):
+    def test_a_product_past_the_float_range_is_a_float_range_error(self):
         assert rational_annotation(1.5e308, (1, 2)) == 1.5e308
-        with pytest.raises(BudgetExceededError, match="times 2 is past the float range"):
+        with pytest.raises(FloatRangeError, match="times 2 is past the float range"):
             rational_annotation(1.5e308, (2, 3))
 
 
