@@ -31,9 +31,7 @@ from .groups import (
     builtin_group,
     builtin_names,
     conjugacy_classes,
-    group_from_generators,
     load_group,
-    perm_from_cycles,
     save_group,
 )
 from .reduction import (
@@ -51,11 +49,7 @@ from .reduction import (
 from .words import (
     Alphabet,
     Word,
-    concat,
-    cyclic_shift,
-    evaluate,
     free_reduce,
-    invert,
     parse_word,
     word_to_str,
 )
@@ -87,23 +81,17 @@ __all__ = [
     "closed_form_str",
     "coefficient_formula",
     "compute_character_table",
-    "concat",
     "conjugacy_classes",
-    "cyclic_shift",
     "distribution",
     "eliminate_single",
-    "evaluate",
     "format_trace",
     "free_reduce",
     "fs_indicator",
     "genus",
-    "group_from_generators",
-    "invert",
     "load_character_table",
     "load_group",
     "normalize",
     "parse_word",
-    "perm_from_cycles",
     "prefactor_str",
     "project",
     "save_character_table",

@@ -237,27 +237,24 @@ def _joint_tally(group, word_letter_lists, classes):
 
 
 def element_counts(group, letters, rank, classes) -> np.ndarray:
-    """Count, per group element, the assignments of ``rank`` generators
-    under which the word hits it.
+    """Count, per class of ``classes``, the assignments of ``rank``
+    generators under which the word hits any one element of the class.
 
     Raises GroupValidationError when a class total is not a multiple of the
     class size, i.e. the counts would not be constant on ``classes``.
     """
-    order = group.order
     present = len(_present_generators([letters]))
-    scale = order ** (rank - present)
-    if not present:
-        counts = np.zeros(order, dtype=np.int64)
-        counts[group.identity] = scale
-        return counts
-    (found,), found_counts = _joint_tally(group, [letters], classes)
+    scale = group.order ** (rank - present)
     totals = np.zeros(len(classes), dtype=np.int64)
+    if not present:
+        totals[classes.identity_class] = scale
+        return totals
+    (found,), found_counts = _joint_tally(group, [letters], classes)
     totals[found] = found_counts
-    sizes = np.asarray(classes.sizes, dtype=np.int64)
-    per_element, remainder = np.divmod(totals, sizes)
+    per_element, remainder = np.divmod(totals, np.asarray(classes.sizes, dtype=np.int64))
     if np.any(remainder):
         raise GroupValidationError("word-map counts are not constant on a class")
-    return per_element[np.asarray(classes.class_of)] * scale
+    return per_element * scale
 
 
 def split_character_sum(group, word_letter_lists, rank, classes, chibar) -> np.ndarray:

@@ -321,9 +321,9 @@ def builtin_table(group: FiniteGroup) -> CharacterTable:
 
     For the group object that :func:`~wordfourier.groups.builtin_group`
     returns, the table is read and validated on the first call and shared
-    after that.  Any other group object, such as a ``--group-file`` group
-    of the same name or a fresh ``build_builtin``, gets a table loaded and
-    validated for it on every call.
+    after that.  Any other group object of the same name, such as a
+    ``--group-file`` group, gets a table loaded and validated for it on
+    every call.
     """
     cached = _BUILTIN_TABLES.get(group.name)
     if cached is not None and cached.group is group:

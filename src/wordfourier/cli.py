@@ -152,8 +152,8 @@ def _resolve_group(args):
     if args.group:
         try:
             group = builtin_group(args.group)
-        except KeyError as exc:
-            raise _UsageError(str(exc)) from None
+        except KeyError as exc:  # str() of a KeyError quotes its message
+            raise _UsageError(exc.args[0]) from None
         if args.table_file:
             table = load_character_table(group, args.table_file)
         else:

@@ -1,10 +1,10 @@
 """Distributions of word maps and their expansion over irreducible characters.
 
-``distribution`` is the exact oracle: it counts, per group element, the
+``distribution`` is the exact oracle: it counts, per conjugacy class, the
 assignments of group elements to the generators of the word's ambient
-alphabet under which the word evaluates to it, and ``project`` turns those
-counts into one coefficient per character.  ``coefficient_formula``
-evaluates the symbolic claim carried by a
+alphabet under which the word evaluates to any one element of the class,
+and ``project`` turns those counts into one coefficient per character.
+``coefficient_formula`` evaluates the symbolic claim carried by a
 :class:`~wordfourier.reduction.ReducedForm` instead.  Both routes return
 the same thing, a complex array with one coefficient per character row.
 Both go through the one walk and tally in ``_kernels`` (numpy only): the
@@ -95,8 +95,7 @@ def distribution(
     rank = word.alphabet.rank
     _check_budget(group.order**rank, budget)
     counts = _kernels.element_counts(group, word.letters, rank, classes)
-    class_values = counts[np.asarray(classes.representatives, dtype=np.int64)]
-    return ClassFunction(group=group, classes=classes, values=class_values)
+    return ClassFunction(group=group, classes=classes, values=counts)
 
 
 def project(function: ClassFunction, table: CharacterTable) -> np.ndarray:

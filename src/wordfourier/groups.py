@@ -1,9 +1,7 @@
 """Finite groups as multiplication tables, with conjugacy-class structure.
 
-Composition convention, fixed repo-wide: products read left to right.  For
-permutations ``compose(p, q)`` applies ``p`` first and ``q`` second, and
-``mul[g, h]`` is "g then h".  All derived values in the test suite are
-computed under this convention.
+``mul[g, h]`` is the product "g then h"; ``tools/group_builders.py``
+builds the built-in groups' tables under that convention.
 
 Groups are immutable after validated construction: attributes cannot be
 reassigned and the tables are marked read-only, so they can be shared
@@ -16,13 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import GroupValidationError
 
-CLOSURE_BOUND = 10_000
 _EXHAUSTIVE_ASSOC_BOUND = 24
 _ASSOC_SAMPLES = 4096
 
@@ -30,14 +26,9 @@ _ASSOC_SAMPLES = 4096
 class FiniteGroup:
     """A finite group given by its full multiplication table."""
 
-    __slots__ = ("name", "order", "element_names", "mul", "inv", "identity")
+    __slots__ = ("name", "order", "mul", "inv", "identity")
 
-    def __init__(
-        self,
-        mul: np.ndarray,
-        name: str = "G",
-        element_names: Sequence[str] | None = None,
-    ):
+    def __init__(self, mul: np.ndarray, name: str = "G"):
         mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int64))
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise GroupValidationError(f"multiplication table must be square, got {mul.shape}")
@@ -82,21 +73,11 @@ class FiniteGroup:
                 if mul[mul[a, b], c] != mul[a, mul[b, c]]:
                     raise GroupValidationError("multiplication is not associative")
 
-        if element_names is None:
-            element_names = tuple(
-                "e" if g == identity else f"g{g}" for g in range(n)
-            )
-        else:
-            element_names = tuple(element_names)
-            if len(element_names) != n:
-                raise GroupValidationError("one name per element required")
-
         mul.setflags(write=False)
         inv.setflags(write=False)
         for attr, value in (
             ("name", name),
             ("order", n),
-            ("element_names", element_names),
             ("mul", mul),
             ("inv", inv),
             ("identity", int(identity)),
@@ -111,7 +92,7 @@ class FiniteGroup:
 
     def __reduce__(self):
         # slot state is restored by assignment, which __setattr__ refuses
-        return (FiniteGroup, (self.mul, self.name, self.element_names))
+        return (FiniteGroup, (self.mul, self.name))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -235,113 +216,6 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
 
 
 # ---------------------------------------------------------------------------
-# construction from generators
-
-def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """Left-to-right composition: apply p, then q."""
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
-def perm_from_cycles(npoints: int, cycles: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """Build a permutation of {0..npoints-1} from 1-based disjoint cycles."""
-    images = list(range(npoints))
-    for cycle in cycles:
-        pts = [c - 1 for c in cycle]
-        if any(not 0 <= p < npoints for p in pts) or len(set(pts)) != len(pts):
-            raise ValueError(f"bad cycle {tuple(cycle)} on {npoints} points")
-        for i, p in enumerate(pts):
-            images[p] = pts[(i + 1) % len(pts)]
-    return tuple(images)
-
-
-def cycle_notation(perm: Sequence[int]) -> str:
-    seen = [False] * len(perm)
-    parts = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        parts.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
-    return "".join(parts) if parts else "e"
-
-
-def _closure(
-    generators: Sequence,
-    product: Callable,
-    identity,
-    bound: int,
-) -> list:
-    """Breadth-first closure under right multiplication by the generators.
-
-    Deterministic element order: discovery order, identity first.
-    """
-    elements = [identity]
-    index = {identity: 0}
-    cursor = 0
-    while cursor < len(elements):
-        current = elements[cursor]
-        cursor += 1
-        for g in generators:
-            nxt = product(current, g)
-            if nxt not in index:
-                if len(elements) >= bound:
-                    raise GroupValidationError(
-                        f"closure exceeds the configured bound of {bound} elements"
-                    )
-                index[nxt] = len(elements)
-                elements.append(nxt)
-    return elements
-
-
-def group_from_mul_function(
-    generators: Sequence,
-    product: Callable,
-    identity,
-    name: str = "G",
-    label: Callable | None = None,
-    bound: int = CLOSURE_BOUND,
-) -> FiniteGroup:
-    """Close hashable abstract elements under an associative product."""
-    elements = _closure(generators, product, identity, bound)
-    index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    mul = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            mul[i, j] = index[product(a, b)]
-    names = tuple(label(e) for e in elements) if label else None
-    return FiniteGroup(mul, name=name, element_names=names)
-
-
-def group_from_generators(
-    perms: Sequence[Sequence[int]],
-    name: str = "G",
-    bound: int = CLOSURE_BOUND,
-) -> FiniteGroup:
-    """Closure of permutations (0-based image tuples) under composition."""
-    if not perms:
-        raise GroupValidationError("at least one generator is required")
-    npoints = len(perms[0])
-    cleaned = []
-    for p in perms:
-        p = tuple(int(i) for i in p)
-        if len(p) != npoints or sorted(p) != list(range(npoints)):
-            raise GroupValidationError(f"not a permutation of {npoints} points: {p}")
-        cleaned.append(p)
-    identity = tuple(range(npoints))
-    return group_from_mul_function(
-        cleaned, compose, identity, name=name, label=cycle_notation, bound=bound
-    )
-
-
-# ---------------------------------------------------------------------------
 # file format: "group <name> order <N>" then N rows of N element indices
 
 def save_group(group: FiniteGroup, path) -> None:
@@ -388,86 +262,19 @@ def load_group(path) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 # built-in groups
 
-def _quaternion_product(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    # elements (sign, axis) with axes 0=1, 1=i, 2=j, 3=k
-    sa, xa = a
-    sb, xb = b
-    if xa == 0:
-        return (sa * sb, xb)
-    if xb == 0:
-        return (sa * sb, xa)
-    if xa == xb:
-        return (-sa * sb, 0)
-    # i*j=k, j*k=i, k*i=j and the reversed products carry a minus sign
-    axis = ({1, 2, 3} - {xa, xb}).pop()
-    sign = 1 if (xa, xb) in ((1, 2), (2, 3), (3, 1)) else -1
-    return (sign * sa * sb, axis)
-
-
-def _quaternion_label(element: tuple[int, int]) -> str:
-    sign, axis = element
-    body = "1ijk"[axis]
-    return body if sign > 0 else f"-{body}"
-
-
-def _build_cyclic(n: int) -> FiniteGroup:
-    shift = tuple((i + 1) % n for i in range(n))
-    return group_from_generators([shift], name=f"Z{n}")
-
-
-def _build_q8() -> FiniteGroup:
-    return group_from_mul_function(
-        [(1, 1), (1, 2)],
-        _quaternion_product,
-        (1, 0),
-        name="Q8",
-        label=_quaternion_label,
-    )
-
-
-def _builtin_builders() -> dict[str, Callable[[], FiniteGroup]]:
-    builders: dict[str, Callable[[], FiniteGroup]] = {
-        f"Z{n}": (lambda n=n: _build_cyclic(n)) for n in range(1, 13)
-    }
-    builders["S3"] = lambda: group_from_generators(
-        [perm_from_cycles(3, [(1, 2)]), perm_from_cycles(3, [(1, 2, 3)])], name="S3"
-    )
-    builders["S4"] = lambda: group_from_generators(
-        [perm_from_cycles(4, [(1, 2)]), perm_from_cycles(4, [(1, 2, 3, 4)])], name="S4"
-    )
-    builders["D4"] = lambda: group_from_generators(
-        [perm_from_cycles(4, [(1, 2, 3, 4)]), perm_from_cycles(4, [(1, 3)])], name="D4"
-    )
-    builders["D5"] = lambda: group_from_generators(
-        [perm_from_cycles(5, [(1, 2, 3, 4, 5)]), perm_from_cycles(5, [(2, 5), (3, 4)])],
-        name="D5",
-    )
-    builders["A4"] = lambda: group_from_generators(
-        [perm_from_cycles(4, [(1, 2, 3)]), perm_from_cycles(4, [(1, 2), (3, 4)])],
-        name="A4",
-    )
-    builders["Q8"] = _build_q8
-    return builders
-
-
-_BUILDERS = _builtin_builders()
+# the shipped data files' names, in the order the CLI help lists them
+_BUILTIN_NAMES = ("A4", "D4", "D5", "Q8", "S3", "S4", *(f"Z{n}" for n in range(1, 13)))
 
 
 def builtin_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILDERS, key=lambda s: (s[0], len(s), s)))
-
-
-def build_builtin(name: str) -> FiniteGroup:
-    """Construct a built-in group from scratch (used to generate the data assets)."""
-    key = _canonical_name(name)
-    return _BUILDERS[key]()
+    return _BUILTIN_NAMES
 
 
 def _canonical_name(name: str) -> str:
-    for key in _BUILDERS:
+    for key in _BUILTIN_NAMES:
         if key.lower() == name.lower():
             return key
-    raise KeyError(f"unknown built-in group {name!r}; choose from {builtin_names()}")
+    raise KeyError(f"unknown built-in group {name!r}; choose from {', '.join(_BUILTIN_NAMES)}")
 
 
 def _data_root():

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import WordSyntaxError
 
@@ -95,9 +95,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return concat(self, other)
 
     def __str__(self) -> str:
         return word_to_str(self)
@@ -322,44 +319,3 @@ def free_reduce(word: Word) -> Word:
     if len(out) == len(word.letters):
         return word
     return _word(word.alphabet, tuple(out))
-
-
-def invert(word: Word) -> Word:
-    """Reverse the letter sequence and flip every sign."""
-    return Word(word.alphabet, tuple((g, -s) for g, s in reversed(word.letters)))
-
-
-def cyclic_shift(word: Word, k: int) -> Word:
-    """Rotate the letters left by k (mod length); empty words are fixed."""
-    if not word.letters:
-        return word
-    k %= len(word.letters)
-    if k == 0:
-        return word
-    return Word(word.alphabet, word.letters[k:] + word.letters[:k])
-
-
-def concat(first: Word, second: Word) -> Word:
-    if first.alphabet != second.alphabet:
-        raise ValueError(
-            f"cannot concatenate words over {first.alphabet} and {second.alphabet}"
-        )
-    return Word(first.alphabet, first.letters + second.letters)
-
-
-def evaluate(word: Word, assignment: Mapping[str, int], group) -> int:
-    """Left-to-right product of the assigned elements in the group.
-
-    The assignment maps every generator name of the word's alphabet to an
-    element index of ``group``.  The empty word evaluates to the identity.
-    """
-    values = [assignment[name] for name in word.alphabet.names]
-    acc = group.identity
-    mul = group.mul
-    inv = group.inv
-    for g, s in word.letters:
-        x = values[g]
-        if s < 0:
-            x = inv[x]
-        acc = mul[acc, x]
-    return int(acc)

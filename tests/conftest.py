@@ -1,6 +1,12 @@
+import sys
+from pathlib import Path
+
 import pytest
 
-from corpus import group_and_table
+# the group builders of tools/group_builders.py, for the tests that build groups
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from corpus import group_and_table  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,9 @@ letters, cascades where one rule creates work for another, and words with
 general letters that survive into the residual alphabet.  Oracle
 distributions are cached per (word, group) because several suites compare
 against the same brute-force counts; built-in groups and tables are shared
-by the library itself.
+by the library itself.  The word moves the tests apply (``invert``,
+``cyclic_shift``, ``concat``) live here, and ``evaluate``, like
+``python_distribution``, multiplies letter by letter without the kernels.
 """
 
 from itertools import product
@@ -112,6 +114,45 @@ def python_distribution(word, group):
             acc = int(group.mul[acc, x])
         counts[acc] += 1
     return counts
+
+
+def invert(word):
+    """Reverse the letter sequence and flip every sign."""
+    return Word(word.alphabet, tuple((g, -s) for g, s in reversed(word.letters)))
+
+
+def cyclic_shift(word, k):
+    """Rotate the letters left by k (mod length); empty words are fixed."""
+    if not word.letters:
+        return word
+    k %= len(word.letters)
+    if k == 0:
+        return word
+    return Word(word.alphabet, word.letters[k:] + word.letters[:k])
+
+
+def concat(first, second):
+    if first.alphabet != second.alphabet:
+        raise ValueError(
+            f"cannot concatenate words over {first.alphabet} and {second.alphabet}"
+        )
+    return Word(first.alphabet, first.letters + second.letters)
+
+
+def evaluate(word, assignment, group):
+    """Left-to-right product of the assigned elements in the group.
+
+    The assignment maps every generator name of the word's alphabet to an
+    element index of ``group``.  The empty word evaluates to the identity.
+    """
+    values = [assignment[name] for name in word.alphabet.names]
+    acc = group.identity
+    for g, s in word.letters:
+        x = values[g]
+        if s < 0:
+            x = group.inv[x]
+        acc = group.mul[acc, x]
+    return int(acc)
 
 
 def random_word(rng, alphabet, length):

@@ -12,10 +12,8 @@ from wordfourier import (
     builtin_names,
     coefficient_formula,
     compute_character_table,
-    concat,
     fs_indicator,
     genus,
-    invert,
     normalize,
     parse_word,
     split_dismissible,
@@ -25,8 +23,10 @@ from wordfourier.reduction import form_from_split
 
 from closed_forms import nested_commutator_coeff, quartic_pair_coeff
 from corpus import (
+    concat,
     corpus_word,
     group_and_table,
+    invert,
     master_pairs,
     oracle_coefficients,
     oracle_distribution,

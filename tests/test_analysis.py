@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wordfourier import Alphabet, classify, cyclic_shift, invert, parse_word
+from wordfourier import Alphabet, classify, parse_word
 from wordfourier.analysis import (
     ABSENT,
     DISMISSIBLE,
@@ -14,7 +14,7 @@ from wordfourier.analysis import (
     occurrences,
 )
 
-from corpus import random_word
+from corpus import cyclic_shift, invert, random_word
 
 
 @pytest.mark.parametrize(

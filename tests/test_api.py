@@ -27,23 +27,17 @@ PUBLIC_NAMES = [
     "closed_form_str",
     "coefficient_formula",
     "compute_character_table",
-    "concat",
     "conjugacy_classes",
-    "cyclic_shift",
     "distribution",
     "eliminate_single",
-    "evaluate",
     "format_trace",
     "free_reduce",
     "fs_indicator",
     "genus",
-    "group_from_generators",
-    "invert",
     "load_character_table",
     "load_group",
     "normalize",
     "parse_word",
-    "perm_from_cycles",
     "prefactor_str",
     "project",
     "save_character_table",

@@ -21,9 +21,9 @@ from wordfourier import (
     save_character_table,
 )
 from wordfourier.chartable import ORTHOGONALITY_TOL, _format_complex, _parse_complex
-from wordfourier.groups import build_builtin
 
 from corpus import group_and_table
+from group_builders import build_builtin
 
 
 class TestCompute:

@@ -10,10 +10,8 @@ from wordfourier import (
     GroupValidationError,
     builtin_names,
     coefficient_formula,
-    cyclic_shift,
     distribution,
     free_reduce,
-    invert,
     normalize,
     parse_word,
     project,
@@ -34,7 +32,9 @@ from corpus import (
     CORPUS,
     ORDERS,
     corpus_word,
+    cyclic_shift,
     group_and_table,
+    invert,
     master_pairs,
     oracle_coefficients,
     oracle_distribution,

@@ -1,6 +1,7 @@
 """Multiplication-table groups, closure, conjugacy classes, file format."""
 
 import dataclasses
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,13 +11,19 @@ from wordfourier import (
     GroupValidationError,
     builtin_group,
     builtin_names,
+    compute_character_table,
     conjugacy_classes,
-    group_from_generators,
     load_group,
-    perm_from_cycles,
+    save_character_table,
     save_group,
 )
-from wordfourier.groups import build_builtin, compose, cycle_notation
+from group_builders import (
+    build_builtin,
+    compose,
+    cycle_notation,
+    group_from_generators,
+    perm_from_cycles,
+)
 
 
 class TestPermutations:
@@ -37,18 +44,19 @@ class TestPermutations:
 
 class TestClosure:
     def test_s3_from_generators(self):
-        group = group_from_generators(
+        group, elements = group_from_generators(
             [perm_from_cycles(3, [(1, 2)]), perm_from_cycles(3, [(1, 2, 3)])]
         )
         assert group.order == 6
         assert group.identity == 0
-        assert group.element_names[0] == "e"
+        assert cycle_notation(elements[0]) == "e"
 
     def test_trivial_group(self):
-        assert group_from_generators([(0,)]).order == 1
+        group, _ = group_from_generators([(0,)])
+        assert group.order == 1
 
     def test_d4_from_generators(self):
-        group = group_from_generators(
+        group, _ = group_from_generators(
             [perm_from_cycles(4, [(1, 2, 3, 4)]), perm_from_cycles(4, [(1, 3)])]
         )
         assert group.order == 8
@@ -192,9 +200,26 @@ class TestFiles:
             load_group(path)
 
 
+DATA = resources.files("wordfourier").joinpath("data")
+
+
+def test_builtin_names_are_the_shipped_data_files():
+    # in the order the CLI help prints them
+    expected = ("A4", "D4", "D5", "Q8", "S3", "S4", *(f"Z{n}" for n in range(1, 13)))
+    assert builtin_names() == expected
+    for folder, suffix in (("groups", ".grp"), ("tables", ".chtab")):
+        stems = [p.name[: -len(suffix)] for p in DATA.joinpath(folder).iterdir()]
+        assert sorted(stems) == sorted(builtin_names()), folder
+
+
 @pytest.mark.parametrize("name", builtin_names())
-def test_builtin_assets_match_fresh_construction(name):
+def test_builtin_assets_match_fresh_construction(name, tmp_path):
     shipped = builtin_group(name)
     fresh = build_builtin(name)
     assert shipped.order == fresh.order
     assert np.array_equal(shipped.mul, fresh.mul)
+    # the bytes tools/make_data.py writes
+    save_group(fresh, tmp_path / f"{name}.grp")
+    save_character_table(compute_character_table(fresh), tmp_path / f"{name}.chtab")
+    for folder, file in (("groups", f"{name}.grp"), ("tables", f"{name}.chtab")):
+        assert (tmp_path / file).read_bytes() == DATA.joinpath(folder, file).read_bytes()

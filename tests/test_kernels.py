@@ -34,7 +34,10 @@ COUNT_WORDS = (
 def assert_counts_match_reference(word, group, classes):
     counts = _kernels.element_counts(group, word.letters, word.alphabet.rank, classes)
     assert counts.dtype == np.int64
-    assert counts.tolist() == python_distribution(word, group)
+    reference = python_distribution(word, group)
+    assert counts.tolist() == [reference[rep] for rep in classes.representatives]
+    # the reference is constant on each class
+    assert reference == counts[np.asarray(classes.class_of)].tolist()
 
 
 def reversed_group(name):
@@ -79,7 +82,7 @@ def test_rank_zero_enumerates_the_empty_assignment():
     group, table = group_and_table("S3")
     word = parse_word("1")
     counts = _kernels.element_counts(group, word.letters, 0, table.classes)
-    assert counts.sum() == 1 and counts[group.identity] == 1
+    assert counts.sum() == 1 and counts[table.classes.identity_class] == 1
     chibar = np.conj(table.values)
     sums = _kernels.split_character_sum(group, [], 0, table.classes, chibar)
     assert sums.tolist() == [1.0] * len(table)  # empty product over no words

@@ -21,9 +21,7 @@ from hypothesis import strategies as st
 from wordfourier import (
     _kernels,
     coefficient_formula,
-    cyclic_shift,
     distribution,
-    invert,
     normalize,
     project,
     word_to_str,
@@ -32,7 +30,7 @@ from wordfourier.cli import main
 from wordfourier.fourier import divisors, rational_annotation
 from wordfourier.words import Alphabet, Word
 
-from corpus import group_and_table, python_distribution
+from corpus import cyclic_shift, group_and_table, invert, python_distribution
 
 NAMES = ("x", "y", "z")
 GROUPS = ("S3", "D4", "Q8")

@@ -9,7 +9,6 @@ from wordfourier import (
     Alphabet,
     ReductionError,
     Word,
-    evaluate,
     free_reduce,
     genus,
     normalize,
@@ -19,7 +18,7 @@ from wordfourier import (
     word_to_str,
 )
 from wordfourier.analysis import ABSENT, DISMISSIBLE, SINGLE, SQUARE, kind, occurrences
-from wordfourier.groups import build_builtin, conjugacy_classes
+from wordfourier.groups import conjugacy_classes
 from wordfourier.reduction import (
     _drop_generators,
     eliminate_single,
@@ -28,7 +27,8 @@ from wordfourier.reduction import (
     prefactor_str,
 )
 
-from corpus import corpus_word, split_tambour
+from corpus import corpus_word, evaluate, split_tambour
+from group_builders import build_builtin
 
 INTRO_ALPHABET = Alphabet(("x1", "x2", "x3", "y1", "y2", "y3"))
 

@@ -7,18 +7,14 @@ from wordfourier import (
     Alphabet,
     Word,
     WordSyntaxError,
-    concat,
-    cyclic_shift,
-    evaluate,
     free_reduce,
-    invert,
     parse_word,
     word_to_str,
 )
-from wordfourier.groups import build_builtin
 from wordfourier.words import MAX_POWER_LETTERS
 
-from corpus import random_word
+from corpus import concat, cyclic_shift, evaluate, invert, random_word
+from group_builders import build_builtin, cycle_notation, group_from_generators, perm_from_cycles
 
 
 def letters_of(text, alphabet=None):
@@ -192,8 +188,10 @@ class TestEvaluate:
 
     def test_s3_commutator_of_transpositions_is_a_3_cycle(self):
         # left-to-right composition: [(1 2), (1 3)] maps 1->3, 3->2, 2->1
-        group = build_builtin("S3")
-        names = group.element_names
+        group, elements = group_from_generators(
+            [perm_from_cycles(3, [(1, 2)]), perm_from_cycles(3, [(1, 2, 3)])], name="S3"
+        )
+        names = [cycle_notation(p) for p in elements]
         x = names.index("(1 2)")
         y = names.index("(1 3)")
         got = evaluate(parse_word("[x,y]"), {"x": x, "y": y}, group)

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Regenerate the shipped group and character-table data assets.
 
-Builds every built-in group from its generators, computes its character
-table with the default seed, certifies a tighter-than-shipping tolerance,
-and writes both files under src/wordfourier/data/.
+Builds every built-in group from its generators (``group_builders.py``,
+next to this script), computes its character table with the default seed,
+certifies a tighter-than-shipping tolerance, and writes both files under
+src/wordfourier/data/.
 """
 
 import pathlib
@@ -13,8 +14,9 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from group_builders import build_builtin
 from wordfourier.chartable import compute_character_table, save_character_table
-from wordfourier.groups import build_builtin, builtin_names, save_group
+from wordfourier.groups import builtin_names, save_group
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "wordfourier" / "data"
 
