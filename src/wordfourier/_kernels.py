@@ -15,8 +15,7 @@ and both make the same walk, ``_orbit_walk``, and the same exact tally,
   histogram times the table is the class tally.  z is the last such
   generator in order of first appearance (``_fiber_split``).  Everything
   else takes the plain walk below: several words, a lone generator, no
-  generator that occurs exactly twice, a table past ``_FIBER_CELLS``, or
-  a walk of 2^53 assignments or more.
+  generator that occurs exactly twice, or a table past ``_FIBER_CELLS``.
 * Orbits.  Every summand depends only on the conjugacy classes of the
   words' values, and those do not change when all generators are
   conjugated by one element (summing z out keeps this).  So the first two
@@ -33,9 +32,11 @@ and both make the same walk, ``_orbit_walk``, and the same exact tally,
   chunk takes as many rows as keep it near ``cells`` cells.
 
 The tally counts, in int64, the class tuples (c_1..c_r) of the r words'
-values over all assignments.  ``element_counts`` (the oracle) is the r = 1
-tally: a class total divided by its class size, which must divide it
-exactly, is the count of each element of the class.
+values over all assignments: ``np.add.at`` adds the int64 row weights in
+place, so each count is an exact sum bounded by |G|^rank, which
+``fourier._check_budget`` keeps below 2^63.  ``element_counts`` (the
+oracle) is the r = 1 tally: a class total divided by its class size,
+which must divide it exactly, is the count of each element of the class.
 ``split_character_sum`` (the formula) contracts the tally against the
 character values at each tuple's classes, one float sum of exact integers.
 """
@@ -47,12 +48,10 @@ import numpy as np
 from .errors import GroupValidationError
 
 _CHUNK = 1 << 16
-# largest (rows x k^r) table one chunk is tallied into with bincount
+# largest table of k^r class tuples a tally keeps dense
 _DENSE = 1 << 16
 # largest fiber table, |G|^2 x k cells
 _FIBER_CELLS = 1 << 20
-# a float64 bincount adds integer weights exactly while their total stays below
-_FLOAT_EXACT = 1 << 53
 
 
 def active_backend() -> str:
@@ -71,8 +70,7 @@ def _fiber_split(group, word_letter_lists, classes):
 
     It does for a single word with at least two present generators, one
     of which occurs exactly twice, while the |G|^2 x k table fits
-    ``_FIBER_CELLS`` and the walk of the other generators stays below
-    2^53 assignments.  z is the last such generator in order of first
+    ``_FIBER_CELLS``.  z is the last such generator in order of first
     appearance; for w = A z^e1 B z^e2 C the segments are B and C A, and
     the signs (e1, e2).
     """
@@ -84,7 +82,7 @@ def _fiber_split(group, word_letter_lists, classes):
     for g, _ in letters:
         occurs[g] = occurs.get(g, 0) + 1
     twice = [g for g, times in occurs.items() if times == 2]
-    if not twice or len(occurs) < 2 or order ** (len(occurs) - 1) >= _FLOAT_EXACT:
+    if not twice or len(occurs) < 2:
         return None
     i, j = (at for at, (g, _) in enumerate(letters) if g == twice[-1])
     segments = [letters[i + 1 : j], letters[j + 1 :] + letters[:i]]
@@ -168,21 +166,15 @@ def _sum_by_column(tuples, counts):
 
 
 def _fiber_tally(group, classes, segments, signs):
-    """The one-word tally with z summed out (``_fiber_split``): the
-    weighted histogram of the segment values (b, c) over the walk of the
-    other generators, times the fiber table."""
+    """The one-word tally with z summed out (``_fiber_split``): the int64
+    histogram of the segment values (b, c) over the walk of the other
+    generators, times the fiber table."""
     order = group.order
-    # float weights: every partial sum is an integer below 2^53, so exact
-    pairs = np.zeros(order * order)
+    pairs = np.zeros(order * order, dtype=np.int64)
     for weight, (b, c) in _orbit_walk(group, segments, classes, _CHUNK):
-        key = b * order + c
-        shape = np.broadcast_shapes(weight.shape, key.shape)
-        pairs += np.bincount(
-            np.broadcast_to(key, shape).ravel(),
-            np.broadcast_to(weight.astype(np.float64), shape).ravel(),
-            minlength=pairs.size,
-        )
-    totals = pairs.astype(np.int64) @ classes.fiber_table(*signs)
+        key = b * order + c  # every walked generator is in a segment: key spans the chunk
+        np.add.at(pairs, key.ravel(), np.broadcast_to(weight, key.shape).ravel())
+    totals = pairs @ classes.fiber_table(*signs)
     found = np.flatnonzero(totals)
     return found[None, :], totals[found]
 
@@ -194,42 +186,35 @@ def _joint_tally(group, word_letter_lists, classes):
     Returns ``(tuples, counts)``: an (r, m) array whose columns are the
     tuples that occur, and their counts.  A single word with a generator
     to sum out goes through its fiber table (``_fiber_tally``).  Otherwise
-    a chunk is tallied with one ``bincount`` over (row, tuple) while
-    rows*k^r fits ``_DENSE`` and rows are weighted after; past that its
-    tuples are sorted and merged, so the memory grows with the tuples that
-    occur, not with k^r.
+    the weights go into one int64 table of k^r cells while k^r fits
+    ``_DENSE``; past that each chunk's tuples are sorted and merged, so
+    the memory grows with the tuples that occur, not with k^r.
     """
     fiber = _fiber_split(group, word_letter_lists, classes)
     if fiber is not None:
         return _fiber_tally(group, classes, *fiber)
     k, r = len(classes), len(word_letter_lists)
     class_of = np.asarray(classes.class_of)
-    size = k**r
-    dense = np.zeros(size if size <= _DENSE else 0, dtype=np.int64)
+    dense = np.zeros(k**r if k**r <= _DENSE else 0, dtype=np.int64)
     tuples = np.zeros((r, 0), dtype=np.int64)
     counts = np.zeros(0, dtype=np.int64)
     for weight, values in _orbit_walk(group, word_letter_lists, classes, _CHUNK):
         values = [class_of[value] for value in values]
-        rows = weight.size
-        if rows * size <= _DENSE:
-            joint = np.arange(rows).reshape(weight.shape)
+        if dense.size:  # every walked generator is in a word: keys span the chunk
+            key = 0
             for value in values:
-                joint = joint * k + value
-            cells = np.bincount(joint.ravel(), minlength=rows * size)
-            dense += weight.ravel() @ cells.reshape(rows, size)
+                key = key * k + value
+            np.add.at(dense, key.ravel(), np.broadcast_to(weight, key.shape).ravel())
             continue
         shape = np.broadcast_shapes(weight.shape, *(v.shape for v in values))
         found = _sum_by_column(
             np.stack([np.broadcast_to(v, shape).ravel() for v in values]),
             np.broadcast_to(weight, shape).ravel(),
         )
-        if dense.size:
-            dense[np.ravel_multi_index(found[0], (k,) * r)] += found[1]
-        else:
-            tuples, counts = _sum_by_column(
-                np.concatenate((tuples, found[0]), axis=1),
-                np.concatenate((counts, found[1])),
-            )
+        tuples, counts = _sum_by_column(
+            np.concatenate((tuples, found[0]), axis=1),
+            np.concatenate((counts, found[1])),
+        )
     if dense.size:
         keys = np.flatnonzero(dense)
         return np.array(np.unravel_index(keys, (k,) * r)), dense[keys]

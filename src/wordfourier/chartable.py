@@ -53,6 +53,8 @@ class CharacterTable:
             raise TableValidationError(
                 f"need {k} rows of {k} values, got shape {values.shape}"
             )
+        if not np.isfinite(values).all():
+            raise TableValidationError("character values must be finite")
         order = group.order
         sizes = np.array(classes.sizes, dtype=np.float64)
 

@@ -29,7 +29,10 @@ class FiniteGroup:
     __slots__ = ("name", "order", "mul", "inv", "identity")
 
     def __init__(self, mul: np.ndarray, name: str = "G"):
-        mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int64))
+        try:
+            mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int64))
+        except OverflowError:
+            raise GroupValidationError("table entries must be element indices") from None
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise GroupValidationError(f"multiplication table must be square, got {mul.shape}")
         n = mul.shape[0]
@@ -251,7 +254,7 @@ def _load_group_text(text: str, source: str) -> FiniteGroup:
         if len(row) != order:
             raise GroupValidationError(f"{source}: row of length {len(row)} != {order}")
         rows.append(row)
-    return FiniteGroup(np.array(rows, dtype=np.int64), name=name)
+    return FiniteGroup(rows, name=name)
 
 
 def load_group(path) -> FiniteGroup:

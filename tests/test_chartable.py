@@ -93,6 +93,18 @@ class TestValidation:
         with pytest.raises(TableValidationError):
             CharacterTable(group, table.classes, values)
 
+    @pytest.mark.parametrize(
+        "value", (np.nan, np.inf, complex(0, np.nan)), ids=("nan", "inf", "nan-imag")
+    )
+    @pytest.mark.parametrize("cell", ((1, 1), (1, 2), (0, 0)), ids=("class1", "class2", "degree"))
+    def test_non_finite_value_rejected(self, s3, cell, value):
+        # a NaN exceeds no tolerance and breaks round(), so no later check can catch it
+        group, table = s3
+        values = table.values.copy()
+        values[cell] = value
+        with pytest.raises(TableValidationError, match="must be finite"):
+            CharacterTable(group, table.classes, values)
+
     def test_fs_indicator_rejects_corrupt_row(self):
         # a unitary mix of Z4's rows 3 (FS +1) and 1 (FS 0) keeps both
         # orthogonality relations and every degree, but each mixed row's

@@ -325,6 +325,38 @@ class TestExitCodes:
         )
         assert code == 2 and "validation" in err
 
+    def test_non_finite_table_value_is_two(self, capsys, tmp_path):
+        # NaN at class 1, which the power map does not read, passed every
+        # check and --verify printed nan with a zero error; NaN at class 2
+        # crashed the FS check; inf exited 3 past the float range
+        _, table = group_and_table("S3")
+        tpath = tmp_path / "bad.chtab"
+        for cell, value, word in (
+            (1, "+nan", "[x,y]"), (2, "+nan", "[x,y]"), (1, "+inf", "x^3*y^3")
+        ):
+            save_character_table(table, tpath)
+            lines = tpath.read_text().splitlines()
+            row = lines[4].split()
+            row[cell] = value + row[cell][row[cell].index("+", 1):]
+            lines[4] = " ".join(row)
+            tpath.write_text("\n".join(lines) + "\n")
+            code, out, err = run(
+                capsys, "expand", word, "--group", "S3", "--table-file", str(tpath), "--verify"
+            )
+            assert (code, out) == (2, "")
+            assert err == "validation error: character values must be finite\n"
+
+    def test_group_entry_past_int64_is_two(self, capsys, tmp_path):
+        group, _ = group_and_table("S3")
+        gpath = tmp_path / "big.grp"
+        save_group(group, gpath)
+        lines = gpath.read_text().splitlines()
+        lines[1] = lines[1].rsplit(" ", 1)[0] + " 99999999999999999999999"
+        gpath.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "expand", "[x,y]", "--group-file", str(gpath))
+        assert (code, out) == (2, "")
+        assert err == "validation error: table entries must be element indices\n"
+
     def test_budget_error_is_three(self, capsys):
         code, _, err = run(
             capsys, "expand", "[x,y]", "--group", "S3", "--verify", "--budget", "10"

@@ -297,16 +297,16 @@ def test_joint_tally_matches_python_reference(group_name, nwords, generators):
     assert_tally_matches_reference(group, words, 3, table.classes)
 
 
-@pytest.mark.parametrize("dense", ("all", "tally", "none"))
+@pytest.mark.parametrize("dense", ("all", "none"))
 def test_joint_tally_across_chunk_edges_and_sparse_merges(monkeypatch, dense):
-    # 7 cells per chunk.  "tally" keeps the whole k^r table dense but
-    # merges chunks of several rows by sorting; "none" merges everything
+    # 7 cells per chunk.  "all" keeps every k^r table dense, at the cap;
+    # "none" is one cell short of it, so every chunk is sorted and merged
     monkeypatch.setattr(_kernels, "_CHUNK", 7)
     for group_name in ("S3", "A4"):
         group, table = group_and_table(group_name)
         k = len(table.classes)
         for nwords in (1, 2, 3, 4):
-            cap = {"all": 1 << 16, "tally": k**nwords, "none": 1}[dense]
+            cap = {"all": k**nwords, "none": k**nwords - 1}[dense]
             monkeypatch.setattr(_kernels, "_DENSE", cap)
             words = joint_words(nwords, (0, 2), nwords)
             assert_tally_matches_reference(group, words, 3, table.classes)
@@ -425,15 +425,22 @@ def test_fiber_falls_back_to_the_plain_walk(monkeypatch):
     thrice = [(0, 1), (1, 1), (1, 1), (0, -1), (1, 1), (0, 1)]
     assert _kernels._fiber_split(group, [thrice], classes) is None
     assert _kernels._fiber_split(group, [[(0, 1), (1, 1), (0, 1), (1, 1)] * 2], classes) is None
-    # a table past the cell cap, or a walk too large for exact float sums
+    # a table past the cell cap
     n, k = group.order, len(classes)
     monkeypatch.setattr(_kernels, "_FIBER_CELLS", n * n * k - 1)
     assert _kernels._fiber_split(group, [word], classes) is None
+    assert_tally_matches_reference(group, [word], 3, classes)
     monkeypatch.setattr(_kernels, "_FIBER_CELLS", n * n * k)
     assert _kernels._fiber_split(group, [word], classes) is not None
-    monkeypatch.setattr(_kernels, "_FLOAT_EXACT", n * n)  # two walked generators
-    assert _kernels._fiber_split(group, [word], classes) is None
-    assert_tally_matches_reference(group, [word], 3, classes)
+
+
+def test_fiber_split_has_no_bound_on_the_walk():
+    # 24^12 walked assignments; the int64 tally needs no cap of its own
+    group, table = group_and_table("S4")
+    word = [(g, 1) for g in range(13)] + [(0, -1)]
+    segments, signs = _kernels._fiber_split(group, [word], table.classes)
+    assert signs == (1, -1)
+    assert segments == [word[1:13], []]
 
 
 @pytest.mark.parametrize("group_name", ("S3", "D4", "Q8", "A4", "S3-reversed"))

@@ -11,12 +11,18 @@ process, the same list of ``main(argv)`` calls:
   ``perfbench/queries.py`` of this checkout builds them;
 * ``classify``, ``reduce`` and ``genus`` on every word of
   ``tests/corpus.py``, over its corpus alphabet;
+* ``expand`` runs that fail to load a group or a character table: an
+  unknown ``--group``, ``--group`` with ``--group-file``, a missing, a
+  badly headed and an out-of-range ``.grp``, a ``.chtab`` whose classes
+  are not the group's, and ``.chtab`` files with a NaN or an infinite
+  value, all written once from the shipped S3 data into one temporary
+  directory that both trees read;
 
-each once with ``--format json`` and once with ``--format human``.  The
-first run whose exit code, stdout or stderr differs between the trees is
-printed, with its first differing line, and the exit status is 1; with
-no difference it is 0.  An exception that escapes ``main`` is recorded as
-that run's exit code.
+each once with ``--format json`` and once with ``--format human``.  Every
+run whose exit code, stdout or stderr differs between the trees is
+printed, with its first differing field and line, and the exit status is
+1; with no difference it is 0.  An exception that escapes ``main`` is
+recorded as that run's exit code.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import ast
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,7 +71,46 @@ def corpus() -> tuple:
     sys.exit("no CORPUS in tests/corpus.py")
 
 
-def runs() -> list[list[str]]:
+def error_runs(tmp: Path) -> list[list[str]]:
+    """``expand`` runs that fail to load a group or table, on files written
+    into ``tmp`` from the shipped S3 data."""
+    data = ROOT / "src" / "wordfourier" / "data"
+    grp = (data / "groups" / "S3.grp").read_text(encoding="ascii").splitlines()
+    chtab = (data / "tables" / "S3.chtab").read_text(encoding="ascii").splitlines()
+
+    def with_value(cell: int, value: str) -> list[str]:
+        # row chi = 1; the Frobenius-Schur check reads class 2 through the power map, not 1
+        row = chtab[4].split()
+        row[cell] = value + "+0.000000000000000i"
+        return [*chtab[:4], " ".join(row), *chtab[5:]]
+
+    files = {
+        "S3.grp": grp,
+        "bad-header.grp": ["grp S3 order 6", *grp[1:]],
+        "past-int64.grp": [grp[0], grp[1].rsplit(" ", 1)[0] + " " + "9" * 23, *grp[2:]],
+        "S3.chtab": chtab,
+        "nan-class-1.chtab": with_value(1, "+nan"),
+        "nan-class-2.chtab": with_value(2, "+nan"),
+        "inf-class-1.chtab": with_value(1, "+inf"),
+    }
+    for name, lines in files.items():
+        (tmp / name).write_text("\n".join(lines) + "\n", encoding="ascii")
+    group_file = lambda name: ["--group-file", str(tmp / name)]
+    table_file = lambda name: ["--group", "S3", "--table-file", str(tmp / name), "--verify"]
+    return [
+        ["expand", "[x,y]", "--group", "M12"],
+        ["expand", "[x,y]", "--group", "S3", *group_file("S3.grp")],
+        ["expand", "[x,y]", *group_file("missing.grp")],
+        ["expand", "[x,y]", *group_file("bad-header.grp")],
+        ["expand", "[x,y]", *group_file("past-int64.grp")],
+        ["expand", "[x,y]", "--group", "Z3", "--table-file", str(tmp / "S3.chtab")],
+        ["expand", "[x,y]", *table_file("nan-class-1.chtab")],
+        ["expand", "[x,y]", *table_file("nan-class-2.chtab")],
+        ["expand", "x^3*y^3", *table_file("inf-class-1.chtab")],
+    ]
+
+
+def runs(tmp: Path) -> list[list[str]]:
     """Every argv both trees run, in order."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import queries
@@ -78,6 +124,7 @@ def runs() -> list[list[str]]:
     for _, text, names in corpus():
         alphabet = ["--alphabet", ",".join(names)] if names else []
         base.extend([command, text, *alphabet] for command in ("classify", "reduce", "genus"))
+    base.extend(error_runs(tmp))
     out = []
     for argv in base:
         if "--format" in argv:
@@ -115,13 +162,19 @@ def main(argv=None) -> int:
         sys.stderr.write(__doc__.split("\n\n")[1] + "\n")
         return 2
     old_src, new_src = args
-    argvs = runs()
-    old, new = run_tree(old_src, argvs), run_tree(new_src, argvs)
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = runs(Path(tmp))
+        old, new = run_tree(old_src, argvs), run_tree(new_src, argvs)
+    differing = 0
     for argv, old_run, new_run in zip(argvs, old, new):
         for field, a, b in zip(("exit code", "stdout", "stderr"), old_run, new_run):
             if a != b:
                 print(f"{field} differs on {argv}: {first_difference(a, b)}")
-                return 1
+                differing += 1
+                break
+    if differing:
+        print(f"{len(argvs)} runs: {differing} differ")
+        return 1
     print(f"{len(argvs)} runs: exit code, stdout and stderr identical")
     return 0
 
