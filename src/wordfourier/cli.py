@@ -401,6 +401,17 @@ def cmd_bench(args) -> int:
         }
     )
 
+    if args.csv:
+        with open(args.csv, "w", newline="", encoding="ascii") as fh:
+            writer = csv.DictWriter(
+                fh,
+                fieldnames=[
+                    "route", "assignments", "seconds", "max_delta", "normalize_seconds"
+                ],
+            )
+            writer.writeheader()
+            writer.writerows(routes)
+
     doc = {
         "command": "bench",
         "word": word_to_str(word),
@@ -422,16 +433,6 @@ def cmd_bench(args) -> int:
                 f" {r['max_delta']:>10.2e} {r['normalize_seconds']:>11.4f}"
             )
         print("\n".join(lines))
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="ascii") as fh:
-            writer = csv.DictWriter(
-                fh,
-                fieldnames=[
-                    "route", "assignments", "seconds", "max_delta", "normalize_seconds"
-                ],
-            )
-            writer.writeheader()
-            writer.writerows(routes)
     return 0
 
 

@@ -35,11 +35,11 @@ Which rule applies to a generator is decided by :mod:`analysis`
 :func:`analysis.tally_kind`).  The rule functions read that scan.
 :func:`normalize` instead keeps one table of each generator's occurrence
 count and sign sum, and a square step updates it only for the letters it
-changes, so each step does work linear in the word.  A trace step's detail
-is rendered when it is first read, and a square step keeps only the
-square's positions, from which its word is rebuilt then: ``reduce`` prints
-every intermediate word, so its output grows with the square of the word
-length, while ``expand`` and ``genus`` never render the trace.
+changes, so each step does work linear in the word.  A square step keeps
+the word its splice built, and a trace step's detail is rendered when it is
+first read: ``reduce`` prints every intermediate word, so its output grows
+with the square of the word length, while ``expand`` and ``genus`` never
+render the trace.
 """
 
 from __future__ import annotations
@@ -66,9 +66,7 @@ _SQUARE_DELTA = (1, 1, 1)
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One rule applied by the pipeline.  A square step made by
-    :func:`normalize` holds a :class:`_SquareWord`, which rebuilds its
-    word when rendered."""
+    """One rule applied by the pipeline."""
 
     rule: str                     # "free-reduce" | "absent" | "single" | "square" | "split"
     generator: str | None         # generator(s) the rule consumed
@@ -155,18 +153,19 @@ class ReducedForm:
         return order**self.residual_rank
 
 
+def _power(base: str, e: int) -> str:
+    return base if e == 1 else f"{base}^{e}"
+
+
 def prefactor_str(form: ReducedForm) -> str:
     a, b, s = form.g_exponent, form.deg_exponent, form.fs_exponent
     if form.trivial_only:
-        power = "" if a == 1 else f"^{a}"
-        return "delta[chi=1]" if a == 0 else f"|G|{power} * delta[chi=1]"
-    num = [] if a == 0 else [f"|G|^{a}" if a != 1 else "|G|"]
+        return "delta[chi=1]" if a == 0 else f"{_power('|G|', a)} * delta[chi=1]"
+    num = [] if a == 0 else [_power("|G|", a)]
     if s:
-        num.append(f"FS^{s}" if s != 1 else "FS")
+        num.append(_power("FS", s))
     head = "*".join(num) if num else "1"
-    if b == 0:
-        return head
-    return f"{head}/chi(1)^{b}" if b != 1 else f"{head}/chi(1)"
+    return head if b == 0 else f"{head}/{_power('chi(1)', b)}"
 
 
 def closed_form_str(form: ReducedForm) -> str | None:
@@ -187,15 +186,15 @@ def closed_form_str(form: ReducedForm) -> str | None:
     s = form.fs_exponent
     num, den = [], []
     if a > 0:
-        num.append("|G|" if a == 1 else f"|G|^{a}")
+        num.append(_power("|G|", a))
     elif a < 0:
-        den.append("|G|" if a == -1 else f"|G|^{-a}")
+        den.append(_power("|G|", -a))
     if b > 0:
-        den.append("chi(1)" if b == 1 else f"chi(1)^{b}")
+        den.append(_power("chi(1)", b))
     elif b < 0:
-        num.append("chi(1)" if b == -1 else f"chi(1)^{-b}")
+        num.append(_power("chi(1)", -b))
     if s:
-        num.append("FS" if s == 1 else f"FS^{s}")
+        num.append(_power("FS", s))
     head = "*".join(num) if num else "1"
     if not den:
         return head
@@ -325,51 +324,6 @@ def _splice(letters: tuple, p1: int, p2: int) -> tuple[tuple, list[int]]:
     return spliced, first + second
 
 
-class _SquareRun:
-    """The square steps of one :func:`normalize` run: the letters before
-    the first step and each step's square positions, in the input's
-    generator indexing (the generators already removed no longer occur).
-
-    A step's word is rebuilt when it is read, from the last word rebuilt
-    or from the first, so a trace holds no letters per step, and reading
-    the steps in order splices each step once.
-    """
-
-    def __init__(self, alphabet: Alphabet, letters: tuple):
-        self.alphabet = alphabet
-        self.first = letters
-        self.squares: list[tuple[int, int]] = []
-        self._last = (-1, letters)  # last step rebuilt and its letters
-
-    def add(self, p1: int, p2: int) -> _SquareWord:
-        """Record the next step, which splices the squares at p1 < p2."""
-        self.squares.append((p1, p2))
-        return _SquareWord(self, len(self.squares) - 1)
-
-    def word(self, step: int) -> Word:
-        done, letters = self._last
-        if done > step:
-            done, letters = -1, self.first
-        for p1, p2 in self.squares[done + 1 : step + 1]:
-            letters, _ = _splice(letters, p1, p2)
-        self._last = (step, letters)
-        return _word(self.alphabet, letters)
-
-
-class _SquareWord:
-    """The word after one step of a :class:`_SquareRun`; renders as the
-    word over the alphabet without the removed generators does."""
-
-    __slots__ = ("run", "step")
-
-    def __init__(self, run: _SquareRun, step: int):
-        self.run = run
-        self.step = step
-
-    def __str__(self) -> str:
-        return str(self.run.word(self.step))
-
-
 def square_reduce(word: Word, generator: str) -> tuple[Word, tuple[int, int, int]]:
     """Remove one square letter: w1*y*w2*y*w3 becomes w1*w2^-1*w3.
 
@@ -439,11 +393,11 @@ def normalize(word: Word) -> ReducedForm:
     step (the splice :func:`square_reduce` applies) changes the table only
     for the generator it removes, the middle segment whose signs flip and
     the pairs that cancel at the two joins, so each step does work linear
-    in the word and no rescan.  Each square step's trace entry records the
-    square's positions in a :class:`_SquareRun`.  The alphabet is
-    restricted once, when the loop ends; the single and split cases are
-    then :func:`eliminate_single` and :func:`form_from_split` on that word,
-    with the loop's steps prepended to the trace.
+    in the word and no rescan.  A square step's trace entry is the word its
+    splice built, over the input's alphabet.  The alphabet is restricted
+    once, when the loop ends; the single and split cases are then
+    :func:`eliminate_single` and :func:`form_from_split` on that word, with
+    the loop's steps prepended to the trace.
     """
     alphabet = word.alphabet
     names = alphabet.names
@@ -465,7 +419,6 @@ def normalize(word: Word) -> ReducedForm:
     for g, k in enumerate(kind_of):
         by_kind[k].add(g)
     removed: set[int] = set()
-    run = _SquareRun(alphabet, letters)
 
     while True:
         if by_kind[ABSENT]:
@@ -505,7 +458,8 @@ def normalize(word: Word) -> ReducedForm:
                 by_kind[kind_of[h]].remove(h)
                 by_kind[k].add(h)
                 kind_of[h] = k
-        trace.append(TraceStep("square", names[g], _SQUARE_DELTA, "{}", (run.add(p1, p2),)))
+        step = TraceStep("square", names[g], _SQUARE_DELTA, "{}", (_word(alphabet, letters),))
+        trace.append(step)
 
     current = _word(alphabet, letters)
     if removed:
@@ -513,8 +467,7 @@ def normalize(word: Word) -> ReducedForm:
     if by_kind[SINGLE]:
         form = eliminate_single(current, names[min(by_kind[SINGLE])])
     elif by_kind[DISMISSIBLE]:
-        chosen = [names[g] for g in sorted(by_kind[DISMISSIBLE])]
-        form = form_from_split(split_dismissible(current, chosen))
+        form = form_from_split(split_dismissible(current))
     else:
         form = ReducedForm(
             trivial_only=False,

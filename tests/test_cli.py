@@ -218,6 +218,16 @@ class TestBench:
         assert routes[0]["normalize_seconds"] == 0.0
         assert csv_path.read_text().splitlines()[0].endswith(",normalize_seconds")
 
+    def test_an_unwritable_csv_path_prints_no_report(self, capsys, tmp_path):
+        csv_path = tmp_path / "missing" / "bench.csv"
+        for fmt in ("human", "json"):
+            code, out, err = run(
+                capsys, "bench", "[x,y]", "--group", "S3", "--csv", str(csv_path),
+                "--format", fmt,
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_worked_example_counts(self, capsys):
         word = "x1*y1*x1*x2*y3*x2*x1*y1^-1*x1^3*y2*x3^-1*y3^-1*x3^2*y2^-1*x3"
         code, out, _ = run(capsys, "bench", word, "--group", "S3", "--format", "json")

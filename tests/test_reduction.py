@@ -297,8 +297,8 @@ class TestNormalize:
         assert "delta(a,b,s)" in text
 
     def test_square_details_read_in_any_order(self):
-        # square steps rebuild their words when read; reading backwards,
-        # or skipping ahead, gives the details an in-order read gives
+        # each square step keeps its own word; reading backwards, or
+        # skipping ahead, gives the details an in-order read gives
         text = "a*b*c*a*d*b*e*c*d*e*b*f*f"
         in_order = [step.detail for step in normalize(parse_word(text)).trace]
         trace = normalize(parse_word(text)).trace

@@ -101,6 +101,17 @@ class TestParser:
                 parse_word(text)
             assert err.value.position == position
 
+    def test_exponent_digits_are_the_ones_int_reads(self):
+        # "²" is a digit to str.isdigit but not to int(); "٣" is both
+        for text, message, position in (
+            ("x^²", "expected an integer exponent", 2),
+            ("x^2²", "expected a generator symbol", 3),
+        ):
+            with pytest.raises(WordSyntaxError, match=message) as err:
+                parse_word(text)
+            assert err.value.position == position
+        assert parse_word("x^٣") == parse_word("x^3")
+
     def test_bracket_past_the_letter_cap_is_a_syntax_error(self):
         half = MAX_POWER_LETTERS // 2
         # [[...[x,y],y]...,y] nested k deep has 3*2^k - 2 letters, so the

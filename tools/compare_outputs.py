@@ -17,6 +17,8 @@ process, the same list of ``main(argv)`` calls:
   are not the group's, and ``.chtab`` files with a NaN or an infinite
   value, all written once from the shipped S3 data into one temporary
   directory that both trees read;
+* ``reduce`` runs that fail to parse their word or ``--alphabet``
+  (``WORD_ERRORS``);
 
 each once with ``--format json`` and once with ``--format human``.  Every
 run whose exit code, stdout or stderr differs between the trees is
@@ -37,6 +39,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 FORMATS = ("json", "human")
+# bad words and alphabets: each run exits 1 with one error line
+WORD_ERRORS = (
+    ["reduce", ""],
+    ["reduce", "[x,y"],
+    ["reduce", "x^0"],
+    ["reduce", "x^9999999"],
+    ["reduce", "x^\u00b2"],
+    ["reduce", "x^2\u00b2"],
+    ["reduce", "ab", "--alphabet", "a,c"],
+    ["reduce", "x", "--alphabet", "x,x"],
+)
 
 # run in a fresh interpreter per tree: argv lists on stdin, one
 # [exit code, stdout, stderr] per run as JSON on stdout
@@ -125,6 +138,7 @@ def runs(tmp: Path) -> list[list[str]]:
         alphabet = ["--alphabet", ",".join(names)] if names else []
         base.extend([command, text, *alphabet] for command in ("classify", "reduce", "genus"))
     base.extend(error_runs(tmp))
+    base.extend(WORD_ERRORS)
     out = []
     for argv in base:
         if "--format" in argv:
