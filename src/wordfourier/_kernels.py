@@ -5,17 +5,19 @@ and both make the same walk, ``_orbit_walk``, and the same exact tally,
 ``_joint_tally``:
 
 * Generators absent from every word are left out; each one multiplies the
-  result by |G|.
+  result by |G|.  With none present the tally is the one empty
+  assignment: every word at the identity class, counted once.
 * Fiber table.  A generator z that occurs exactly twice in a single word,
   w = A z^e1 B z^e2 C, is summed out without being walked: conjugating by
   A gives class(w) = class(z^e1 B z^e2 (C A)), so the count over z
   depends only on the values b, c of the segments B and C A, and
   ``ConjugacyClasses.fiber_table(e1, e2)`` holds it per (b, c) and class.
-  The walk then runs over the other generators, tallies (b, c), and that
-  histogram times the table is the class tally.  z is the last such
-  generator in order of first appearance (``_fiber_split``).  Everything
-  else takes the plain walk below: several words, a lone generator, no
-  generator that occurs exactly twice, or a table past ``_FIBER_CELLS``.
+  The walk then runs over the other generators and tallies (b, c) by
+  element, and that table times the fiber table is the class tally.  z is
+  the last such generator in order of first appearance (``_fiber_split``).
+  Everything else takes the plain walk below: several words, a lone
+  generator, no generator that occurs exactly twice, or a table past
+  ``_FIBER_CELLS``.
 * Orbits.  Every summand depends only on the conjugacy classes of the
   words' values, and those do not change when all generators are
   conjugated by one element (summing z out keeps this).  So the first two
@@ -28,17 +30,19 @@ and both make the same walk, ``_orbit_walk``, and the same exact tally,
   are kept as broadcast axes, so a letter is evaluated over the generators
   seen so far and costs only the size of that prefix.  The leading ones
   are enumerated per row in mixed-radix order (the pair most significant);
-  as many trailing ones as fit in ``cells`` are whole axes of |G|, and a
-  chunk takes as many rows as keep it near ``cells`` cells.
+  as many trailing ones as fit in ``_CHUNK`` cells are whole axes of |G|,
+  and a chunk takes as many rows as keep it near ``_CHUNK`` cells.
 
 The tally counts, in int64, the class tuples (c_1..c_r) of the r words'
-values over all assignments: ``np.add.at`` adds the int64 row weights in
-place, so each count is an exact sum bounded by |G|^rank, which
-``fourier._check_budget`` keeps below 2^63.  ``element_counts`` (the
-oracle) is the r = 1 tally: a class total divided by its class size,
-which must divide it exactly, is the count of each element of the class.
-``split_character_sum`` (the formula) contracts the tally against the
-character values at each tuple's classes, one float sum of exact integers.
+values over all assignments.  The int64 row weights are added in place
+into one dense table, keyed by class (k^r cells) for the plain walk and
+by element (|G|^2 cells) for the fiber walk, so each count is an exact
+sum bounded by |G|^rank, which ``fourier._check_budget`` keeps below
+2^63.  ``element_counts`` (the oracle) is the r = 1 tally: a class
+total divided by its class size, which must divide it exactly, is the
+count of each element of the class.  ``split_character_sum`` (the
+formula) contracts the tally against the character values at each
+tuple's classes, one float sum of exact integers.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ def walked_assignments(group, word_letter_lists, classes) -> int:
     return len(classes.pair_orbits()[2]) * group.order ** (walked - 2)
 
 
-def _orbit_walk(group, word_letter_lists, classes, cells):
+def _orbit_walk(group, word_letter_lists, classes):
     """Walk the assignments of the present generators, up to conjugation.
 
     Yields ``(weight, values)`` per chunk of rows.  ``weight`` is the int64
@@ -119,7 +123,7 @@ def _orbit_walk(group, word_letter_lists, classes, cells):
         *heads, weights = classes.pair_orbits()
     # the head generators are row digits; later ones may be whole axes
     inner = 0
-    while inner < len(present) - len(heads) and order ** (inner + 1) <= cells:
+    while inner < len(present) - len(heads) and order ** (inner + 1) <= _CHUNK:
         inner += 1
     free = len(present) - len(heads) - inner
     ndim = 1 + inner
@@ -135,7 +139,7 @@ def _orbit_walk(group, word_letter_lists, classes, cells):
     heads = [head.reshape(column) for head in heads]
     weights = weights.reshape(column)
     total = len(weights) * order**free
-    rows = max(1, cells // order**inner)
+    rows = max(1, _CHUNK // order**inner)
     for start in range(0, total, rows):
         stop = min(start + rows, total)
         if free:  # mixed-radix digits of the chunk's assignments, row first
@@ -165,45 +169,36 @@ def _sum_by_column(tuples, counts):
     return tuples[:, starts], np.add.reduceat(counts, starts)
 
 
-def _fiber_tally(group, classes, segments, signs):
-    """The one-word tally with z summed out (``_fiber_split``): the int64
-    histogram of the segment values (b, c) over the walk of the other
-    generators, times the fiber table."""
-    order = group.order
-    pairs = np.zeros(order * order, dtype=np.int64)
-    for weight, (b, c) in _orbit_walk(group, segments, classes, _CHUNK):
-        key = b * order + c  # every walked generator is in a segment: key spans the chunk
-        np.add.at(pairs, key.ravel(), np.broadcast_to(weight, key.shape).ravel())
-    totals = pairs @ classes.fiber_table(*signs)
-    found = np.flatnonzero(totals)
-    return found[None, :], totals[found]
-
-
 def _joint_tally(group, word_letter_lists, classes):
     """Count the class tuples (c_1..c_r) of the r words' values over every
-    assignment of the present generators (at least one), exactly in int64.
+    assignment of the present generators, exactly in int64.
 
     Returns ``(tuples, counts)``: an (r, m) array whose columns are the
-    tuples that occur, and their counts.  A single word with a generator
-    to sum out goes through its fiber table (``_fiber_tally``).  Otherwise
-    the weights go into one int64 table of k^r cells while k^r fits
-    ``_DENSE``; past that each chunk's tuples are sorted and merged, so
-    the memory grows with the tuples that occur, not with k^r.
+    tuples that occur, and their counts.  With no generator present that
+    is the one empty assignment, at the identity class.  A single word
+    with a generator to sum out (``_fiber_split``) tallies its segment
+    values (b, c) into a dense table of |G|^2 cells, which its fiber table
+    turns into class totals.  Otherwise the weights go into one int64
+    table of k^r cells while k^r fits ``_DENSE``; past that each chunk's
+    tuples are sorted and merged, so the memory grows with the tuples that
+    occur, not with k^r.
     """
-    fiber = _fiber_split(group, word_letter_lists, classes)
-    if fiber is not None:
-        return _fiber_tally(group, classes, *fiber)
     k, r = len(classes), len(word_letter_lists)
+    if not any(word_letter_lists):
+        return np.full((r, 1), classes.identity_class), np.ones(1, dtype=np.int64)
+    fiber = _fiber_split(group, word_letter_lists, classes)
+    words, base = (fiber[0], group.order) if fiber else (word_letter_lists, k)
     class_of = np.asarray(classes.class_of)
-    dense = np.zeros(k**r if k**r <= _DENSE else 0, dtype=np.int64)
+    dense = np.zeros(base ** len(words) if fiber or k**r <= _DENSE else 0, dtype=np.int64)
     tuples = np.zeros((r, 0), dtype=np.int64)
     counts = np.zeros(0, dtype=np.int64)
-    for weight, values in _orbit_walk(group, word_letter_lists, classes, _CHUNK):
-        values = [class_of[value] for value in values]
+    for weight, values in _orbit_walk(group, words, classes):
+        if not fiber:  # the fiber walk keys its segment values by element
+            values = [class_of[value] for value in values]
         if dense.size:  # every walked generator is in a word: keys span the chunk
-            key = 0
-            for value in values:
-                key = key * k + value
+            key = values[0]
+            for value in values[1:]:
+                key = key * base + value
             np.add.at(dense, key.ravel(), np.broadcast_to(weight, key.shape).ravel())
             continue
         shape = np.broadcast_shapes(weight.shape, *(v.shape for v in values))
@@ -215,6 +210,8 @@ def _joint_tally(group, word_letter_lists, classes):
             np.concatenate((tuples, found[0]), axis=1),
             np.concatenate((counts, found[1])),
         )
+    if fiber:
+        dense = dense @ classes.fiber_table(*fiber[1])
     if dense.size:
         keys = np.flatnonzero(dense)
         return np.array(np.unravel_index(keys, (k,) * r)), dense[keys]
@@ -228,18 +225,13 @@ def element_counts(group, letters, rank, classes) -> np.ndarray:
     Raises GroupValidationError when a class total is not a multiple of the
     class size, i.e. the counts would not be constant on ``classes``.
     """
-    present = len(_present_generators([letters]))
-    scale = group.order ** (rank - present)
-    totals = np.zeros(len(classes), dtype=np.int64)
-    if not present:
-        totals[classes.identity_class] = scale
-        return totals
     (found,), found_counts = _joint_tally(group, [letters], classes)
+    totals = np.zeros(len(classes), dtype=np.int64)
     totals[found] = found_counts
     per_element, remainder = np.divmod(totals, np.asarray(classes.sizes, dtype=np.int64))
     if np.any(remainder):
         raise GroupValidationError("word-map counts are not constant on a class")
-    return per_element * scale
+    return per_element * group.order ** (rank - len(_present_generators([letters])))
 
 
 def split_character_sum(group, word_letter_lists, rank, classes, chibar) -> np.ndarray:
@@ -247,16 +239,11 @@ def split_character_sum(group, word_letter_lists, rank, classes, chibar) -> np.n
     product of that row's values at the classes of the words' values.
 
     ``chibar`` is a (characters x classes) array of class-function values.
-    When no generator occurs, every assignment sends every word to the
-    identity.
     """
     chibar = np.asarray(chibar, dtype=np.complex128)
-    present = len(_present_generators(word_letter_lists))
-    scale = float(group.order ** (rank - present))
-    if not present:
-        return chibar[:, classes.identity_class] ** len(word_letter_lists) * scale
     tuples, counts = _joint_tally(group, word_letter_lists, classes)
-    prod = chibar[:, tuples[0]]
+    scale = float(group.order ** (rank - len(_present_generators(word_letter_lists))))
+    prod = chibar[:, tuples[0]] if len(tuples) else np.ones_like(chibar[:, :1])
     for found in tuples[1:]:
         prod = prod * chibar[:, found]
     return prod @ counts * scale

@@ -4,10 +4,10 @@
 builds the built-in groups' tables under that convention.
 
 Groups are immutable after validated construction: attributes cannot be
-reassigned and the tables are marked read-only, so they can be shared
-freely across workers.  Each built-in group is loaded and validated once
-per process and then shared.  Conjugacy classes are made from the group
-alone, ``ConjugacyClasses(group)``, so they cannot disagree with it.
+reassigned and the tables are marked read-only, so they are safe to
+share.  Each built-in group is loaded and validated once per process and
+then shared.  Conjugacy classes are made from the group alone,
+``ConjugacyClasses(group)``, so they cannot disagree with it.
 """
 
 from __future__ import annotations

@@ -223,26 +223,16 @@ def _drop_generators(word: Word, names) -> Word:
     return _word(alphabet, tuple((remap[g], s) for g, s in word.letters))
 
 
-def split_dismissible(word: Word, dismissibles=None) -> SplitDecomposition:
-    """Eliminate dismissible letters simultaneously via the slot pairing.
+def split_dismissible(word: Word) -> SplitDecomposition:
+    """Eliminate every dismissible letter (a generator occurring exactly
+    once with each sign) simultaneously via the slot pairing.
 
-    ``dismissibles`` names the generators to eliminate (default: every
-    generator occurring exactly once with each sign); a name given twice
-    counts once.  Occurrence counts are taken on the word as given; the
-    word need not be freely reduced.
+    Occurrence counts are taken on the word as given; the word need not be
+    freely reduced.
     """
     occ = occurrences(word)
     names = word.alphabet.names
-
-    if dismissibles is None:
-        chosen = [g for g, o in enumerate(occ) if kind(o) == DISMISSIBLE]
-    else:
-        chosen = []
-        for name in dict.fromkeys(dismissibles):  # each name once, in order
-            g = word.alphabet.index(name)
-            if kind(occ[g]) != DISMISSIBLE:
-                raise ReductionError(f"generator {name!r} is not dismissible in {word}")
-            chosen.append(g)
+    chosen = [g for g, o in enumerate(occ) if kind(o) == DISMISSIBLE]
     if not chosen:
         raise ReductionError(f"no dismissible letter in {word}")
 

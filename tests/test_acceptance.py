@@ -65,7 +65,7 @@ def test_02_commutator_product_k2():
 
 def test_03_intro_worked_example():
     word = corpus_word("intro")
-    split = split_dismissible(word, ("y1", "y2", "y3"))
+    split = split_dismissible(word)
     residual = split.residual_alphabet
     assert split.split_words == (
         parse_word("x1^4*x3", residual),

@@ -115,8 +115,11 @@ def test_counts_reject_class_sizes_that_do_not_divide_the_totals():
     sizes = list(real.sizes)
     sizes[real.identity_class] = 4
     classes = StandInClasses(real.class_of, real.representatives, tuple(sizes))
-    with pytest.raises(GroupValidationError):
-        _kernels.element_counts(group, parse_word("x^2").letters, 1, classes)
+    # at rank 3 the two absent generators scale 7 by |G|^2 = 36, a
+    # multiple of 4: the check must read the totals before the scaling
+    for rank in (1, 3):
+        with pytest.raises(GroupValidationError):
+            _kernels.element_counts(group, parse_word("x^2").letters, rank, classes)
 
 
 def python_character_sums(group, words, rank, classes, chibar):
@@ -310,6 +313,28 @@ def test_joint_tally_across_chunk_edges_and_sparse_merges(monkeypatch, dense):
             monkeypatch.setattr(_kernels, "_DENSE", cap)
             words = joint_words(nwords, (0, 2), nwords)
             assert_tally_matches_reference(group, words, 3, table.classes)
+
+
+# (words, rank) with empty words: no generator present, no words at all,
+# and empty words among non-empty ones, with generator 1 absent
+EMPTY_WORD_CASES = {
+    "all-empty-rank0": ([[], []], 0),
+    "all-empty-rank2": ([[], [], []], 2),
+    "no-words-rank0": ([], 0),
+    "no-words-rank2": ([], 2),
+    "mixed": ([[], [(0, 1), (2, -1), (0, 1)], [], [(2, 1), (0, -1), (2, 1)]], 3),
+}
+
+
+@pytest.mark.parametrize("path", ("dense", "merge"))
+@pytest.mark.parametrize("case", EMPTY_WORD_CASES)
+@pytest.mark.parametrize("group_name", ("S3", "Q8"))
+def test_joint_tally_of_empty_words_and_of_no_words(monkeypatch, group_name, case, path):
+    group, table = group_and_table(group_name)
+    words, rank = EMPTY_WORD_CASES[case]
+    if path == "merge":  # one cell short of k^r, so every chunk is sorted and merged
+        monkeypatch.setattr(_kernels, "_DENSE", len(table.classes) ** len(words) - 1)
+    assert_tally_matches_reference(group, words, rank, table.classes)
 
 
 @pytest.mark.parametrize("word_id", ("commutator", "cube", "tambour3", "conjugate-loop"))

@@ -84,7 +84,7 @@ def test_the_walk_covers_every_assignment_once_in_fewer_rows(group_name, word):
         assert walked == 0
         return
     rows = covered = 0
-    for weight, _ in _kernels._orbit_walk(group, tallied, table.classes, _kernels._CHUNK):
+    for weight, _ in _kernels._orbit_walk(group, tallied, table.classes):
         cells = n ** (weight.ndim - 1)  # each row spans the whole axes after it
         rows += weight.size * cells
         covered += int(weight.sum()) * cells

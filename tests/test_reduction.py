@@ -64,7 +64,7 @@ class TestSplit:
         assert split.residual_alphabet.rank == 0
 
     def test_intro_example_words(self):
-        split = split_dismissible(intro_word(), ("y1", "y2", "y3"))
+        split = split_dismissible(intro_word())
         residual = split.residual_alphabet
         assert residual.names == ("x1", "x2", "x3")
         expected1 = parse_word("x1^4*x3", residual)
@@ -73,29 +73,15 @@ class TestSplit:
         assert (split.n, split.r) == (3, 2)
 
     def test_intro_example_permutations(self):
-        split = split_dismissible(intro_word(), ("y1", "y2", "y3"))
+        split = split_dismissible(intro_word())
         assert split.tau == (2, 4, 0, 5, 1, 3)
         assert split.sigma == (3, 5, 1, 0, 2, 4)
         assert split.cycles == ((0, 3), (1, 5, 4, 2))
 
     def test_conjugating_letter(self):
         w = parse_word("a*y*b*y^-1", Alphabet(("a", "b", "y")))
-        split = split_dismissible(w, ("y",))
+        split = split_dismissible(w)
         assert [word_to_str(s) for s in split.split_words] == ["a", "b"]
-
-    def test_subset_split_keeps_other_letters(self):
-        w = parse_word("a*y*a^-1*y^-1", Alphabet(("a", "y")))
-        split = split_dismissible(w, ("y",))
-        assert split.residual_alphabet.names == ("a",)
-        assert [word_to_str(s) for s in split.split_words] == ["a", "a^-1"]
-
-    def test_a_repeated_name_counts_once(self):
-        w = parse_word("a*y*a^-1*y^-1", Alphabet(("a", "y")))
-        assert split_dismissible(w, ("y", "y")) == split_dismissible(w, ("y",))
-        names = ("y1", "y2", "y1", "y3", "y2")
-        assert split_dismissible(intro_word(), names) == split_dismissible(
-            intro_word(), ("y1", "y2", "y3")
-        )
 
     def test_unreduced_slots_are_allowed(self):
         split = split_dismissible(parse_word("y*y^-1", Alphabet(("y",))))
@@ -104,10 +90,6 @@ class TestSplit:
     def test_no_dismissible_letter(self):
         with pytest.raises(ReductionError, match="no dismissible"):
             split_dismissible(parse_word("x^2"))
-
-    def test_listed_generator_must_be_dismissible(self):
-        with pytest.raises(ReductionError, match="not dismissible"):
-            split_dismissible(parse_word("{x,y}"), ("x",))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_structure_invariants_on_random_patterns(self, seed):
@@ -148,7 +130,7 @@ class TestSplit:
                 pos = int(rng.integers(0, len(letters) + 1))
                 letters.insert(pos, (2 + i, s))
         word = Word(alphabet, tuple(letters))
-        split = split_dismissible(word, dis_names)
+        split = split_dismissible(word)
         form = form_from_split(split)
         for group_name in ("Z4", "S3"):
             group, table = group_and_table(group_name)
@@ -164,7 +146,7 @@ class TestSplit:
         alphabet = Alphabet(("a", "b", "y", "z"))
         text = "a*y*b*z*a^-1*y^-1*b*z^-1"
         word = parse_word(text, alphabet)
-        split = split_dismissible(word, ("y", "z"))
+        split = split_dismissible(word)
         group = build_builtin("S4")
         classes = conjugacy_classes(group)
         assignment = {
@@ -312,7 +294,7 @@ class TestNormalize:
 
 class TestFormFromSplit:
     def test_exponents_follow_the_split(self):
-        split = split_dismissible(intro_word(), ("y1", "y2", "y3"))
+        split = split_dismissible(intro_word())
         form = form_from_split(split)
         assert (form.g_exponent, form.deg_exponent, form.fs_exponent) == (2, 3, 0)
         assert form.residual_words == split.split_words

@@ -10,7 +10,11 @@ process, the same list of ``main(argv)`` calls:
 * every query of the three benchmark workloads at seeds 1-3, as
   ``perfbench/queries.py`` of this checkout builds them;
 * ``classify``, ``reduce`` and ``genus`` on every word of
-  ``tests/corpus.py``, over its corpus alphabet;
+  ``tests/corpus.py``, over its corpus alphabet, and ``expand --verify``
+  on each over S3 and Q8;
+* ``expand`` runs on kernel paths no workload query takes
+  (``KERNEL_RUNS``): no generator present, a lone generator, and a tally
+  past the dense table that sorts and merges its tuples;
 * ``expand`` runs that fail to load a group or a character table: an
   unknown ``--group``, ``--group`` with ``--group-file``, a missing, a
   badly headed and an out-of-range ``.grp``, a ``.chtab`` whose classes
@@ -49,6 +53,15 @@ WORD_ERRORS = (
     ["reduce", "x^2\u00b2"],
     ["reduce", "ab", "--alphabet", "a,c"],
     ["reduce", "x", "--alphabet", "x,x"],
+)
+
+# seven residual words: 5^7 classes of S4 and 12^7 of Z12 exceed the dense tally
+SEVEN_WORDS = "y1*y2*y3*y4*y5*y6*a*y6^-1*a*y5^-1*a*y4^-1*a*y3^-1*a*y2^-1*a*y1^-1*a"
+KERNEL_RUNS = (
+    ["expand", "1", "--alphabet", "x,y", "--group", "Q8", "--verify"],
+    ["expand", "x^3", "--group", "A4", "--verify"],
+    ["expand", SEVEN_WORDS, "--group", "S4"],
+    ["expand", SEVEN_WORDS, "--group", "Z12"],
 )
 
 # run in a fresh interpreter per tree: argv lists on stdin, one
@@ -137,6 +150,8 @@ def runs(tmp: Path) -> list[list[str]]:
     for _, text, names in corpus():
         alphabet = ["--alphabet", ",".join(names)] if names else []
         base.extend([command, text, *alphabet] for command in ("classify", "reduce", "genus"))
+        base.extend(["expand", text, *alphabet, "--group", g, "--verify"] for g in ("S3", "Q8"))
+    base.extend(KERNEL_RUNS)
     base.extend(error_runs(tmp))
     base.extend(WORD_ERRORS)
     out = []
