@@ -1,15 +1,9 @@
 """Fourier expansion of word-map distributions on finite groups."""
 
-from ._kernels import active_backend
+import importlib
+
+from ._defaults import DEFAULT_BUDGET
 from .analysis import OccurrenceProfile, classify
-from .chartable import (
-    CharacterTable,
-    builtin_table,
-    compute_character_table,
-    fs_indicator,
-    load_character_table,
-    save_character_table,
-)
 from .errors import (
     BudgetExceededError,
     CharacterComputationError,
@@ -17,22 +11,6 @@ from .errors import (
     ReductionError,
     TableValidationError,
     WordSyntaxError,
-)
-from .fourier import (
-    ClassFunction,
-    DEFAULT_BUDGET,
-    coefficient_formula,
-    distribution,
-    project,
-)
-from .groups import (
-    ConjugacyClasses,
-    FiniteGroup,
-    builtin_group,
-    builtin_names,
-    conjugacy_classes,
-    load_group,
-    save_group,
 )
 from .reduction import (
     ReducedForm,
@@ -53,6 +31,29 @@ from .words import (
     parse_word,
     word_to_str,
 )
+
+# The numeric layer imports numpy, which the names above do not need; its
+# names resolve on first use (PEP 562): public name -> module.
+_LAZY = {
+    "active_backend": "_kernels",
+    "CharacterTable": "chartable",
+    "builtin_table": "chartable",
+    "compute_character_table": "chartable",
+    "fs_indicator": "chartable",
+    "load_character_table": "chartable",
+    "save_character_table": "chartable",
+    "ClassFunction": "fourier",
+    "coefficient_formula": "fourier",
+    "distribution": "fourier",
+    "project": "fourier",
+    "ConjugacyClasses": "groups",
+    "FiniteGroup": "groups",
+    "builtin_group": "groups",
+    "builtin_names": "groups",
+    "conjugacy_classes": "groups",
+    "load_group": "groups",
+    "save_group": "groups",
+}
 
 __version__ = "0.1.0"
 
@@ -100,3 +101,15 @@ __all__ = [
     "square_reduce",
     "word_to_str",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,7 +3,12 @@
 Subcommands: classify, reduce, expand, bench, genus.  Exit codes: 0 on
 success, 1 for usage or word-syntax problems, 2 for group/table validation
 failures (including --verify mismatches), 3 when the evaluation budget
-would be exceeded or a coefficient would lie past the float range.
+would be exceeded or a coefficient would lie past the float range, and
+141 (as for a process killed by SIGPIPE) with no message when stdout is
+closed before all of the output is written, as in ``... | head -1``.
+
+Only ``expand`` and ``bench`` load numpy and the group, table and kernel
+modules; ``classify``, ``reduce`` and ``genus`` start without them.
 """
 
 from __future__ import annotations
@@ -13,20 +18,13 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _json_str
 
-import numpy as np
-
-from . import _kernels
+from ._defaults import BUILTIN_NAMES, DEFAULT_BUDGET
 from .analysis import classify
-from .chartable import (
-    builtin_table,
-    compute_character_table,
-    fs_indicator,
-    load_character_table,
-)
 from .errors import (
     BudgetExceededError,
     CharacterComputationError,
@@ -36,15 +34,6 @@ from .errors import (
     TableValidationError,
     WordSyntaxError,
 )
-from .fourier import (
-    DEFAULT_BUDGET,
-    coefficient_formula,
-    distribution,
-    divisors,
-    project,
-    rational_annotation,
-)
-from .groups import builtin_group, builtin_names, load_group
 from .reduction import (
     _genus_of_form,
     closed_form_str,
@@ -53,6 +42,44 @@ from .reduction import (
     prefactor_str,
 )
 from .words import Alphabet, parse_word, word_to_str
+
+
+@functools.cache
+def _numeric() -> None:
+    """Import the numeric layer (numpy, groups, tables, kernels) once and
+    bind its names here, in the module's globals: ``expand`` and ``bench``
+    call this first, and ``__getattr__`` on lookups from outside, so
+    ``cli.coefficient_formula`` is the name every caller sees and patches.
+    ``reduce``, ``classify`` and ``genus`` never load numpy."""
+    import numpy as np
+
+    from . import _kernels
+    from .chartable import (
+        builtin_table,
+        compute_character_table,
+        fs_indicator,
+        load_character_table,
+    )
+    from .fourier import (
+        coefficient_formula,
+        distribution,
+        divisors,
+        project,
+        rational_annotation,
+    )
+    from .groups import builtin_group, load_group
+
+    globals().update(locals())
+
+
+def __getattr__(name: str):
+    # ``from wordfourier.cli import main`` probes ``__path__``: dunder
+    # lookups must not load numpy
+    if not name.startswith("__"):
+        _numeric()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(Exception):
@@ -101,7 +128,7 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool) -> None:
         "--format", choices=("human", "json"), default="human", dest="fmt"
     )
     if with_group:
-        parser.add_argument("--group", help=f"built-in group: {', '.join(builtin_names())}")
+        parser.add_argument("--group", help=f"built-in group: {', '.join(BUILTIN_NAMES)}")
         parser.add_argument("--group-file", help="multiplication-table file")
         parser.add_argument("--table-file", help="character-table file")
         parser.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
@@ -320,6 +347,7 @@ def _expand_rows(form, group, table, args, verify: bool):
 
 
 def cmd_expand(args) -> int:
+    _numeric()
     word = _parse_word_arg(args)
     group, table = _resolve_group(args)
     form = normalize(word)
@@ -366,6 +394,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _numeric()
     word = _parse_word_arg(args)
     group, table = _resolve_group(args)
 
@@ -456,12 +485,20 @@ def cmd_genus(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help, 2 for usage errors; usage maps to 1
-        return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 0 for --help, 2 for usage errors; usage maps to 1
+            code = 0 if exc.code in (0, None) else 1
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Nothing more reaches the reader.  Point stdout at devnull so the
+        # interpreter's own flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

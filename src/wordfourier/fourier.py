@@ -36,13 +36,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
+from ._defaults import DEFAULT_BUDGET
 from .chartable import CharacterTable, fs_indicator
 from .errors import BudgetExceededError, FloatRangeError, GroupValidationError
 from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes
 from .reduction import ReducedForm, prefactor_str
 from .words import Word
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from importlib import resources
 
 import numpy as np
 
+from ._defaults import BUILTIN_NAMES
 from .errors import GroupValidationError
 
 _EXHAUSTIVE_ASSOC_BOUND = 24
@@ -265,19 +266,15 @@ def load_group(path) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 # built-in groups
 
-# the shipped data files' names, in the order the CLI help lists them
-_BUILTIN_NAMES = ("A4", "D4", "D5", "Q8", "S3", "S4", *(f"Z{n}" for n in range(1, 13)))
-
-
 def builtin_names() -> tuple[str, ...]:
-    return _BUILTIN_NAMES
+    return BUILTIN_NAMES
 
 
 def _canonical_name(name: str) -> str:
-    for key in _BUILTIN_NAMES:
+    for key in BUILTIN_NAMES:
         if key.lower() == name.lower():
             return key
-    raise KeyError(f"unknown built-in group {name!r}; choose from {', '.join(_BUILTIN_NAMES)}")
+    raise KeyError(f"unknown built-in group {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
 
 
 def _data_root():

@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import wordfourier
 from wordfourier import (
@@ -31,16 +32,27 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(*argv):
-    """The same call in a new interpreter, with nothing loaded before it."""
+MAIN = "import sys\nfrom wordfourier.cli import main\nsys.exit(main(sys.argv[1:]))"
+# ``main`` and then, on stderr, whether numpy got loaded
+MAIN_THEN_NUMPY = (
+    "import sys\nfrom wordfourier.cli import main\ncode = main(sys.argv[1:])\n"
+    "sys.stderr.write(str('numpy' in sys.modules))\nsys.exit(code)"
+)
+
+
+def fresh_env():
     env = dict(os.environ, COLUMNS="80")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(wordfourier.__file__).parents[1]), env.get("PYTHONPATH", "")]
     )
-    program = "import sys\nfrom wordfourier.cli import main\nsys.exit(main(sys.argv[1:]))"
+    return env
+
+
+def run_fresh(*argv, program=MAIN):
+    """The same call in a new interpreter, with nothing loaded before it."""
     done = subprocess.run(
         [sys.executable, "-c", program, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=fresh_env(), timeout=120,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -442,6 +454,52 @@ class TestExitCodes:
                 capsys, "expand", "x^2", "--group-file", str(gpath), "--seed", seed
             )
             assert (code, out) == (1, "") and "argument --seed" in err
+
+
+class TestNumpyFreeStart:
+    """The symbolic commands never load the numeric layer; ``expand`` does."""
+
+    @pytest.mark.parametrize("fmt", ("human", "json"))
+    @pytest.mark.parametrize("command", ("reduce", "classify", "genus"))
+    def test_symbolic_commands_leave_numpy_unloaded(self, command, fmt):
+        code, out, err = run_fresh(command, "[x,y]*z^2", "--format", fmt,
+                                   program=MAIN_THEN_NUMPY)
+        assert (code, err) == (0, "False") and out
+
+    def test_expand_loads_numpy(self):
+        code, out, err = run_fresh("expand", "[x,y]", "--group", "S3", program=MAIN_THEN_NUMPY)
+        assert (code, err) == (0, "True") and out
+
+    def test_importing_the_package_leaves_numpy_unloaded(self):
+        program = "import sys\nimport wordfourier\nprint('numpy' in sys.modules)"
+        assert run_fresh(program=program) == (0, "False\n", "")
+
+    def test_every_public_name_is_listed_and_star_imported(self):
+        program = (
+            "import wordfourier\n"
+            "listed = set(dir(wordfourier))\n"
+            "bound = {}\n"
+            "exec('from wordfourier import *', bound)\n"
+            "public = set(wordfourier.__all__)\n"
+            "print(len(public), sorted(public - listed), sorted(public - set(bound)))"
+        )
+        assert run_fresh(program=program) == (0, f"{len(wordfourier.__all__)} [] []\n", "")
+
+
+class TestClosedStdout:
+    def test_a_reader_that_leaves_after_one_line_gets_exit_141_and_no_message(self):
+        # about 150 kB of output, more than a pipe holds, so the writes outlive the reader
+        word = "*".join(f"[x{i},y{i}]" for i in range(1000))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", MAIN, "reduce", word],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert first.startswith(b"word: x0*y0*x0^-1*y0^-1*") and err == b""
 
 
 class TestOneProcess:

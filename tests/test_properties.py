@@ -7,11 +7,18 @@ Relabelling the generators and the Nielsen move x -> x*y are such
 automorphisms; a cyclic shift is a conjugation, which keeps every class;
 inverting the word sends each value to its inverse, which conjugates every
 coefficient.
+
+Two classical divisibility theorems check the oracle's exact counts on
+every built-in group, with no character table: Solomon (1969), for a word
+in d >= 2 letters N_w(1) is a multiple of |G|, and Frobenius (1895),
+#{x : x^n = 1} is a multiple of gcd(n, |G|).
 """
 
 import contextlib
 import io
 import json
+import math
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +27,7 @@ from hypothesis import strategies as st
 
 from wordfourier import (
     _kernels,
+    builtin_names,
     coefficient_formula,
     distribution,
     normalize,
@@ -186,3 +194,32 @@ def test_nielsen_move_keeps_counts_and_coefficients(group_name, word, data):
     counts = distribution(word, group, classes=table.classes).values
     assert np.array_equal(distribution(moved, group, classes=table.classes).values, counts)
     _assert_close(_formula(moved, group_name), _formula(word, group_name), group_name, word)
+
+
+def _solutions(word, group_name) -> int:
+    """N_w(1): the assignments under which ``word`` evaluates to the identity."""
+    group, table = group_and_table(group_name)
+    counts = distribution(word, group, classes=table.classes).values
+    return int(counts[table.classes.class_of[group.identity]])
+
+
+@pytest.mark.parametrize("group_name", builtin_names())
+def test_solomon_solutions_of_w_equal_1_are_a_multiple_of_the_order(group_name):
+    # seeded words rather than hypothesis: its overhead on 18 groups
+    # would be twenty times the cost of the counts
+    rng = random.Random(group_name)
+    order = group_and_table(group_name)[0].order
+    for _ in range(22):
+        rank = rng.randint(2, len(NAMES))
+        letters = [(rng.randrange(rank), rng.choice((1, -1))) for _ in range(rng.randint(0, 8))]
+        word = Word(Alphabet(NAMES[:rank]), tuple(letters))
+        assert _solutions(word, group_name) % order == 0, word_to_str(word)
+
+
+@pytest.mark.parametrize("group_name", builtin_names())
+def test_frobenius_solutions_of_x_to_the_n_are_a_multiple_of_gcd_n_order(group_name):
+    order = group_and_table(group_name)[0].order
+    x = Alphabet(("x",))
+    for n in range(1, 13):
+        solutions = _solutions(Word(x, ((0, 1),) * n), group_name)
+        assert solutions >= 1 and solutions % math.gcd(n, order) == 0, n

@@ -15,6 +15,8 @@ process, the same list of ``main(argv)`` calls:
 * ``expand`` runs on kernel paths no workload query takes
   (``KERNEL_RUNS``): no generator present, a lone generator, and a tally
   past the dense table that sorts and merges its tuples;
+* an ``expand --verify`` whose oracle needs more than the default
+  ``--budget``, so its error names that budget (``BUDGET_RUN``);
 * ``expand`` runs that fail to load a group or a character table: an
   unknown ``--group``, ``--group`` with ``--group-file``, a missing, a
   badly headed and an out-of-range ``.grp``, a ``.chtab`` whose classes
@@ -24,7 +26,10 @@ process, the same list of ``main(argv)`` calls:
 * ``reduce`` runs that fail to parse their word or ``--alphabet``
   (``WORD_ERRORS``);
 
-each once with ``--format json`` and once with ``--format human``.  Every
+each once with ``--format json`` and once with ``--format human``; and
+``--help`` of the top-level parser and of each of the five subcommands
+(``HELP_RUNS``), whose text lists the built-in groups, with ``COLUMNS``
+fixed so both trees wrap it alike.  Every
 run whose exit code, stdout or stderr differs between the trees is
 printed, with its first differing field and line, and the exit status is
 1; with no difference it is 0.  An exception that escapes ``main`` is
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -53,6 +59,13 @@ WORD_ERRORS = (
     ["reduce", "x^2\u00b2"],
     ["reduce", "ab", "--alphabet", "a,c"],
     ["reduce", "x", "--alphabet", "x,x"],
+)
+
+# 24^6 oracle assignments, past the default budget of 10^7
+BUDGET_RUN = ["expand", "[x1,x2]*[x3,x4]*[x5,x6]", "--group", "S4", "--verify"]
+HELP_RUNS = (
+    ["--help"],
+    *([command, "--help"] for command in ("classify", "reduce", "expand", "bench", "genus")),
 )
 
 # seven residual words: 5^7 classes of S4 and 12^7 of Z12 exceed the dense tally
@@ -152,6 +165,7 @@ def runs(tmp: Path) -> list[list[str]]:
         base.extend([command, text, *alphabet] for command in ("classify", "reduce", "genus"))
         base.extend(["expand", text, *alphabet, "--group", g, "--verify"] for g in ("S3", "Q8"))
     base.extend(KERNEL_RUNS)
+    base.append(BUDGET_RUN)
     base.extend(error_runs(tmp))
     base.extend(WORD_ERRORS)
     out = []
@@ -160,6 +174,7 @@ def runs(tmp: Path) -> list[list[str]]:
             at = argv.index("--format")
             argv = argv[:at] + argv[at + 2 :]
         out.extend(argv + ["--format", fmt] for fmt in FORMATS)
+    out.extend(HELP_RUNS)
     return out
 
 
@@ -167,6 +182,7 @@ def run_tree(src: str, argvs: list[list[str]]) -> list[list]:
     proc = subprocess.run(
         [sys.executable, "-c", RUNNER, src],
         input=json.dumps(argvs),
+        env=dict(os.environ, COLUMNS="80"),  # help text wraps to it
         capture_output=True,
         text=True,
         check=False,
