@@ -213,12 +213,10 @@ def compute_character_table(group: FiniteGroup, seed: int = DEFAULT_SEED) -> Cha
 
 
 def _min_gap(eigenvalues: np.ndarray) -> float:
-    # a single eigenvalue is trivially separated
-    gap = math.inf
-    for i in range(len(eigenvalues)):
-        for j in range(i + 1, len(eigenvalues)):
-            gap = min(gap, abs(eigenvalues[i] - eigenvalues[j]))
-    return gap
+    # the infinite diagonal leaves a single eigenvalue trivially separated
+    gaps = np.abs(eigenvalues[:, None] - eigenvalues)
+    np.fill_diagonal(gaps, math.inf)
+    return float(gaps.min())
 
 
 def _row_sort_key(row: np.ndarray):

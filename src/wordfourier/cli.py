@@ -131,9 +131,12 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool) -> None:
         parser.add_argument("--group", help=f"built-in group: {', '.join(BUILTIN_NAMES)}")
         parser.add_argument("--group-file", help="multiplication-table file")
         parser.add_argument("--table-file", help="character-table file")
-        parser.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
-        parser.add_argument("--tol", type=_tolerance, default=1e-6)
-        parser.add_argument("--seed", type=_count, default=0)
+        parser.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
+                            help="enumeration cap, in assignments (default: %(default)s)")
+        parser.add_argument("--tol", type=_tolerance, default=1e-6,
+                            help="--verify and exact-column tolerance (default: %(default)s)")
+        parser.add_argument("--seed", type=_count, default=0,
+                            help="seed for a computed character table (default: %(default)s)")
 
 
 @functools.cache  # one parser per process: parse_args keeps no state between calls

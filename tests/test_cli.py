@@ -426,6 +426,11 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    def test_help_names_the_budget_and_tol_defaults(self, capsys):
+        code, out, _ = run(capsys, "expand", "--help")
+        assert code == 0
+        assert "10000000" in out and "1e-06" in out
+
     def test_repeated_alphabet_name_is_a_usage_error(self, capsys):
         for argv in (
             ("expand", "[x,y]", "--group", "S3", "--alphabet", "x,y,x"),

@@ -5,6 +5,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordfourier import (
     FiniteGroup,
@@ -73,15 +75,59 @@ class TestClosure:
             group_from_generators([(0, 0, 1)])
 
 
+def xor_loop() -> np.ndarray:
+    """Z2^8 under XOR with the intercalate at rows 1, 7 and columns 2, 4
+    switched: a loop of order 256 with 4048 non-associative triples."""
+    elems = np.arange(256)
+    table = elems[:, None] ^ elems
+    table[np.ix_([1, 7], [2, 4])] = table[np.ix_([1, 7], [4, 2])]
+    return table
+
+
+def switch_intercalates(table: np.ndarray, picks) -> np.ndarray:
+    """``table`` with, for each pick (r, c1, c2), the intercalate at row r and
+    columns c1, c2 switched where one is there (a 2x2 Latin subsquare whose
+    other row holds table[r, c2] in column c1); the result is a Latin square."""
+    table = np.array(table)
+    n = len(table)
+    for r, c1, c2 in picks:
+        r, c1, c2 = r % n, c1 % n, c2 % n
+        r2 = int(np.argmax(table[:, c1] == table[r, c2]))
+        if c1 != c2 and table[r2, c2] == table[r, c1]:
+            table[np.ix_([r, r2], [c1, c2])] = table[np.ix_([r, r2], [c2, c1])]
+    return table
+
+
+SMALL_BUILTINS = tuple(name for name in builtin_names() if builtin_group(name).order <= 10)
+
+
 class TestValidation:
     def test_non_latin_table(self):
-        with pytest.raises(GroupValidationError):
-            FiniteGroup(np.zeros((2, 2), dtype=int))
+        for table, message in (
+            (np.zeros((2, 2), dtype=int), "row 0 is not a permutation"),
+            # row 1 and column 1 are both bad: the row is named
+            ([[0, 1, 2], [1, 1, 0], [2, 0, 0]], "row 1 is not a permutation"),
+            ([[0, 1, 2], [1, 2, 0], [0, 1, 2]], "column 0 is not a permutation"),
+        ):
+            with pytest.raises(GroupValidationError, match=message):
+                FiniteGroup(np.array(table))
 
     def test_no_identity(self):
         # subtraction mod 3: a latin square without a two-sided identity
         table = [[(a - b) % 3 for b in range(3)] for a in range(3)]
         with pytest.raises(GroupValidationError, match="identity"):
+            FiniteGroup(np.array(table))
+
+    def test_one_sided_inverse(self):
+        # order-5 loop: 2*3 = 0 but 3*2 = 1
+        table = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 3, 4, 0, 1],
+            [3, 4, 1, 2, 0],
+            [4, 2, 0, 1, 3],
+        ]
+        with pytest.raises(GroupValidationError, match="element 2 has no two-sided inverse"):
             FiniteGroup(np.array(table))
 
     def test_non_associative_loop_rejected(self):
@@ -93,8 +139,24 @@ class TestValidation:
             [3, 2, 4, 0, 1],
             [4, 3, 1, 2, 0],
         ]
-        with pytest.raises(GroupValidationError, match="associative"):
-            FiniteGroup(np.array(table))
+        for loop in (table, xor_loop()):
+            with pytest.raises(GroupValidationError, match="^multiplication is not associative$"):
+                FiniteGroup(np.array(loop))
+
+    @given(
+        name=st.sampled_from(SMALL_BUILTINS),
+        picks=st.lists(st.tuples(*[st.integers(0, 9)] * 3), max_size=3),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_accepts_exactly_the_associative_latin_squares(self, name, picks):
+        # an associative Latin square is a group, so the n^3 cube decides
+        table = switch_intercalates(builtin_group(name).mul, picks)
+        try:
+            FiniteGroup(table)
+            accepted = True
+        except GroupValidationError:
+            accepted = False
+        assert accepted == np.array_equal(table[table], table[:, table])
 
     def test_tables_are_read_only(self):
         group = build_builtin("S3")

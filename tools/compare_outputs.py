@@ -19,10 +19,12 @@ process, the same list of ``main(argv)`` calls:
   ``--budget``, so its error names that budget (``BUDGET_RUN``);
 * ``expand`` runs that fail to load a group or a character table: an
   unknown ``--group``, ``--group`` with ``--group-file``, a missing, a
-  badly headed and an out-of-range ``.grp``, a ``.chtab`` whose classes
-  are not the group's, and ``.chtab`` files with a NaN or an infinite
-  value, all written once from the shipped S3 data into one temporary
-  directory that both trees read;
+  badly headed and an out-of-range ``.grp``, a loop of order 256 that is
+  not associative, a loop of order 5 with a one-sided inverse, a
+  ``.chtab`` whose classes are not the group's, and ``.chtab`` files with
+  a NaN or an infinite value; and ``expand --verify`` on S3xS3 from a
+  ``.grp``, whose character table is computed.  All are written once from
+  the shipped S3 data into one temporary directory that both trees read;
 * ``reduce`` runs that fail to parse their word or ``--alphabet``
   (``WORD_ERRORS``);
 
@@ -111,8 +113,8 @@ def corpus() -> tuple:
 
 
 def error_runs(tmp: Path) -> list[list[str]]:
-    """``expand`` runs that fail to load a group or table, on files written
-    into ``tmp`` from the shipped S3 data."""
+    """``expand`` runs on group and table files written into ``tmp`` from
+    the shipped S3 data; all but the S3xS3 run fail to load one."""
     data = ROOT / "src" / "wordfourier" / "data"
     grp = (data / "groups" / "S3.grp").read_text(encoding="ascii").splitlines()
     chtab = (data / "tables" / "S3.chtab").read_text(encoding="ascii").splitlines()
@@ -123,10 +125,29 @@ def error_runs(tmp: Path) -> list[list[str]]:
         row[cell] = value + "+0.000000000000000i"
         return [*chtab[:4], " ".join(row), *chtab[5:]]
 
+    def group_lines(name: str, table: list[list[int]]) -> list[str]:
+        return [f"group {name} order {len(table)}", *(" ".join(map(str, row)) for row in table)]
+
+    s3 = [[int(x) for x in row.split()] for row in grp[1:]]
+    # (a, b) is 6a + b, and (a, b)(c, d) = (ac, bd)
+    s3xs3 = [[6 * s3[a][c] + s3[b][d] for c in range(6) for d in range(6)]
+             for a in range(6) for b in range(6)]
+    # Z2^8 under XOR with the intercalate at rows 1, 7 and columns 2, 4 switched
+    xor_loop = [[g ^ h for h in range(256)] for g in range(256)]
+    for row in (1, 7):
+        xor_loop[row][2], xor_loop[row][4] = xor_loop[row][4], xor_loop[row][2]
+    # 2*3 = 0 but 3*2 = 1
+    one_sided = [
+        [0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]
+    ]
+
     files = {
         "S3.grp": grp,
         "bad-header.grp": ["grp S3 order 6", *grp[1:]],
         "past-int64.grp": [grp[0], grp[1].rsplit(" ", 1)[0] + " " + "9" * 23, *grp[2:]],
+        "S3xS3.grp": group_lines("S3xS3", s3xs3),
+        "loop-256.grp": group_lines("loop256", xor_loop),
+        "one-sided-inverse.grp": group_lines("loop5", one_sided),
         "S3.chtab": chtab,
         "nan-class-1.chtab": with_value(1, "+nan"),
         "nan-class-2.chtab": with_value(2, "+nan"),
@@ -142,6 +163,9 @@ def error_runs(tmp: Path) -> list[list[str]]:
         ["expand", "[x,y]", *group_file("missing.grp")],
         ["expand", "[x,y]", *group_file("bad-header.grp")],
         ["expand", "[x,y]", *group_file("past-int64.grp")],
+        ["expand", "[x,y]", *group_file("loop-256.grp")],
+        ["expand", "[x,y]", *group_file("one-sided-inverse.grp")],
+        ["expand", "[x,y]", *group_file("S3xS3.grp"), "--verify"],
         ["expand", "[x,y]", "--group", "Z3", "--table-file", str(tmp / "S3.chtab")],
         ["expand", "[x,y]", *table_file("nan-class-1.chtab")],
         ["expand", "[x,y]", *table_file("nan-class-2.chtab")],
