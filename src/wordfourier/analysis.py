@@ -10,9 +10,10 @@ This module owns that case split.  :func:`occurrences` scans a word once
 and :func:`kind` classifies one generator from the scan, through
 :func:`tally_kind`, which decides from the occurrence count and the sum of
 the signs alone.  The reduction rules read :func:`occurrences` and
-:func:`kind`, :func:`reduction.normalize` keeps a table of counts and sign
-sums and reads :func:`tally_kind`, and :func:`classify` builds the
-per-generator profile the CLI prints.
+:func:`kind`, :func:`reduction.normalize` classifies its input's
+generators once through :func:`tally_kind` and tracks the changes from
+there, and :func:`classify` builds the per-generator profile the CLI
+prints.
 
 Classification concerns the freely reduced word, so :func:`classify`
 reduces its input defensively and records whether that changed anything.

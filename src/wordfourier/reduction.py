@@ -33,19 +33,24 @@ unread segment index.
 Which rule applies to a generator is decided by :mod:`analysis`
 (:func:`analysis.kind` over its occurrence scan, which reads
 :func:`analysis.tally_kind`).  The rule functions read that scan.
-:func:`normalize` instead keeps one table of each generator's occurrence
-count and sign sum, and a square step updates it only for the letters it
-changes, so each step does work linear in the word.  A square step keeps
-the word its splice built, and a trace step's detail is rendered when it is
-first read: ``reduce`` prints every intermediate word, so its output grows
-with the square of the word length, while ``expand`` and ``genus`` never
-render the trace.
+:func:`normalize` instead classifies each generator once, and then keeps
+the occurrence counts and one bitset per kind.  A square step splices
+through the inverse word: with w^-1 kept beside the letters, w1*w2^-1*w3
+and its inverse are each one slice assignment, and so are the per-letter
+tokens (x, x^-1) the trace is rendered from.  The kinds change only for
+the generators with one letter between the two y, and for those of the
+pairs that cancel, so each step does work linear in the word.  A square
+step keeps its letters and tokens, and a trace step's detail is rendered
+when it is first read, a square step's with one join: ``reduce`` prints
+every intermediate word, so its output grows with the square of the word
+length, while ``expand`` and ``genus`` never render the trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .analysis import (
     ABSENT,
@@ -58,7 +63,7 @@ from .analysis import (
     tally_kind,
 )
 from .errors import ReductionError
-from .words import Alphabet, Word, _word, free_reduce
+from .words import Alphabet, Word, _render, _spell, _word, free_reduce
 
 # exponent delta of one square step: one factor |G|/chi(1)*FS
 _SQUARE_DELTA = (1, 1, 1)
@@ -84,6 +89,18 @@ class TraceStep:
         da, db, ds = self.delta
         gen = f" {self.generator}" if self.generator else ""
         return f"{self.rule}{gen}: delta(a,b,s)=({da},{db},{ds}) -> {self.detail}"
+
+
+class _Spelled(NamedTuple):
+    """A word as its letters and their tokens (see :func:`words._render`);
+    the detail of a square step."""
+
+    letters: tuple
+    names: tuple[str, ...]
+    tokens: tuple[str, ...]
+
+    def __str__(self) -> str:
+        return _render(self.tokens, self.letters, self.names)
 
 
 @dataclass(frozen=True)
@@ -291,27 +308,51 @@ def split_dismissible(word: Word) -> SplitDecomposition:
     )
 
 
-def _join(left: tuple, right: tuple) -> tuple[tuple, list[int]]:
-    """left*right with the inverse pairs at the seam cancelled, and the
-    generator of each cancelled pair.  Freely reduced when both sides are."""
-    k = 0
-    most = min(len(left), len(right))
-    while k < most and left[-1 - k][0] == right[k][0] and left[-1 - k][1] != right[k][1]:
-        k += 1
-    return left[: len(left) - k] + right[k:], [g for g, _ in right[:k]]
+def _lowest(bits: int) -> int:
+    """The smallest generator in a bitset (bit g set for generator g)."""
+    return (bits & -bits).bit_length() - 1
 
 
-def _splice(letters: tuple, p1: int, p2: int) -> tuple[tuple, list[int]]:
-    """The square rule on letters: w1*y*w2*y*w3, y at positions p1 < p2,
-    becomes w1*w2^-1*w3, cancelled at the two joins.
+def _inverse(letters) -> list:
+    return [(g, -s) for g, s in reversed(letters)]
 
-    Returns the letters and the generator of each pair that cancelled.  The
-    result is freely reduced when ``letters`` is.
+
+def _square_cut(letters, back, p1: int, p2: int) -> tuple[int, int, int, int]:
+    """Where the square rule cuts w1*y*w2*y*w3, y at positions p1 < p2 and
+    ``back`` the inverse word, so that w1*w2^-1*w3 has its inverse pairs
+    cancelled at the two joins (it is freely reduced when ``letters`` is).
+
+    Returns (i, lo, hi, q): the kept letters are w1 = letters[:i], w2 =
+    letters[lo:hi] and w3 = letters[q:], and letters[i:p1] and
+    letters[p1 + 1 : lo] hold one letter of each cancelled pair.
     """
-    middle = tuple((g, -s) for g, s in reversed(letters[p1 + 1 : p2]))
-    head, first = _join(letters[:p1], middle)
-    spliced, second = _join(head, letters[p2 + 1 :])
-    return spliced, first + second
+    n = len(letters)
+    i, hi = p1, p2
+    # w1 against w2^-1: a pair cancels where w1 and w2 end in the same letter
+    while i and hi > p1 + 1 and letters[i - 1] == letters[hi - 1]:
+        i -= 1
+        hi -= 1
+    # w2^-1 against w3: a pair cancels where w2 and w3 start with the same letter
+    lo, q = p1 + 1, p2 + 1
+    while lo < hi and q < n and letters[lo] == letters[q]:
+        lo += 1
+        q += 1
+    if lo == hi:  # w2 is gone: w1 against w3
+        while i and q < n and back[n - i] == letters[q]:
+            i -= 1
+            q += 1
+    return i, lo, hi, q
+
+
+def _splice(word: list, back: list, cut: tuple[int, int, int, int]) -> None:
+    """Apply the cut of :func:`_square_cut` in place to a per-letter list
+    of w and the same list of w^-1, ``back``: they become w1*w2^-1*w3 and
+    its inverse w3^-1*w2*w1^-1, one slice assignment each."""
+    i, lo, hi, q = cut
+    n = len(word)
+    middle = word[lo:hi]
+    word[i:q] = back[n - hi : n - lo]
+    back[n - q : n - i] = middle
 
 
 def square_reduce(word: Word, generator: str) -> tuple[Word, tuple[int, int, int]]:
@@ -327,8 +368,9 @@ def square_reduce(word: Word, generator: str) -> tuple[Word, tuple[int, int, int
     if kind(occ) != SQUARE:
         raise ReductionError(f"generator {generator!r} is not a square in {word}")
     (p1, _), (p2, _) = occ
-    spliced, _ = _splice(word.letters, p1, p2)
-    residual = _drop_generators(_word(word.alphabet, spliced), (generator,))
+    letters, back = list(word.letters), _inverse(word.letters)
+    _splice(letters, back, _square_cut(letters, back, p1, p2))
+    residual = _drop_generators(_word(word.alphabet, tuple(letters)), (generator,))
     return free_reduce(residual), _SQUARE_DELTA
 
 
@@ -378,16 +420,26 @@ def normalize(word: Word) -> ReducedForm:
     letter, eliminate squares exhaustively, then split all dismissible
     letters at once.
 
-    The loop keeps the letters in the input's generator indexing and one
-    table of each generator's occurrence count and sign sum.  A square
-    step (the splice :func:`square_reduce` applies) changes the table only
-    for the generator it removes, the middle segment whose signs flip and
-    the pairs that cancel at the two joins, so each step does work linear
-    in the word and no rescan.  A square step's trace entry is the word its
-    splice built, over the input's alphabet.  The alphabet is restricted
-    once, when the loop ends; the single and split cases are then
-    :func:`eliminate_single` and :func:`form_from_split` on that word, with
-    the loop's steps prepended to the trace.
+    The loop keeps the letters in the input's generator indexing, each
+    generator's occurrence count, and one bitset per kind, classified once
+    from the counts and sign sums.  The first square step builds the
+    inverse word w^-1 beside the letters, and the per-letter tokens of
+    both.  Each square step (the splice :func:`square_reduce` applies)
+    then cuts w1*y*w2*y*w3 where the pairs at the two joins cancel, and
+    makes w1*w2^-1*w3 and its inverse w3^-1*w2*w1^-1 by one slice
+    assignment each, from w and w^-1; the tokens are spliced the same way.
+    A generator occurring twice switches between square and dismissible
+    exactly when one of its letters lies between the two y, so one pass
+    over the generators there updates the bitsets, and only the
+    generators of cancelled pairs are reclassified from their counts.  So
+    each step does work linear in the word, and apart from the cancelled
+    pairs, that pass is its only Python loop over letters.  A square
+    step's trace entry keeps the letters and tokens its splice built, over
+    the input's alphabet, and renders them with one join when first read.
+    The alphabet is restricted once, when the loop ends; the single and
+    split cases are then :func:`eliminate_single` and
+    :func:`form_from_split` on that word, with the loop's steps prepended
+    to the trace.
     """
     alphabet = word.alphabet
     names = alphabet.names
@@ -402,18 +454,20 @@ def normalize(word: Word) -> ReducedForm:
     for g, s in letters:
         count[g] += 1
         sign_sum[g] += s
-    kind_of = [tally_kind(c, s) for c, s in zip(count, sign_sum)]
-    by_kind: dict[str, set[int]] = {
-        k: set() for k in (ABSENT, SINGLE, SQUARE, DISMISSIBLE, GENERAL)
-    }
-    for g, k in enumerate(kind_of):
-        by_kind[k].add(g)
+    # one bitset per kind: bit g is set when generator g is of that kind
+    kinds = dict.fromkeys((ABSENT, SINGLE, SQUARE, DISMISSIBLE, GENERAL), 0)
+    for g, (c, s) in enumerate(zip(count, sign_sum)):
+        kinds[tally_kind(c, s)] |= 1 << g
+    absent, single, square, dismissible = (
+        kinds[k] for k in (ABSENT, SINGLE, SQUARE, DISMISSIBLE)
+    )
     removed: set[int] = set()
+    back = None  # the inverse word, built with the tokens on the first square step
 
     while True:
-        if by_kind[ABSENT]:
-            dropped = sorted(by_kind[ABSENT])
-            by_kind[ABSENT].clear()
+        if absent:
+            dropped = [g for g in range(absent.bit_length()) if absent >> g & 1]
+            absent = 0
             removed.update(dropped)
             kept = Alphabet(tuple(n for g, n in enumerate(names) if g not in removed))
             trace.append(
@@ -426,37 +480,61 @@ def normalize(word: Word) -> ReducedForm:
                 )
             )
             continue
-        if by_kind[SINGLE] or not by_kind[SQUARE]:
+        if single or not square:
             break
-        g = min(by_kind[SQUARE])
-        by_kind[SQUARE].remove(g)
+        if back is None:
+            back = _inverse(letters)
+            inverse = [name + "^-1" for name in names]
+            tokens = _spell(letters, names, inverse)
+            tokens_back = _spell(back, names, inverse)
+            gens = [h for h, _ in letters]  # each letter's generator
+            letters = list(letters)
+            bit = [1 << h for h in range(alphabet.rank)]
+        g = _lowest(square)
+        square ^= bit[g]
         removed.add(g)
-        s = sign_sum[g] // 2
-        p1 = letters.index((g, s))
-        p2 = letters.index((g, s), p1 + 1)
-        touched = set()
-        for h, t in letters[p1 + 1 : p2]:
-            sign_sum[h] -= 2 * t
-            touched.add(h)
-        letters, cancelled = _splice(letters, p1, p2)
+        p1 = gens.index(g)
+        p2 = gens.index(g, p1 + 1)
+        # the splice inverts the letters between the two y, so a generator
+        # occurring twice switches between square and dismissible when one
+        # of its letters lies in there: an odd number of them
+        odd = 0
+        for h in gens[p1 + 1 : p2]:
+            odd ^= bit[h]
+        switched = odd & (square | dismissible)
+        square ^= switched
+        dismissible ^= switched
+        cut = _square_cut(letters, back, p1, p2)
+        i, lo, hi, q = cut
+        cancelled = gens[i:p1] + gens[p1 + 1 : lo]  # one per cancelled pair
+        _splice(letters, back, cut)
+        _splice(tokens, tokens_back, cut)
+        gens[i:q] = gens[lo:hi][::-1]
+        # counts change only where pairs cancel
         for h in cancelled:
             count[h] -= 2
-        touched.update(cancelled)
-        for h in touched:
-            k = tally_kind(count[h], sign_sum[h])
-            if k != kind_of[h]:
-                by_kind[kind_of[h]].remove(h)
-                by_kind[k].add(h)
-                kind_of[h] = k
-        step = TraceStep("square", names[g], _SQUARE_DELTA, "{}", (_word(alphabet, letters),))
-        trace.append(step)
+        for h in set(cancelled):
+            square &= ~bit[h]
+            dismissible &= ~bit[h]
+            if count[h] == 0:
+                absent |= bit[h]
+            elif count[h] == 1:
+                single |= bit[h]
+            elif count[h] == 2:
+                p = gens.index(h)
+                if letters[p] == letters[gens.index(h, p + 1)]:
+                    square |= bit[h]
+                else:
+                    dismissible |= bit[h]
+        spelled = _Spelled(tuple(letters), names, tuple(tokens))
+        trace.append(TraceStep("square", names[g], _SQUARE_DELTA, "{}", (spelled,)))
 
-    current = _word(alphabet, letters)
+    current = _word(alphabet, tuple(letters))
     if removed:
         current = _drop_generators(current, (names[g] for g in removed))
-    if by_kind[SINGLE]:
-        form = eliminate_single(current, names[min(by_kind[SINGLE])])
-    elif by_kind[DISMISSIBLE]:
+    if single:
+        form = eliminate_single(current, names[_lowest(single)])
+    elif dismissible:
         form = form_from_split(split_dismissible(current))
     else:
         form = ReducedForm(
@@ -466,7 +544,14 @@ def normalize(word: Word) -> ReducedForm:
             trace=(),
             word=current,
         )
-    return replace(form, trace=tuple(trace) + form.trace, word=word)
+    return ReducedForm(
+        form.trivial_only,
+        form.residual_alphabet,
+        form.residual_words,
+        tuple(trace) + form.trace,
+        word,
+        form.split,
+    )
 
 
 def genus(word: Word) -> int:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import is_
 from typing import Iterable
 
 from .errors import WordSyntaxError
@@ -112,22 +114,38 @@ def _word(alphabet: Alphabet, letters: tuple[Letter, ...]) -> Word:
 
 def word_to_str(word: Word) -> str:
     """Render with "*" separators, collapsing runs into powers: x*y^-2."""
-    if not word.letters:
-        return "1"
     names = word.alphabet.names
-    parts = []
-    run, count = None, 0  # the letter repeated and how often so far
-    for letter in (*word.letters, None):  # None ends the last run
-        if letter == run:
-            count += 1
+    inverse = [name + "^-1" for name in names]
+    return _render(_spell(word.letters, names, inverse), word.letters, names)
+
+
+def _spell(letters, names: tuple[str, ...], inverse: list[str]) -> list[str]:
+    """Each letter's token: its generator's name, or the name's entry in
+    ``inverse`` (name^-1) for an inverse letter, so equal letters get the
+    same string object."""
+    return [names[g] if s > 0 else inverse[g] for g, s in letters]
+
+
+def _render(tokens, letters, names: tuple[str, ...]) -> str:
+    """The tokens of ``letters`` joined by "*", each run of one letter folded
+    into a power.  A run is found by identity, since equal letters share one
+    token object, and its power is read from its letters, not its tokens."""
+    if not tokens:
+        return "1"
+    parts: list[str] = []
+    done = 0  # tokens[:done] are in parts
+    # each start where tokens[start] and tokens[start + 1] are one letter
+    for start in compress(count(), map(is_, tokens, tokens[1:])):
+        if start < done:  # inside the run just folded
             continue
-        if run is not None:
-            g, s = run
-            if count == 1:
-                parts.append(names[g] if s > 0 else names[g] + "^-1")
-            else:
-                parts.append(f"{names[g]}^{s * count}")
-        run, count = letter, 1
+        end = start + 2
+        while end < len(tokens) and tokens[end] is tokens[start]:
+            end += 1
+        g, s = letters[start]
+        parts += tokens[done:start]
+        parts.append(f"{names[g]}^{s * (end - start)}")
+        done = end
+    parts += tokens[done:]
     return "*".join(parts)
 
 

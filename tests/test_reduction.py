@@ -29,6 +29,7 @@ from wordfourier.reduction import (
 
 from corpus import corpus_word, evaluate, split_tambour
 from group_builders import build_builtin
+from square_words import square_words
 
 INTRO_ALPHABET = Alphabet(("x1", "x2", "x3", "y1", "y2", "y3"))
 
@@ -278,6 +279,22 @@ class TestNormalize:
         assert "square" in text and "split" in text
         assert "delta(a,b,s)" in text
 
+    @pytest.mark.parametrize(
+        "text", ("{x,y}", "a*b*c*a*d*b*e*c*d*e*b*f*f", "a*x*b*y*x^-1*a*y*b")
+    )
+    def test_forms_and_steps_are_equal_by_value(self, text):
+        # two runs of normalize, on one word and on the word parsed again,
+        # give equal forms and equal trace steps with equal hashes, whether
+        # or not a detail has been rendered
+        word = parse_word(text)
+        forms = (normalize(word), normalize(word), normalize(parse_word(text)))
+        assert any(step.rule == "square" for step in forms[0].trace)
+        forms[1].trace[0].detail
+        for form in forms[1:]:
+            assert form == forms[0] and hash(form) == hash(forms[0])
+            for step, first in zip(form.trace, forms[0].trace, strict=True):
+                assert step == first and hash(step) == hash(first)
+
     def test_square_details_read_in_any_order(self):
         # each square step keeps its own word; reading backwards, or
         # skipping ahead, gives the details an in-order read gives
@@ -432,9 +449,7 @@ def reduction_words(draw):
     return Word(Alphabet(REFERENCE_NAMES[:rank]), tuple(letters))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(word=reduction_words())
-def test_normalize_equals_the_step_by_step_rebuild(word):
+def assert_normalize_equals_the_rebuild(word):
     form = normalize(word)
     steps, (alphabet, residual_words, split) = rebuild(word)
     assert [(s.rule, s.generator, s.delta, s.detail) for s in form.trace] == steps
@@ -444,3 +459,21 @@ def test_normalize_equals_the_step_by_step_rebuild(word):
     assert form.word == word
     a, b, c = (sum(delta[i] for _, _, delta, _ in steps) for i in range(3))
     assert (form.g_exponent, form.deg_exponent, form.fs_exponent) == (a - 1, b, c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(word=reduction_words())
+def test_normalize_equals_the_step_by_step_rebuild(word):
+    assert_normalize_equals_the_rebuild(word)
+
+
+SQUARE_WORDS = square_words()
+
+
+@pytest.mark.parametrize(
+    "text, names", SQUARE_WORDS, ids=[f"{text.count('*') + 1}-letters" for text, _ in SQUARE_WORDS]
+)
+def test_normalize_equals_the_rebuild_on_long_words(text, names):
+    # 100 to 400 letters: two-occurrence words, and cascades that cancel at
+    # both joins, drop general letters to two occurrences and build runs
+    assert_normalize_equals_the_rebuild(parse_word(text, Alphabet(names)))

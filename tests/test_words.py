@@ -1,5 +1,7 @@
 """Parser, free reduction, inversion, shifts, and word-map evaluation."""
 
+from itertools import groupby
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from wordfourier import (
     Word,
     WordSyntaxError,
     free_reduce,
+    normalize,
     parse_word,
     word_to_str,
 )
@@ -230,3 +233,77 @@ def test_word_to_str_round_trip():
     for text in ("1", "x^2*y^-3*x", "a*b*a^-1"):
         w = parse_word(text)
         assert word_to_str(parse_word(word_to_str(w), w.alphabet)) == word_to_str(w)
+
+
+def reference_str(word):
+    """word_to_str letter by letter: each run of one letter is one power."""
+    if not word.letters:
+        return "1"
+    names = word.alphabet.names
+    parts = []
+    for (g, s), run in groupby(word.letters):
+        count = len(list(run))
+        if count == 1:
+            parts.append(names[g] if s > 0 else names[g] + "^-1")
+        else:
+            parts.append(f"{names[g]}^{s * count}")
+    return "*".join(parts)
+
+
+class TestRender:
+    @pytest.mark.parametrize(
+        "letters, expected",
+        [
+            ((), "1"),
+            (((0, 1),), "x"),
+            (((0, -1),), "x^-1"),
+            (((0, 1),) * 5, "x^5"),  # one whole run
+            (((0, -1),) * 4, "x^-4"),
+            (((0, 1),) * 3 + ((1, -1),), "x^3*y^-1"),  # run at the start
+            (((1, 1), (0, -1), (0, -1), (0, -1)), "y*x^-3"),  # inverse run at the end
+            (((1, 1), (0, 1), (0, 1), (0, 1), (1, 1)), "y*x^3*y"),
+            (((0, 1), (0, -1), (0, 1)), "x*x^-1*x"),  # signs alternate: no run
+            (((0, 1),) * 2 + ((1, 1),) * 3 + ((0, -1),) * 2, "x^2*y^3*x^-2"),
+        ],
+    )
+    def test_runs_fold_into_powers(self, letters, expected):
+        word = Word(Alphabet(("x", "y")), letters)
+        assert word_to_str(word) == expected == reference_str(word)
+
+    def test_a_name_that_prefixes_another(self):
+        word = Word(Alphabet(("x1", "x11")), ((0, 1), (1, 1), (1, 1), (0, 1), (0, 1), (1, -1)))
+        assert word_to_str(word) == "x1*x11^2*x1^2*x11^-1"
+
+    def test_names_that_read_like_powers(self):
+        # an explicit alphabet may hold names with "^" in them; a run's power
+        # comes from its letters, and two letters whose tokens read alike
+        # are still two letters
+        alphabet = Alphabet(("x", "x^-1", "x^2"))
+        assert word_to_str(Word(alphabet, ((0, 1), (0, 1)))) == "x^2"
+        assert word_to_str(Word(alphabet, ((0, -1),) * 3)) == "x^-3"
+        assert word_to_str(Word(alphabet, ((0, -1), (1, 1)))) == "x^-1*x^-1"
+        assert word_to_str(Word(alphabet, ((1, 1), (1, 1), (2, -1)))) == "x^-1^2*x^2^-1"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_words_match_the_letter_by_letter_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        alphabet = Alphabet(("x1", "x11", "y", "y^2"))
+        letters = []
+        while len(letters) < 60:  # runs of one to four letters over the used names
+            letter = (int(rng.integers(3)), int(rng.choice((1, -1))))
+            letters += [letter] * int(rng.integers(1, 5))
+        word = Word(alphabet, tuple(letters))
+        assert word_to_str(word) == reference_str(word)
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("x*y*x^-1*y", "x^2"),  # w1*w2^-1 = x*x
+            ("y*x*y*x^-1", "x^-2"),  # w2^-1*w3 = x^-1*x^-1
+            ("x*x*y*x^-1*y", "x^3"),  # the seam extends a run
+            ("x^-1*y*z*x*y*z", "x^-2"),  # x^-1*x^-1 once z^-1*z cancels
+        ],
+    )
+    def test_a_square_splice_makes_a_run_at_a_seam(self, text, detail):
+        step = normalize(parse_word(text)).trace[0]
+        assert (step.rule, step.generator, step.detail) == ("square", "y", detail)

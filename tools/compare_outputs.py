@@ -27,6 +27,11 @@ process, the same list of ``main(argv)`` calls:
   the shipped S3 data into one temporary directory that both trees read;
 * ``reduce`` runs that fail to parse their word or ``--alphabet``
   (``WORD_ERRORS``);
+* ``reduce`` on long words that no workload query takes
+  (``REDUCE_RUNS``): the two-occurrence and general-letter cascade words
+  of ``tools/square_words.py`` (100 to 400 letters, runs in the intermediate
+  words, an ``--alphabet`` with unused names that contain "^"), and short
+  words whose square step makes a run at a splice join;
 
 each once with ``--format json`` and once with ``--format human``; and
 ``--help`` of the top-level parser and of each of the five subcommands
@@ -48,6 +53,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from square_words import square_words
+
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 FORMATS = ("json", "human")
@@ -61,6 +68,13 @@ WORD_ERRORS = (
     ["reduce", "x^2\u00b2"],
     ["reduce", "ab", "--alphabet", "a,c"],
     ["reduce", "x", "--alphabet", "x,x"],
+)
+
+# square steps that make a run at a splice join, over an alphabet with power-like names
+SEAM_RUNS = ("x*y*x^-1*y", "y*x*y*x^-1", "x*x*y*x^-1*y", "x^-1*y*z*x*y*z")
+REDUCE_RUNS = (
+    *(["reduce", text, "--alphabet", ",".join(names)] for text, names in square_words()),
+    *(["reduce", text, "--alphabet", "x,y,z,x^-1,x^2"] for text in SEAM_RUNS),
 )
 
 # 24^6 oracle assignments, past the default budget of 10^7
@@ -192,6 +206,7 @@ def runs(tmp: Path) -> list[list[str]]:
     base.append(BUDGET_RUN)
     base.extend(error_runs(tmp))
     base.extend(WORD_ERRORS)
+    base.extend(REDUCE_RUNS)
     out = []
     for argv in base:
         if "--format" in argv:
