@@ -16,13 +16,11 @@ from .reduction import (
     ReducedForm,
     SplitDecomposition,
     closed_form_str,
-    eliminate_single,
     format_trace,
     genus,
     normalize,
     prefactor_str,
     split_dismissible,
-    square_reduce,
 )
 from .words import (
     Alphabet,
@@ -84,7 +82,6 @@ __all__ = [
     "compute_character_table",
     "conjugacy_classes",
     "distribution",
-    "eliminate_single",
     "format_trace",
     "free_reduce",
     "fs_indicator",
@@ -98,7 +95,6 @@ __all__ = [
     "save_character_table",
     "save_group",
     "split_dismissible",
-    "square_reduce",
     "word_to_str",
 ]
 

@@ -9,11 +9,11 @@ pattern, is *general*; generators with no occurrence are *absent*.
 This module owns that case split.  :func:`occurrences` scans a word once
 and :func:`kind` classifies one generator from the scan, through
 :func:`tally_kind`, which decides from the occurrence count and the sum of
-the signs alone.  The reduction rules read :func:`occurrences` and
-:func:`kind`, :func:`reduction.normalize` classifies its input's
+the signs alone.  :func:`reduction.normalize` classifies its input's
 generators once through :func:`tally_kind` and tracks the changes from
-there, and :func:`classify` builds the per-generator profile the CLI
-prints.
+there, :func:`reduction.split_dismissible` reads :func:`occurrences` and
+:func:`kind`, and so does :func:`classify`, which builds the
+per-generator profile the CLI prints.
 
 Classification concerns the freely reduced word, so :func:`classify`
 reduces its input defensively and records whether that changed anything.
@@ -69,10 +69,6 @@ class GeneratorProfile:
     positions: tuple[int, ...]
     classification: str
 
-    @property
-    def total(self) -> int:
-        return self.positive_count + self.negative_count
-
 
 @dataclass(frozen=True)
 class OccurrenceProfile:
@@ -81,12 +77,6 @@ class OccurrenceProfile:
     word: Word  # the reduced word the profile describes
     generators: tuple[GeneratorProfile, ...]
     reduction_changed: bool  # input was not freely reduced
-
-    def by_name(self, name: str) -> GeneratorProfile:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise KeyError(f"unknown generator {name!r}")
 
 
 def classify(word: Word) -> OccurrenceProfile:

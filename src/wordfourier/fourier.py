@@ -52,10 +52,6 @@ class ClassFunction:
     classes: ConjugacyClasses
     values: np.ndarray  # one value per class
 
-    def total(self):
-        sizes = np.array(self.classes.sizes)
-        return (sizes * self.values).sum()
-
 
 _INT64_MAX = 2**63 - 1
 

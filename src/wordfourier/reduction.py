@@ -9,8 +9,8 @@ irreducible character chi in the distribution the original word induces::
 where FS is the Frobenius-Schur indicator of chi and W_1..W_r are the
 residual words over the residual alphabet.  The untouched word w starts at
 a = -1, b = s = 0 with residual (w,); each rule is one trace step whose
-delta is added to the exponents, so a form's (a, b, s) is (-1, 0, 0) plus
-the sum of its trace deltas:
+delta is added to the exponents, so a form's (a, b, s), which it stores,
+is (-1, 0, 0) plus the sum of its trace deltas:
 
 * dropping an unused generator adds 1 to a;
 * a generator occurring exactly once in a word of current rank d makes the
@@ -30,20 +30,21 @@ sigma.  Reading order: the cycle through segment 0 comes first and ends
 with the trailing segment; the remaining cycles start at their smallest
 unread segment index.
 
-Which rule applies to a generator is decided by :mod:`analysis`
-(:func:`analysis.kind` over its occurrence scan, which reads
-:func:`analysis.tally_kind`).  The rule functions read that scan.
-:func:`normalize` instead classifies each generator once, and then keeps
-the occurrence counts and one bitset per kind.  A square step splices
-through the inverse word: with w^-1 kept beside the letters, w1*w2^-1*w3
-and its inverse are each one slice assignment, and so are the per-letter
-tokens (x, x^-1) the trace is rendered from.  The kinds change only for
-the generators with one letter between the two y, and for those of the
-pairs that cancel, so each step does work linear in the word.  A square
-step keeps its letters and tokens, and a trace step's detail is rendered
-when it is first read, a square step's with one join: ``reduce`` prints
-every intermediate word, so its output grows with the square of the word
-length, while ``expand`` and ``genus`` never render the trace.
+Which rule applies to a generator is decided by
+:func:`analysis.tally_kind`, from its occurrence count and sign sum.
+:func:`normalize` is the only code that applies the unused, single and
+square rules: it classifies each generator once, and then keeps the
+occurrence counts and one bitset per kind.  :func:`split_dismissible`
+reads the occurrence scan of :func:`analysis.occurrences`.  A square step
+splices through the inverse word: with w^-1 kept beside the letters,
+w1*w2^-1*w3 and its inverse are each one slice assignment, and so are the
+per-letter tokens (x, x^-1) the trace is rendered from.  The kinds change
+only for the generators with one letter between the two y, and for those
+of the pairs that cancel, so each step does work linear in the word.  A
+square step keeps its letters and tokens, and a trace step's detail is
+rendered when it is first read, a square step's with one join: ``reduce``
+prints every intermediate word, so its output grows with the square of
+the word length, while ``expand`` and ``genus`` never render the trace.
 """
 
 from __future__ import annotations
@@ -135,22 +136,10 @@ class ReducedForm:
     residual_words: tuple[Word, ...]
     trace: tuple[TraceStep, ...]
     word: Word                            # original input
+    g_exponent: int                       # a
+    deg_exponent: int                     # b
+    fs_exponent: int                      # s
     split: SplitDecomposition | None = field(default=None, compare=False)
-
-    def _exponent(self, i: int) -> int:
-        return sum(step.delta[i] for step in self.trace)
-
-    @property
-    def g_exponent(self) -> int:
-        return self._exponent(0) - 1
-
-    @property
-    def deg_exponent(self) -> int:
-        return self._exponent(1)
-
-    @property
-    def fs_exponent(self) -> int:
-        return self._exponent(2)
 
     @property
     def residual_rank(self) -> int:
@@ -355,62 +344,30 @@ def _splice(word: list, back: list, cut: tuple[int, int, int, int]) -> None:
     back[n - q : n - i] = middle
 
 
-def square_reduce(word: Word, generator: str) -> tuple[Word, tuple[int, int, int]]:
-    """Remove one square letter: w1*y*w2*y*w3 becomes w1*w2^-1*w3.
-
-    A generator occurring twice negatively gives the same residual, since
-    sending it to its inverse preserves the distribution.  Returns the
-    freely reduced residual word over the alphabet without the generator,
-    and the exponent delta (1, 1, 1): one factor |G|/chi(1)*FS.
-    """
-    g = word.alphabet.index(generator)
-    occ = occurrences(word)[g]
-    if kind(occ) != SQUARE:
-        raise ReductionError(f"generator {generator!r} is not a square in {word}")
-    (p1, _), (p2, _) = occ
-    letters, back = list(word.letters), _inverse(word.letters)
-    _splice(letters, back, _square_cut(letters, back, p1, p2))
-    residual = _drop_generators(_word(word.alphabet, tuple(letters)), (generator,))
-    return free_reduce(residual), _SQUARE_DELTA
-
-
-def eliminate_single(word: Word, generator: str) -> ReducedForm:
-    """A generator occurring exactly once makes the word map uniform.
-
-    The distribution is the constant |G|^(d-1) for ambient rank d, i.e.
-    coefficient |G|^(d-1) on the trivial character and 0 elsewhere.
-    """
-    g = word.alphabet.index(generator)
-    if kind(occurrences(word)[g]) != SINGLE:
-        raise ReductionError(f"generator {generator!r} is not single in {word}")
-    rank = word.alphabet.rank
-    step = TraceStep("single", generator, (rank, 0, 0), "constant |G|^{}", (rank - 1,))
-    return ReducedForm(
-        trivial_only=True,
-        residual_alphabet=Alphabet(()),
-        residual_words=(),
-        trace=(step,),
-        word=word,
-    )
-
-
-def form_from_split(split: SplitDecomposition) -> ReducedForm:
-    """Claim obtained by eliminating the split's dismissible letters alone."""
+def _split_step(split: SplitDecomposition) -> TraceStep:
+    """The trace step of eliminating the split's dismissible letters."""
     words = ", ".join(f"W{i}={{}}" for i in range(1, split.r + 1))
     split_names = {name for name, _ in split.slots}
-    step = TraceStep(
+    return TraceStep(
         "split",
         ",".join(n for n in split.word.alphabet.names if n in split_names),
         (split.n, split.n, 0),
         "r={}: " + words,
         (split.r, *split.split_words),
     )
+
+
+def form_from_split(split: SplitDecomposition) -> ReducedForm:
+    """Claim obtained by eliminating the split's dismissible letters alone."""
     return ReducedForm(
         trivial_only=False,
         residual_alphabet=split.residual_alphabet,
         residual_words=split.split_words,
-        trace=(step,),
+        trace=(_split_step(split),),
         word=split.word,
+        g_exponent=split.n - 1,
+        deg_exponent=split.n,
+        fs_exponent=0,
         split=split,
     )
 
@@ -424,10 +381,10 @@ def normalize(word: Word) -> ReducedForm:
     generator's occurrence count, and one bitset per kind, classified once
     from the counts and sign sums.  The first square step builds the
     inverse word w^-1 beside the letters, and the per-letter tokens of
-    both.  Each square step (the splice :func:`square_reduce` applies)
-    then cuts w1*y*w2*y*w3 where the pairs at the two joins cancel, and
-    makes w1*w2^-1*w3 and its inverse w3^-1*w2*w1^-1 by one slice
-    assignment each, from w and w^-1; the tokens are spliced the same way.
+    both.  Each square step then cuts w1*y*w2*y*w3 where the pairs at
+    the two joins cancel, and makes w1*w2^-1*w3 and its inverse
+    w3^-1*w2*w1^-1 by one slice assignment each, from w and w^-1; the
+    tokens are spliced the same way.
     A generator occurring twice switches between square and dismissible
     exactly when one of its letters lies between the two y, so one pass
     over the generators there updates the bitsets, and only the
@@ -436,10 +393,11 @@ def normalize(word: Word) -> ReducedForm:
     pairs, that pass is its only Python loop over letters.  A square
     step's trace entry keeps the letters and tokens its splice built, over
     the input's alphabet, and renders them with one join when first read.
-    The alphabet is restricted once, when the loop ends; the single and
-    split cases are then :func:`eliminate_single` and
-    :func:`form_from_split` on that word, with the loop's steps prepended
-    to the trace.
+    When the loop ends, a single letter adds one step with the rank that
+    is left, and the form has no residual words.  Otherwise the alphabet
+    is restricted once, and the dismissible letters of that word are split
+    as :func:`form_from_split` splits them.  The exponents are counted on
+    the way, and the form is built once.
     """
     alphabet = word.alphabet
     names = alphabet.names
@@ -462,6 +420,7 @@ def normalize(word: Word) -> ReducedForm:
         kinds[k] for k in (ABSENT, SINGLE, SQUARE, DISMISSIBLE)
     )
     removed: set[int] = set()
+    squares = 0  # square steps taken
     back = None  # the inverse word, built with the tokens on the first square step
 
     while True:
@@ -528,29 +487,42 @@ def normalize(word: Word) -> ReducedForm:
                     dismissible |= bit[h]
         spelled = _Spelled(tuple(letters), names, tuple(tokens))
         trace.append(TraceStep("square", names[g], _SQUARE_DELTA, "{}", (spelled,)))
+        squares += 1
 
-    current = _word(alphabet, tuple(letters))
-    if removed:
-        current = _drop_generators(current, (names[g] for g in removed))
+    # each removed generator, absent or a square, added 1 to a
+    a, b = len(removed) - 1, squares
+    split = None
     if single:
-        form = eliminate_single(current, names[_lowest(single)])
-    elif dismissible:
-        form = form_from_split(split_dismissible(current))
-    else:
-        form = ReducedForm(
-            trivial_only=False,
-            residual_alphabet=current.alphabet,
-            residual_words=(current,),
-            trace=(),
-            word=current,
+        # the word map is uniform: |G|^(rank-1) on the trivial character
+        rank = alphabet.rank - len(removed)
+        generator = names[_lowest(single)]
+        trace.append(
+            TraceStep("single", generator, (rank, 0, 0), "constant |G|^{}", (rank - 1,))
         )
+        a += rank
+        residual_alphabet, residual_words = Alphabet(()), ()
+    else:
+        current = _word(alphabet, tuple(letters))
+        if removed:
+            current = _drop_generators(current, (names[g] for g in removed))
+        if dismissible:
+            split = split_dismissible(current)
+            trace.append(_split_step(split))
+            a += split.n
+            b += split.n
+            residual_alphabet, residual_words = split.residual_alphabet, split.split_words
+        else:
+            residual_alphabet, residual_words = current.alphabet, (current,)
     return ReducedForm(
-        form.trivial_only,
-        form.residual_alphabet,
-        form.residual_words,
-        tuple(trace) + form.trace,
-        word,
-        form.split,
+        trivial_only=bool(single),
+        residual_alphabet=residual_alphabet,
+        residual_words=residual_words,
+        trace=tuple(trace),
+        word=word,
+        g_exponent=a,
+        deg_exponent=b,
+        fs_exponent=squares,
+        split=split,
     )
 
 

@@ -115,8 +115,12 @@ def _word(alphabet: Alphabet, letters: tuple[Letter, ...]) -> Word:
 def word_to_str(word: Word) -> str:
     """Render with "*" separators, collapsing runs into powers: x*y^-2."""
     names = word.alphabet.names
-    inverse = [name + "^-1" for name in names]
-    return _render(_spell(word.letters, names, inverse), word.letters, names)
+    inverse: dict[int, str] = {}  # one name^-1 per generator read inverted
+    tokens = [
+        names[g] if s > 0 else inverse.get(g) or inverse.setdefault(g, names[g] + "^-1")
+        for g, s in word.letters
+    ]
+    return _render(tokens, word.letters, names)
 
 
 def _spell(letters, names: tuple[str, ...], inverse: list[str]) -> list[str]:

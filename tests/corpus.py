@@ -5,9 +5,10 @@ letters, cascades where one rule creates work for another, and words with
 general letters that survive into the residual alphabet.  Oracle
 distributions are cached per (word, group) because several suites compare
 against the same brute-force counts; built-in groups and tables are shared
-by the library itself.  The word moves the tests apply (``invert``,
-``cyclic_shift``, ``concat``) live here, and ``evaluate``, like
-``python_distribution``, multiplies letter by letter without the kernels.
+by the library itself, and ``class_total`` sums a distribution over the
+group.  The word moves the tests apply (``invert``, ``cyclic_shift``,
+``concat``) live here, and ``evaluate``, like ``python_distribution``,
+multiplies letter by letter without the kernels.
 """
 
 from itertools import product
@@ -114,6 +115,13 @@ def python_distribution(word, group):
             acc = int(group.mul[acc, x])
         counts[acc] += 1
     return counts
+
+
+def class_total(function):
+    """Sum of a class function over the group: each class's value times
+    the class size (for a distribution, every assignment it counts)."""
+    sizes = function.classes.sizes
+    return sum(size * int(value) for size, value in zip(sizes, function.values))
 
 
 def invert(word):

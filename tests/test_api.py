@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "compute_character_table",
     "conjugacy_classes",
     "distribution",
-    "eliminate_single",
     "format_trace",
     "free_reduce",
     "fs_indicator",
@@ -43,7 +42,6 @@ PUBLIC_NAMES = [
     "save_character_table",
     "save_group",
     "split_dismissible",
-    "square_reduce",
     "word_to_str",
 ]
 

@@ -1,4 +1,8 @@
-"""Split decomposition, square elimination, the pipeline, and genus."""
+"""Split decomposition, the pipeline, its step-by-step reference, and genus.
+
+The reference (:func:`rebuild`) applies the unused, single and square
+rules on its own, by plain slicing, and ``normalize`` must agree with it
+step by step."""
 
 import numpy as np
 import pytest
@@ -14,22 +18,15 @@ from wordfourier import (
     normalize,
     parse_word,
     split_dismissible,
-    square_reduce,
     word_to_str,
 )
 from wordfourier.analysis import ABSENT, DISMISSIBLE, SINGLE, SQUARE, kind, occurrences
 from wordfourier.groups import conjugacy_classes
-from wordfourier.reduction import (
-    _drop_generators,
-    eliminate_single,
-    form_from_split,
-    format_trace,
-    prefactor_str,
-)
+from wordfourier.reduction import form_from_split, format_trace, prefactor_str
 
 from corpus import corpus_word, evaluate, split_tambour
 from group_builders import build_builtin
-from square_words import square_words
+from square_words import SINGLE_AFTER_SQUARE, UNUSED_NAMES, square_words
 
 INTRO_ALPHABET = Alphabet(("x1", "x2", "x3", "y1", "y2", "y3"))
 
@@ -163,52 +160,6 @@ class TestSplit:
             assert classes.class_of[product] == classes.class_of[direct]
 
 
-class TestSquare:
-    def test_plain_square_collapses(self):
-        residual, delta = square_reduce(parse_word("x*x"), "x")
-        assert residual.letters == () and residual.alphabet.rank == 0
-        assert delta == (1, 1, 1)
-
-    def test_brace_reduces_to_inverse_square(self):
-        residual, _ = square_reduce(parse_word("{x,y}"), "x")
-        assert word_to_str(residual) == "y^-2"
-
-    def test_negative_square_uses_inversion(self):
-        residual, _ = square_reduce(parse_word("x^-1*y*x^-1"), "x")
-        assert word_to_str(residual) == "y^-1"
-
-    def test_middle_segment_is_inverted(self):
-        w = parse_word("a*x*b*c*x*d", Alphabet(("a", "b", "c", "d", "x")))
-        residual, _ = square_reduce(w, "x")
-        assert word_to_str(residual) == "a*c^-1*b^-1*d"
-
-    def test_mixed_pattern_turns_other_square(self):
-        # w1 x w2 y w3 x^-1 w4 y w5: removing y leaves x twice positive
-        w = parse_word("a*x*b*y*x^-1*a*y*b", Alphabet(("a", "b", "x", "y")))
-        residual, _ = square_reduce(w, "y")
-        signs = [s for g, s in residual.letters if residual.alphabet.names[g] == "x"]
-        assert signs == [1, 1]
-
-    def test_not_a_square(self):
-        with pytest.raises(ReductionError, match="not a square"):
-            square_reduce(parse_word("[x,y]"), "x")
-
-
-class TestEliminateSingle:
-    def test_rank_one(self):
-        form = eliminate_single(parse_word("x"), "x")
-        assert form.trivial_only and form.g_exponent == 0
-
-    @pytest.mark.parametrize("names, exponent", [(("x", "y"), 1), (("x", "y", "z"), 2)])
-    def test_ambient_rank_matters(self, names, exponent):
-        form = eliminate_single(parse_word("xy", Alphabet(names)), "x")
-        assert form.g_exponent == exponent
-
-    def test_not_single(self):
-        with pytest.raises(ReductionError, match="not single"):
-            eliminate_single(parse_word("x^2"), "x")
-
-
 class TestNormalize:
     @pytest.mark.parametrize("k", (1, 2))
     def test_commutator_products(self, k):
@@ -280,7 +231,8 @@ class TestNormalize:
         assert "delta(a,b,s)" in text
 
     @pytest.mark.parametrize(
-        "text", ("{x,y}", "a*b*c*a*d*b*e*c*d*e*b*f*f", "a*x*b*y*x^-1*a*y*b")
+        "text",
+        ("{x,y}", "a*b*c*a*d*b*e*c*d*e*b*f*f", "a*x*b*y*x^-1*a*y*b", "a*y*a*y*a^-1*b^3"),
     )
     def test_forms_and_steps_are_equal_by_value(self, text):
         # two runs of normalize, on one word and on the word parsed again,
@@ -391,9 +343,44 @@ class TestPrefactorDisplay:
         assert closed_form_str(normalize(parse_word("x"))) is None
 
 
+def drop(word, names):
+    """The word over its alphabet without ``names``, which it must not use."""
+    alphabet = word.alphabet.without(names)
+    index = [alphabet.names.index(n) if n in alphabet.names else None for n in word.alphabet]
+    return Word(alphabet, tuple((index[g], s) for g, s in word.letters))
+
+
+def square_reduce(word, generator):
+    """The square rule by plain slicing: w1*y*w2*y*w3 becomes w1*w2^-1*w3,
+    over the alphabet without y and freely reduced; returned with the
+    exponent delta (1, 1, 1), one factor |G|/chi(1)*FS.  A y occurring
+    twice negatively gives the same word, since sending y to its inverse
+    keeps the distribution."""
+    g = word.alphabet.index(generator)
+    occ = occurrences(word)[g]
+    if kind(occ) != SQUARE:
+        raise ReductionError(f"generator {generator!r} is not a square in {word}")
+    (p1, _), (p2, _) = occ
+    letters = word.letters
+    middle = tuple((h, -s) for h, s in reversed(letters[p1 + 1 : p2]))
+    spliced = Word(word.alphabet, letters[:p1] + middle + letters[p2 + 1 :])
+    return free_reduce(drop(spliced, (generator,))), (1, 1, 1)
+
+
+def eliminate_single(word, generator):
+    """The single rule's step (rule, generator, delta, detail): a generator
+    occurring once makes the word map uniform, the constant |G|^(d-1) for
+    ambient rank d, so the claim is |G|^(d-1) on the trivial character."""
+    if kind(occurrences(word)[word.alphabet.index(generator)]) != SINGLE:
+        raise ReductionError(f"generator {generator!r} is not single in {word}")
+    rank = word.alphabet.rank
+    return ("single", generator, (rank, 0, 0), f"constant |G|^{rank - 1}")
+
+
 def rebuild(word):
-    """normalize, one public rule at a time: the (rule, generator, delta,
-    detail) of each step, and the residual alphabet, words and split."""
+    """normalize one rule at a time, with the unused, single and square
+    rules above: the (rule, generator, delta, detail) of each step, and
+    the residual alphabet, words and split."""
     steps = []
     current = free_reduce(word)
     if current.letters != word.letters:
@@ -403,23 +390,69 @@ def rebuild(word):
         names = {k: [n for n, got in zip(current.alphabet.names, kinds) if got == k]
                  for k in (ABSENT, SINGLE, SQUARE, DISMISSIBLE)}
         if names[ABSENT]:
-            current = _drop_generators(current, names[ABSENT])
+            current = drop(current, names[ABSENT])
             dropped = ",".join(names[ABSENT])
             delta = (len(names[ABSENT]), 0, 0)
             steps.append(("absent", dropped, delta, f"alphabet {current.alphabet}"))
         elif names[SINGLE]:
-            form = eliminate_single(current, names[SINGLE][0])
-            break
+            steps.append(eliminate_single(current, names[SINGLE][0]))
+            return steps, (Alphabet(()), (), None)
         elif names[SQUARE]:
             current, delta = square_reduce(current, names[SQUARE][0])
             steps.append(("square", names[SQUARE][0], delta, word_to_str(current)))
         elif names[DISMISSIBLE]:
             form = form_from_split(split_dismissible(current))
-            break
+            steps += [(step.rule, step.generator, step.delta, step.detail) for step in form.trace]
+            return steps, (form.residual_alphabet, form.residual_words, form.split)
         else:
             return steps, (current.alphabet, (current,), None)
-    steps += [(step.rule, step.generator, step.delta, step.detail) for step in form.trace]
-    return steps, (form.residual_alphabet, form.residual_words, form.split)
+
+
+class TestSquare:
+    def test_plain_square_collapses(self):
+        residual, delta = square_reduce(parse_word("x*x"), "x")
+        assert residual.letters == () and residual.alphabet.rank == 0
+        assert delta == (1, 1, 1)
+
+    def test_brace_reduces_to_inverse_square(self):
+        residual, _ = square_reduce(parse_word("{x,y}"), "x")
+        assert word_to_str(residual) == "y^-2"
+
+    def test_negative_square_uses_inversion(self):
+        residual, _ = square_reduce(parse_word("x^-1*y*x^-1"), "x")
+        assert word_to_str(residual) == "y^-1"
+
+    def test_middle_segment_is_inverted(self):
+        w = parse_word("a*x*b*c*x*d", Alphabet(("a", "b", "c", "d", "x")))
+        residual, _ = square_reduce(w, "x")
+        assert word_to_str(residual) == "a*c^-1*b^-1*d"
+
+    def test_mixed_pattern_turns_other_square(self):
+        # w1 x w2 y w3 x^-1 w4 y w5: removing y leaves x twice positive
+        w = parse_word("a*x*b*y*x^-1*a*y*b", Alphabet(("a", "b", "x", "y")))
+        residual, _ = square_reduce(w, "y")
+        signs = [s for g, s in residual.letters if residual.alphabet.names[g] == "x"]
+        assert signs == [1, 1]
+
+    def test_not_a_square(self):
+        with pytest.raises(ReductionError, match="not a square"):
+            square_reduce(parse_word("[x,y]"), "x")
+
+
+class TestEliminateSingle:
+    def test_rank_one(self):
+        step = eliminate_single(parse_word("x"), "x")
+        assert step == ("single", "x", (1, 0, 0), "constant |G|^0")
+
+    @pytest.mark.parametrize("names, exponent", [(("x", "y"), 1), (("x", "y", "z"), 2)])
+    def test_ambient_rank_matters(self, names, exponent):
+        _, _, (a, b, s), detail = eliminate_single(parse_word("xy", Alphabet(names)), "x")
+        assert (a - 1, b, s) == (exponent, 0, 0)
+        assert detail == f"constant |G|^{exponent}"
+
+    def test_not_single(self):
+        with pytest.raises(ReductionError, match="not single"):
+            eliminate_single(parse_word("x^2"), "x")
 
 
 REFERENCE_NAMES = ("a", "b", "c", "d", "e", "y")
@@ -453,6 +486,7 @@ def assert_normalize_equals_the_rebuild(word):
     form = normalize(word)
     steps, (alphabet, residual_words, split) = rebuild(word)
     assert [(s.rule, s.generator, s.delta, s.detail) for s in form.trace] == steps
+    assert form.trivial_only == (bool(steps) and steps[-1][0] == "single")
     assert form.residual_alphabet == alphabet
     assert form.residual_words == residual_words
     assert form.split == split
@@ -477,3 +511,18 @@ def test_normalize_equals_the_rebuild_on_long_words(text, names):
     # 100 to 400 letters: two-occurrence words, and cascades that cancel at
     # both joins, drop general letters to two occurrences and build runs
     assert_normalize_equals_the_rebuild(parse_word(text, Alphabet(names)))
+
+
+@pytest.mark.parametrize("unused", ((), UNUSED_NAMES), ids=("inferred", "unused-names"))
+@pytest.mark.parametrize(
+    "text, names", SINGLE_AFTER_SQUARE, ids=[text for text, _ in SINGLE_AFTER_SQUARE]
+)
+def test_single_after_a_square_step_matches_the_rebuild(text, names, unused):
+    # a generator occurring three times keeps one letter once a square step
+    # cancels a pair of its letters at a splice join
+    word = parse_word(text, Alphabet(names + unused) if unused else None)
+    assert word.alphabet.names[: len(names)] == names
+    assert SINGLE not in [kind(occ) for occ in occurrences(word)]
+    rules = [step.rule for step in normalize(word).trace]
+    assert rules[-1] == "single" and "square" in rules
+    assert_normalize_equals_the_rebuild(word)

@@ -32,6 +32,11 @@ process, the same list of ``main(argv)`` calls:
   of ``tools/square_words.py`` (100 to 400 letters, runs in the intermediate
   words, an ``--alphabet`` with unused names that contain "^"), and short
   words whose square step makes a run at a splice join;
+* ``reduce``, ``genus`` (a "single letter" error) and ``expand --verify``
+  over S3 on the words of ``SINGLE_AFTER_SQUARE`` in
+  ``tools/square_words.py``, where the single rule fires only after a
+  square step, over the alphabet they infer and with unused names added
+  (``SINGLE_RUNS``);
 
 each once with ``--format json`` and once with ``--format human``; and
 ``--help`` of the top-level parser and of each of the five subcommands
@@ -53,7 +58,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from square_words import square_words
+from square_words import SINGLE_AFTER_SQUARE, UNUSED_NAMES, square_words
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
@@ -75,6 +80,13 @@ SEAM_RUNS = ("x*y*x^-1*y", "y*x*y*x^-1", "x*x*y*x^-1*y", "x^-1*y*z*x*y*z")
 REDUCE_RUNS = (
     *(["reduce", text, "--alphabet", ",".join(names)] for text, names in square_words()),
     *(["reduce", text, "--alphabet", "x,y,z,x^-1,x^2"] for text in SEAM_RUNS),
+)
+# a square step leaves a generator with one letter
+SINGLE_RUNS = tuple(
+    [command, text, *alphabet, *options]
+    for text, names in SINGLE_AFTER_SQUARE
+    for alphabet in ([], ["--alphabet", ",".join(names + UNUSED_NAMES)])
+    for command, *options in (["reduce"], ["genus"], ["expand", "--group", "S3", "--verify"])
 )
 
 # 24^6 oracle assignments, past the default budget of 10^7
@@ -207,6 +219,7 @@ def runs(tmp: Path) -> list[list[str]]:
     base.extend(error_runs(tmp))
     base.extend(WORD_ERRORS)
     base.extend(REDUCE_RUNS)
+    base.extend(SINGLE_RUNS)
     out = []
     for argv in base:
         if "--format" in argv:

@@ -17,6 +17,10 @@ on them.  Nothing here imports the package.
 The alphabet lists the y first, so each block's square goes before any
 other, and ends with names that no letter uses, some of them with "^" in
 them.
+
+:data:`SINGLE_AFTER_SQUARE` holds short words in which a generator occurs
+three times, and a square step cancels one pair of its letters at a
+splice join: the single rule fires only after the square rule.
 """
 
 from __future__ import annotations
@@ -27,6 +31,18 @@ import random
 UNUSED_NAMES = ("x^-1", "y0^2", "unused")
 
 Letters = list[tuple[str, int]]
+
+# (text, the alphabet it infers); the square y goes first in each
+SINGLE_AFTER_SQUARE = (
+    # w1 and w2 end in a
+    ("a*y*a*y*a^-1*b^3", ("a", "y", "b")),
+    # w2 and w3 start with a, and b is left a square
+    ("y*a*b^2*y*a*c^3*a", ("y", "a", "b", "c")),
+    # w2 is empty, and w1 and w3 meet at x*x^-1
+    ("x*b*x*y^2*x^-1*b^2", ("x", "b", "y")),
+    # w2 is empty, and c cancels out too: it is dropped before x is single
+    ("x*b*x*c*y^2*c^-1*x^-1*b^2", ("x", "b", "c", "y")),
+)
 
 
 def text(letters: Letters) -> str:
