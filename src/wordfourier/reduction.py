@@ -128,18 +128,26 @@ class SplitDecomposition:
 class ReducedForm:
     """Symbolic prefactor plus residual word tuple (see module docstring).
 
-    The exponents (a, b, s) are (-1, 0, 0) plus the sum of the trace deltas.
+    The exponents (a, b, s) are worked out from the trace when the form is
+    built: (-1, 0, 0) plus the sum of the trace deltas.
     """
 
     trivial_only: bool
     residual_alphabet: Alphabet
     residual_words: tuple[Word, ...]
     trace: tuple[TraceStep, ...]
-    word: Word                            # original input
-    g_exponent: int                       # a
-    deg_exponent: int                     # b
-    fs_exponent: int                      # s
+    word: Word                                  # original input
+    g_exponent: int = field(init=False)         # a
+    deg_exponent: int = field(init=False)       # b
+    fs_exponent: int = field(init=False)        # s
     split: SplitDecomposition | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        deltas = [step.delta for step in self.trace]
+        a, b, s = map(sum, zip((-1, 0, 0), *deltas))
+        object.__setattr__(self, "g_exponent", a)
+        object.__setattr__(self, "deg_exponent", b)
+        object.__setattr__(self, "fs_exponent", s)
 
     @property
     def residual_rank(self) -> int:
@@ -357,21 +365,6 @@ def _split_step(split: SplitDecomposition) -> TraceStep:
     )
 
 
-def form_from_split(split: SplitDecomposition) -> ReducedForm:
-    """Claim obtained by eliminating the split's dismissible letters alone."""
-    return ReducedForm(
-        trivial_only=False,
-        residual_alphabet=split.residual_alphabet,
-        residual_words=split.split_words,
-        trace=(_split_step(split),),
-        word=split.word,
-        g_exponent=split.n - 1,
-        deg_exponent=split.n,
-        fs_exponent=0,
-        split=split,
-    )
-
-
 def normalize(word: Word) -> ReducedForm:
     """Run the full pipeline: reduce, drop unused letters, stop at a single
     letter, eliminate squares exhaustively, then split all dismissible
@@ -396,8 +389,7 @@ def normalize(word: Word) -> ReducedForm:
     When the loop ends, a single letter adds one step with the rank that
     is left, and the form has no residual words.  Otherwise the alphabet
     is restricted once, and the dismissible letters of that word are split
-    as :func:`form_from_split` splits them.  The exponents are counted on
-    the way, and the form is built once.
+    by :func:`split_dismissible`.  The form is built once, at the end.
     """
     alphabet = word.alphabet
     names = alphabet.names
@@ -420,7 +412,6 @@ def normalize(word: Word) -> ReducedForm:
         kinds[k] for k in (ABSENT, SINGLE, SQUARE, DISMISSIBLE)
     )
     removed: set[int] = set()
-    squares = 0  # square steps taken
     back = None  # the inverse word, built with the tokens on the first square step
 
     while True:
@@ -443,7 +434,7 @@ def normalize(word: Word) -> ReducedForm:
             break
         if back is None:
             back = _inverse(letters)
-            inverse = [name + "^-1" for name in names]
+            inverse: dict[int, str] = {}  # shared, so w and w^-1 share tokens
             tokens = _spell(letters, names, inverse)
             tokens_back = _spell(back, names, inverse)
             gens = [h for h, _ in letters]  # each letter's generator
@@ -487,10 +478,7 @@ def normalize(word: Word) -> ReducedForm:
                     dismissible |= bit[h]
         spelled = _Spelled(tuple(letters), names, tuple(tokens))
         trace.append(TraceStep("square", names[g], _SQUARE_DELTA, "{}", (spelled,)))
-        squares += 1
 
-    # each removed generator, absent or a square, added 1 to a
-    a, b = len(removed) - 1, squares
     split = None
     if single:
         # the word map is uniform: |G|^(rank-1) on the trivial character
@@ -499,7 +487,6 @@ def normalize(word: Word) -> ReducedForm:
         trace.append(
             TraceStep("single", generator, (rank, 0, 0), "constant |G|^{}", (rank - 1,))
         )
-        a += rank
         residual_alphabet, residual_words = Alphabet(()), ()
     else:
         current = _word(alphabet, tuple(letters))
@@ -508,8 +495,6 @@ def normalize(word: Word) -> ReducedForm:
         if dismissible:
             split = split_dismissible(current)
             trace.append(_split_step(split))
-            a += split.n
-            b += split.n
             residual_alphabet, residual_words = split.residual_alphabet, split.split_words
         else:
             residual_alphabet, residual_words = current.alphabet, (current,)
@@ -519,9 +504,6 @@ def normalize(word: Word) -> ReducedForm:
         residual_words=residual_words,
         trace=tuple(trace),
         word=word,
-        g_exponent=a,
-        deg_exponent=b,
-        fs_exponent=squares,
         split=split,
     )
 

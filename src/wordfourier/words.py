@@ -115,19 +115,18 @@ def _word(alphabet: Alphabet, letters: tuple[Letter, ...]) -> Word:
 def word_to_str(word: Word) -> str:
     """Render with "*" separators, collapsing runs into powers: x*y^-2."""
     names = word.alphabet.names
-    inverse: dict[int, str] = {}  # one name^-1 per generator read inverted
-    tokens = [
+    return _render(_spell(word.letters, names, {}), word.letters, names)
+
+
+def _spell(letters, names: tuple[str, ...], inverse: dict[int, str]) -> list[str]:
+    """Each letter's token: its generator's name, or for an inverse letter
+    name^-1, made once per generator and kept in ``inverse``, so equal
+    letters get the same string object, also across calls sharing
+    ``inverse``."""
+    return [
         names[g] if s > 0 else inverse.get(g) or inverse.setdefault(g, names[g] + "^-1")
-        for g, s in word.letters
+        for g, s in letters
     ]
-    return _render(tokens, word.letters, names)
-
-
-def _spell(letters, names: tuple[str, ...], inverse: list[str]) -> list[str]:
-    """Each letter's token: its generator's name, or the name's entry in
-    ``inverse`` (name^-1) for an inverse letter, so equal letters get the
-    same string object."""
-    return [names[g] if s > 0 else inverse[g] for g, s in letters]
 
 
 def _render(tokens, letters, names: tuple[str, ...]) -> str:

@@ -5,15 +5,17 @@ letters, cascades where one rule creates work for another, and words with
 general letters that survive into the residual alphabet.  Oracle
 distributions are cached per (word, group) because several suites compare
 against the same brute-force counts; built-in groups and tables are shared
-by the library itself, and ``class_total`` sums a distribution over the
-group.  The word moves the tests apply (``invert``, ``cyclic_shift``,
-``concat``) live here, and ``evaluate``, like ``python_distribution``,
-multiplies letter by letter without the kernels.
+by the library itself, ``class_total`` sums a distribution over the
+group, and ``form_from_split`` is the claim of a split alone.  The word
+moves the tests apply (``invert``, ``cyclic_shift``, ``concat``) live
+here, and ``evaluate``, like ``python_distribution``, multiplies letter
+by letter without the kernels.
 """
 
 from itertools import product
 
 from wordfourier import (
+    ReducedForm,
     builtin_group,
     builtin_table,
     distribution,
@@ -21,6 +23,7 @@ from wordfourier import (
     parse_word,
     project,
 )
+from wordfourier.reduction import _split_step
 from wordfourier.words import Alphabet, Word
 
 ORDERS = {
@@ -115,6 +118,19 @@ def python_distribution(word, group):
             acc = int(group.mul[acc, x])
         counts[acc] += 1
     return counts
+
+
+def form_from_split(split):
+    """Claim obtained by eliminating the split's dismissible letters alone,
+    with the split step :func:`normalize` records."""
+    return ReducedForm(
+        trivial_only=False,
+        residual_alphabet=split.residual_alphabet,
+        residual_words=split.split_words,
+        trace=(_split_step(split),),
+        word=split.word,
+        split=split,
+    )
 
 
 def class_total(function):

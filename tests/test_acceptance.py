@@ -19,13 +19,13 @@ from wordfourier import (
     split_dismissible,
 )
 from wordfourier.chartable import ORTHOGONALITY_TOL
-from wordfourier.reduction import form_from_split
 
 from closed_forms import nested_commutator_coeff, quartic_pair_coeff
 from corpus import (
     class_total,
     concat,
     corpus_word,
+    form_from_split,
     group_and_table,
     invert,
     master_pairs,

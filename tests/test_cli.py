@@ -21,9 +21,8 @@ from wordfourier import (
     split_dismissible,
 )
 from wordfourier.cli import main
-from wordfourier.reduction import form_from_split
 
-from corpus import group_and_table
+from corpus import form_from_split, group_and_table
 
 
 def run(capsys, *argv):

@@ -19,7 +19,6 @@ from wordfourier import (
 )
 from wordfourier.errors import FloatRangeError
 from wordfourier.fourier import divisors, rational_annotation
-from wordfourier.reduction import form_from_split
 
 from closed_forms import (
     commutator_with_fresh,
@@ -34,6 +33,7 @@ from corpus import (
     ORDERS,
     corpus_word,
     cyclic_shift,
+    form_from_split,
     group_and_table,
     invert,
     master_pairs,

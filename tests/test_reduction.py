@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from wordfourier import (
     Alphabet,
+    ReducedForm,
     ReductionError,
     Word,
     free_reduce,
@@ -22,9 +23,9 @@ from wordfourier import (
 )
 from wordfourier.analysis import ABSENT, DISMISSIBLE, SINGLE, SQUARE, kind, occurrences
 from wordfourier.groups import conjugacy_classes
-from wordfourier.reduction import form_from_split, format_trace, prefactor_str
+from wordfourier.reduction import format_trace, prefactor_str
 
-from corpus import corpus_word, evaluate, split_tambour
+from corpus import corpus_word, evaluate, form_from_split, split_tambour
 from group_builders import build_builtin
 from square_words import SINGLE_AFTER_SQUARE, UNUSED_NAMES, square_words
 
@@ -246,6 +247,23 @@ class TestNormalize:
             assert form == forms[0] and hash(form) == hash(forms[0])
             for step, first in zip(form.trace, forms[0].trace, strict=True):
                 assert step == first and hash(step) == hash(first)
+
+    def test_exponents_are_read_from_the_trace(self):
+        # a form works (a, b, s) out from its trace; the constructor takes
+        # no exponents, so none can disagree with the trace
+        form = normalize(intro_word())
+        fields = {
+            name: getattr(form, name)
+            for name in ("trivial_only", "residual_alphabet", "residual_words", "word")
+        }
+        rebuilt = ReducedForm(trace=form.trace, split=form.split, **fields)
+        assert rebuilt == form
+        assert (form.g_exponent, form.deg_exponent, form.fs_exponent) == (3, 4, 3)
+        shorter = ReducedForm(trace=form.trace[:-1], **fields)
+        assert (shorter.g_exponent, shorter.deg_exponent, shorter.fs_exponent) == (2, 3, 3)
+        assert shorter != form
+        with pytest.raises(TypeError):
+            ReducedForm(trace=form.trace, g_exponent=0, **fields)
 
     def test_square_details_read_in_any_order(self):
         # each square step keeps its own word; reading backwards, or
