@@ -20,16 +20,21 @@ and both make the same walk, ``_orbit_walk``, and the same exact tally,
   ``_FIBER_CELLS``.
 * Orbits.  Every summand depends only on the conjugacy classes of the
   words' values, and those do not change when all generators are
-  conjugated by one element (summing z out keeps this).  So the first two
-  generators to appear run over one pair (x, y) per orbit of G on pairs
-  (``ConjugacyClasses.pair_orbits``): x over the class representatives, y
-  over the orbits of x's centraliser, and each row is weighted by its
-  orbit size |G|/|C(x) ∩ C(y)|.  A lone generator runs over the class
-  representatives, weighted by class size.
+  conjugated by one element (summing z out keeps this).  So the first d
+  generators to appear run over one tuple per orbit of G on G^d
+  (``ConjugacyClasses.orbit_rows(d)``), each row weighted by its orbit
+  size: d = 1 is the class representatives, weighted by class size, d = 2
+  one pair (x, y) per orbit, y over the orbits of x's centraliser, and
+  d = 3 one triple per orbit, the third entry over the orbits of
+  C(x) ∩ C(y).  ``_orbit_depth`` takes d = 3 for three or more walked
+  generators when the triple table is smaller than the pair table times
+  |G| (never for an abelian group, where both have |G|^3 rows) and has at
+  most ``_TRIPLE_ROWS`` rows; otherwise d is 2, or 1 for a lone generator.
 * Prefix sharing.  The other generators, in order of first appearance,
   are kept as broadcast axes, so a letter is evaluated over the generators
   seen so far and costs only the size of that prefix.  The leading ones
-  are enumerated per row in mixed-radix order (the pair most significant);
+  are enumerated per row in mixed-radix order (the orbit row most
+  significant);
   as many trailing ones as fit in ``_CHUNK`` cells are whole axes of |G|,
   and a chunk takes as many rows as keep it near ``_CHUNK`` cells.
 
@@ -56,6 +61,10 @@ _CHUNK = 1 << 16
 _DENSE = 1 << 16
 # largest fiber table, |G|^2 x k cells
 _FIBER_CELLS = 1 << 20
+# largest orbit table on triples a walk builds, in rows: S4's, the largest
+# built-in one, has 681, while a group file's class data, and so its
+# tables, are built again on every query
+_TRIPLE_ROWS = 1024
 
 
 def active_backend() -> str:
@@ -93,17 +102,32 @@ def _fiber_split(group, word_letter_lists, classes):
     return segments, (letters[i][1], letters[j][1])
 
 
+def _orbit_depth(classes, walked: int) -> int:
+    """How many of ``walked`` generators run over orbit rows: all of them
+    up to two, and three when the triple table has fewer rows than the
+    pair table times |G| and at most ``_TRIPLE_ROWS``.  Depth d has
+    sum |C(x)|^(d-1) rows over the class representatives x, so this reads
+    the centraliser sizes alone and builds nothing."""
+    if walked < 3:
+        return walked
+    pairs = sum(classes.centralizer_sizes)
+    triples = sum(c * c for c in classes.centralizer_sizes)
+    return 3 if triples < pairs * classes.group.order and triples <= _TRIPLE_ROWS else 2
+
+
 def walked_assignments(group, word_letter_lists, classes) -> int:
-    """Rows ``_joint_tally`` walks for these words: P*|G|^(p-2) for p >= 2
-    walked generators and P pair orbits, k for one, or 0 when none is
-    present and nothing is walked.  The walked generators are the present
-    ones, less the one a fiber table sums out (``_fiber_split``), so a
-    fiber walk covers P*|G|^(p-3) rows for p >= 3 present generators."""
+    """Rows ``_joint_tally`` walks for these words: R*|G|^(p-d) for p
+    walked generators, of which the first d = ``_orbit_depth`` run over
+    R = sum |C(x)|^(d-1) orbit rows, or 0 when none is present and nothing
+    is walked.  The walked generators are the present ones, less the one a
+    fiber table sums out (``_fiber_split``)."""
     fiber = _fiber_split(group, word_letter_lists, classes)
     walked = len(_present_generators(fiber[0] if fiber else word_letter_lists))
-    if walked < 2:
-        return len(classes) * walked
-    return len(classes.pair_orbits()[2]) * group.order ** (walked - 2)
+    if not walked:
+        return 0
+    depth = _orbit_depth(classes, walked)
+    rows = sum(c ** (depth - 1) for c in classes.centralizer_sizes)
+    return rows * group.order ** (walked - depth)
 
 
 def _orbit_walk(group, word_letter_lists, classes):
@@ -116,11 +140,8 @@ def _orbit_walk(group, word_letter_lists, classes):
     """
     order, mul, inv = group.order, group.mul, group.inv
     present = _present_generators(word_letter_lists)
-    if len(present) == 1:
-        heads = (np.asarray(classes.representatives, dtype=np.int64),)
-        weights = np.asarray(classes.sizes, dtype=np.int64)
-    else:
-        *heads, weights = classes.pair_orbits()
+    inverted = {g for letters in word_letter_lists for g, e in letters if e < 0}
+    *heads, weights = classes.orbit_rows(_orbit_depth(classes, len(present)))
     # the head generators are row digits; later ones may be whole axes
     inner = 0
     while inner < len(present) - len(heads) and order ** (inner + 1) <= _CHUNK:
@@ -129,11 +150,16 @@ def _orbit_walk(group, word_letter_lists, classes):
     ndim = 1 + inner
 
     letter_values = {}
+
+    def assign(g, x):  # the letters of g; g^-1 only where a word reads it
+        letter_values[g, 1] = x
+        if g in inverted:
+            letter_values[g, -1] = inv[x]
+
     for axis, g in enumerate(present[len(present) - inner:], start=1):
         shape = [1] * ndim
         shape[axis] = order
-        x = np.arange(order, dtype=np.int64).reshape(shape)
-        letter_values[g, 1], letter_values[g, -1] = x, inv[x]
+        assign(g, np.arange(order, dtype=np.int64).reshape(shape))
 
     column = (-1,) + (1,) * inner
     heads = [head.reshape(column) for head in heads]
@@ -145,10 +171,10 @@ def _orbit_walk(group, word_letter_lists, classes):
         if free:  # mixed-radix digits of the chunk's assignments, row first
             row, rest = np.divmod(np.arange(start, stop, dtype=np.int64), order**free)
             digits = [(rest // order**i % order).reshape(column) for i in range(free - 1, -1, -1)]
-        else:  # the chunk's rows are a range of the pair or class table
+        else:  # the chunk's rows are a range of the orbit table
             row, digits = slice(start, stop), []
         for g, x in zip(present, [head[row] for head in heads] + digits):
-            letter_values[g, 1], letter_values[g, -1] = x, inv[x]
+            assign(g, x)
         values = []
         for letters in word_letter_lists:
             # an empty word is the identity; any other starts at its first letter
@@ -241,9 +267,16 @@ def split_character_sum(group, word_letter_lists, rank, classes, chibar) -> np.n
     ``chibar`` is a (characters x classes) array of class-function values.
     """
     chibar = np.asarray(chibar, dtype=np.complex128)
+    present = _present_generators(word_letter_lists)
+    scale = float(group.order ** (rank - len(present)))
+    if not present:  # the one empty assignment: every word at the identity class
+        column = chibar[:, classes.identity_class]
+        prod = column if word_letter_lists else np.ones_like(column)
+        for _ in word_letter_lists[1:]:
+            prod = prod * column
+        return (prod + 0.0) * scale  # + 0.0 makes a -0.0 part +0.0, as @ does below
     tuples, counts = _joint_tally(group, word_letter_lists, classes)
-    scale = float(group.order ** (rank - len(_present_generators(word_letter_lists))))
-    prod = chibar[:, tuples[0]] if len(tuples) else np.ones_like(chibar[:, :1])
+    prod = chibar[:, tuples[0]]
     for found in tuples[1:]:
         prod = prod * chibar[:, found]
     return prod @ counts * scale

@@ -3,8 +3,9 @@
 Values are complex floating point; every table is validated when it is
 built against row and column orthogonality (tolerance 1e-9) and the degree
 identity, and every row's Frobenius-Schur indicator must lie within
-``FS_TOL`` of -1, 0 or +1.  The table keeps the indicators and the index of
-its trivial row, so users read them without checking again.
+``FS_TOL`` of -1, 0 or +1.  The table keeps the indicators, the index of
+its trivial row, the conjugate values and each row's (degree, indicator)
+as Python ints, so users read them without checking or building again.
 Tables are computed by simultaneously diagonalizing the class-sum
 multiplication matrices of the group's class algebra: a random real linear
 combination of those matrices has the character-column vectors as
@@ -37,7 +38,8 @@ class CharacterTable:
     """Rows are irreducible characters, columns are conjugacy classes."""
 
     __slots__ = (
-        "group", "classes", "values", "degrees", "meta", "indicators", "trivial_index"
+        "group", "classes", "values", "degrees", "meta", "indicators", "trivial_index",
+        "conjugates", "degree_fs",
     )
 
     def __init__(
@@ -93,8 +95,9 @@ class CharacterTable:
         if not trivial.size:
             raise TableValidationError("no trivial character row")
 
-        values.setflags(write=False)
-        degrees.setflags(write=False)
+        conjugates = np.conj(values)
+        for array in (values, degrees, conjugates):
+            array.setflags(write=False)
         for attr, value in (
             ("group", group),
             ("classes", classes),
@@ -103,6 +106,8 @@ class CharacterTable:
             ("meta", MappingProxyType(dict(meta or {}))),
             ("indicators", tuple(indicators)),
             ("trivial_index", int(trivial[0])),
+            ("conjugates", conjugates),
+            ("degree_fs", tuple(zip(degrees.tolist(), indicators))),
         ):
             object.__setattr__(self, attr, value)
 

@@ -57,7 +57,6 @@ def _numeric() -> None:
     from .chartable import (
         builtin_table,
         compute_character_table,
-        fs_indicator,
         load_character_table,
     )
     from .fourier import (
@@ -140,35 +139,55 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool) -> None:
 
 
 @functools.cache  # one parser per process: parse_args keeps no state between calls
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="wordfourier",
         description="Fourier expansion of word-map distributions on finite groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("classify", help="occurrence profile per generator")
+    p = commands["classify"] = sub.add_parser("classify", help="occurrence profile per generator")
     _add_common(p, with_group=False)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("reduce", help="reduction pipeline: trace, split data, prefactor")
+    p = commands["reduce"] = sub.add_parser(
+        "reduce", help="reduction pipeline: trace, split data, prefactor"
+    )
     _add_common(p, with_group=False)
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("expand", help="Fourier coefficients per character")
+    p = commands["expand"] = sub.add_parser("expand", help="Fourier coefficients per character")
     _add_common(p, with_group=True)
     p.add_argument("--verify", action="store_true", help="compare against the oracle")
     p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("bench", help="oracle vs formula evaluation counts and times")
+    p = commands["bench"] = sub.add_parser(
+        "bench", help="oracle vs formula evaluation counts and times"
+    )
     _add_common(p, with_group=True)
     p.add_argument("--csv", help="write the comparison rows to a CSV file")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("genus", help="n, r and genus of an admissible word")
+    p = commands["genus"] = sub.add_parser("genus", help="n, r and genus of an admissible word")
     _add_common(p, with_group=False)
     p.set_defaults(func=cmd_genus)
-    return parser
+    return parser, commands
+
+
+def _parse_args(argv):
+    """Parse with the subcommand's own parser when argv[0] names one and
+    nothing is left over; otherwise with the whole parser, whose errors
+    and help are the ones every other argv gets."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return parser.parse_args(argv)
 
 
 def _parse_word_arg(args) -> "Word":
@@ -324,18 +343,18 @@ def _expand_rows(form, group, table, args, verify: bool):
     oracle = None
     if verify:
         dist = distribution(form.word, group, classes=table.classes, budget=args.budget)
-        oracle = project(dist, table)
+        oracle = project(dist, table).tolist()
     values = coefficient_formula(form, group, table, budget=args.budget)
     rows = []
     worst = 0.0
-    for chi, (value, degree) in enumerate(zip(values.tolist(), table.degrees.tolist())):
+    for chi, (value, (degree, fs)) in enumerate(zip(values.tolist(), table.degree_fs)):
         # |G|*c/chi(1) is an algebraic integer (Frobenius), so a rational c
         # has a denominator dividing |G|/chi(1)
         rational = rational_annotation(value, divisors(group.order // degree), tol=args.tol)
         row = {
             "chi": chi,
             "degree": degree,
-            "fs": fs_indicator(table, chi),
+            "fs": fs,
             "coefficient": _cnum(value),
             "display": _fmt_value(value),
             "rational": None if rational is None else str(rational),
@@ -344,7 +363,7 @@ def _expand_rows(form, group, table, args, verify: bool):
             delta = abs(value - oracle[chi])
             worst = max(worst, delta)
             row["oracle"] = _cnum(oracle[chi])
-            row["delta"] = float(delta)
+            row["delta"] = delta
         rows.append(row)
     return rows, worst
 
@@ -486,10 +505,9 @@ def cmd_genus(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit as exc:
             # argparse exits 0 for --help, 2 for usage errors; usage maps to 1
             code = 0 if exc.code in (0, None) else 1

@@ -8,8 +8,8 @@ and ``project`` turns those counts into one coefficient per character.
 :class:`~wordfourier.reduction.ReducedForm` instead.  Both routes return
 the same thing, a complex array with one coefficient per character row.
 Both go through the one walk and tally in ``_kernels`` (numpy only): the
-first two generators to appear run over one pair per orbit of simultaneous
-conjugation, weighted by orbit size, later generators share the letters
+first two or three generators to appear run over one tuple per orbit of
+simultaneous conjugation, weighted by orbit size, later generators share the letters
 evaluated before them, and absent generators contribute a factor |G| each.
 In a single word, a generator z occurring exactly twice is not walked:
 w = A z^e1 B z^e2 C is conjugate to z^e1 B z^e2 (C A), so the walk
@@ -37,6 +37,7 @@ import numpy as np
 
 from . import _kernels
 from ._defaults import DEFAULT_BUDGET
+# fs_indicator is not called here, but perfbench/spans.py wraps it by this name
 from .chartable import CharacterTable, fs_indicator
 from .errors import BudgetExceededError, FloatRangeError, GroupValidationError
 from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes
@@ -100,7 +101,7 @@ def project(function: ClassFunction, table: CharacterTable) -> np.ndarray:
     _check_same_group(function.group, function.classes, table)
     sizes = np.array(function.classes.sizes, dtype=np.float64)
     weighted = function.values * sizes
-    return (table.values.conj() @ weighted) / function.group.order
+    return (table.conjugates @ weighted) / function.group.order
 
 
 def coefficient_formula(
@@ -129,24 +130,29 @@ def coefficient_formula(
         scale = float(order) ** form.g_exponent
     except OverflowError:
         raise _past_float_range(form, group) from None
-    degrees = table.degrees.astype(np.float64)
-    with np.errstate(over="ignore"):  # the isfinite test below reports an overflow
-        prefactor = scale / degrees**form.deg_exponent
-    if form.fs_exponent:
-        fs = [fs_indicator(table, chi) for chi in range(len(table))]
-        prefactor *= np.array(fs, dtype=np.float64) ** form.fs_exponent
+    b, s = form.deg_exponent, form.fs_exponent
+    prefactor = {}  # row -> its prefactor, where that is not 0
+    for chi, (degree, fs) in enumerate(table.degree_fs):
+        try:
+            value = scale / degree**b  # the exact power, rounded once
+        except OverflowError:  # a power past the float range leaves 0
+            continue
+        if s:
+            value *= fs**s
+        if value:
+            prefactor[chi] = value
     rank = form.residual_rank
     _check_budget(order**rank, budget)
-    live = np.flatnonzero(prefactor)
+    live = list(prefactor)
     inner = _kernels.split_character_sum(
         group,
         [w.letters for w in form.residual_words],
         rank,
         table.classes,
-        np.conj(table.values[live]),
+        table.conjugates if len(live) == len(table) else table.conjugates[live],
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        coefficients[live] = prefactor[live] * inner
+    # Python's float * complex overflows to inf without a warning
+    coefficients[live] = [p * z for p, z in zip(prefactor.values(), inner.tolist())]
     if not np.isfinite(coefficients).all():
         raise _past_float_range(form, group)
     return coefficients

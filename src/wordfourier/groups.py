@@ -118,7 +118,7 @@ class ConjugacyClasses:
     sizes: tuple[int, ...] = field(init=False, compare=False)
     centralizer_sizes: tuple[int, ...] = field(init=False, compare=False)
     power_class_map: tuple[int, ...] = field(init=False, compare=False)  # class of rep**2
-    _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _orbits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _fibers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -148,32 +148,53 @@ class ConjugacyClasses:
     def __len__(self) -> int:
         return len(self.representatives)
 
-    def pair_orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One pair (x, y) per orbit of G on G x G under simultaneous
-        conjugation, and the orbit's size |G|/|C(x) ∩ C(y)|, as int64 arrays.
+    def orbit_rows(self, depth: int) -> tuple[np.ndarray, ...]:
+        """One tuple (x_1..x_depth) per orbit of G on G^depth under
+        simultaneous conjugation, and the orbit's size
+        |G|/|C(x_1) ∩ ... ∩ C(x_depth)|, as ``depth + 1`` int64 arrays.
 
-        x runs over the class representatives and y over the least element
-        of each orbit of C(x) acting on G by conjugation, so the sizes sum
-        to |G|^2.  Built on the first call and kept on the object.
+        Depth 1 is the classes: the representatives, weighted by class
+        size.  A row one deeper extends a row of the depth above: the row's
+        stabilizer, the intersection of its entries' centralizers, acts on G
+        by conjugation, and each orbit adds its least element, weighted by
+        the row's weight times the orbit size.  Rows keep their parents'
+        order, then the new entry's, and the weights sum to |G|^depth; by
+        Burnside there are sum |C(x)|^(depth-1) rows over the
+        representatives x.  Built on the first call per depth and kept on
+        the object.
         """
-        if self._pairs is not None:
-            return self._pairs
-        group = self.group
-        mul, inv = group.mul, group.inv
-        xs, ys, sizes = [], [], []
-        for x in self.representatives:
-            centralizer = np.flatnonzero(mul[x] == mul[:, x])
-            # [h, y] -> h y h^-1: column y holds y's orbit, its least entry names it
-            least = mul[mul[centralizer], inv[centralizer][:, None]].min(axis=0)
-            ys_x, orbit = np.unique(least, return_counts=True)
-            xs.append(np.full(len(ys_x), x))
-            ys.append(ys_x)
-            sizes.append(group.order * orbit // len(centralizer))
-        pairs = tuple(np.concatenate(a).astype(np.int64) for a in (xs, ys, sizes))
-        for a in pairs:
+        rows = self._orbits.get(depth)
+        if rows is not None:
+            return rows
+        if depth == 1:
+            rows = (self.representatives, self.sizes)
+        else:
+            *parents, weights = self.orbit_rows(depth - 1)
+            n, mul, inv = self.group.order, self.group.mul, self.group.inv
+            stabilizers = np.logical_and.reduce([mul[p] == mul[:, p].T for p in parents])
+            found = {}  # stabilizer -> least element and size of each of its orbits
+            entries, orbits = [], []
+            for stabilizer in stabilizers:
+                key = stabilizer.tobytes()
+                if key not in found:
+                    h = stabilizer.nonzero()[0]
+                    # [h, y] -> h y h^-1: column y holds y's orbit, its least entry names it
+                    sizes = np.bincount(mul[mul[h], inv[h][:, None]].min(axis=0), minlength=n)
+                    least = sizes.nonzero()[0]
+                    found[key] = least, sizes[least]
+                entries.append(found[key][0])
+                orbits.append(found[key][1])
+            per_row = [len(e) for e in entries]
+            rows = (
+                *(np.repeat(p, per_row) for p in parents),
+                np.concatenate(entries),
+                np.repeat(weights, per_row) * np.concatenate(orbits),
+            )
+        rows = tuple(np.asarray(a, dtype=np.int64) for a in rows)
+        for a in rows:
             a.setflags(write=False)
-        object.__setattr__(self, "_pairs", pairs)
-        return pairs
+        self._orbits[depth] = rows
+        return rows
 
     def fiber_table(self, e1: int, e2: int) -> np.ndarray:
         """For the signs e1, e2 of two letters of one generator z, the
@@ -182,7 +203,7 @@ class ConjugacyClasses:
 
         Substituting h z h^-1 for z shows that a row is the same for (b, c)
         and (h b h^-1, h c h^-1), so only the row of one pair per orbit
-        (``pair_orbits``) is counted, over every z, and copied to the rest
+        (``orbit_rows(2)``) is counted, over every z, and copied to the rest
         of its orbit.  Work arrays have P*|G| <= k*|G|^2 cells for P
         orbits.  Built on the first call per sign pair and kept on the
         object.
@@ -192,7 +213,7 @@ class ConjugacyClasses:
         group = self.group
         n, k = group.order, len(self)
         mul, inv = group.mul, group.inv
-        xs, ys, _ = self.pair_orbits()
+        xs, ys, _ = self.orbit_rows(2)
         orbits = np.arange(len(xs))
         z = np.arange(n)
         left, right = (z if e > 0 else inv for e in (e1, e2))

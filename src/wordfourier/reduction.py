@@ -158,9 +158,9 @@ class ReducedForm:
 
         This is the sum the claim stands for; the walk that evaluates it
         runs over orbits of simultaneous conjugation and is smaller
-        (``_kernels.walked_assignments``: P*|G|^(rank-2) for P orbits on
-        pairs, one factor |G| fewer when a generator is summed out through
-        its fiber table).
+        (``_kernels.walked_assignments``: R*|G|^(rank-d) for R orbits of
+        the first d = 2 or 3 generators, one factor |G| fewer when a
+        generator is summed out through its fiber table).
         """
         if self.trivial_only or self.residual_rank == 0:
             return 0

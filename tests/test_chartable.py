@@ -127,6 +127,14 @@ class TestImmutability:
             del table.values
         assert table.degrees.tolist() == [1, 1, 2]
 
+    def test_conjugates_and_row_constants_are_built_once_from_the_values(self, z3, q8):
+        for _, table in (z3, q8):
+            assert table.conjugates.tolist() == np.conj(table.values).tolist()
+            with pytest.raises(ValueError):
+                table.conjugates[0, 0] = 0
+            assert table.degree_fs == tuple(zip(table.degrees.tolist(), table.indicators))
+            assert {type(x) for row in table.degree_fs for x in row} == {int}
+
     def test_meta_is_read_only(self):
         table = compute_character_table(build_builtin("S3"))
         with pytest.raises(TypeError):

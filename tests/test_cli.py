@@ -245,19 +245,22 @@ class TestBench:
         assert code == 0
         doc = json.loads(out)
         by_route = {r["route"]: r for r in doc["routes"]}
-        # y2 occurs twice and is summed out; 11 orbits of S3 on pairs, times
-        # |G| per further walked generator
-        assert by_route["oracle"]["assignments"] == 11 * 6**3
+        # y2 occurs twice and is summed out; the first three of the five
+        # walked generators run over the 49 orbits of S3 on triples, times
+        # |G| per further one.  The formula walks two, over the 11 orbits
+        # of S3 on pairs
+        assert by_route["oracle"]["assignments"] == 49 * 6**2
         assert by_route["formula"]["assignments"] == 11
 
     def test_both_routes_walk_the_same_residual(self, capsys):
-        # nothing reduces, so the formula walks the oracle's assignments
+        # nothing reduces, so the formula walks the oracle's assignments:
+        # the 681 orbits of S4 on triples, times |G| for the fourth generator
         code, out, _ = run(
             capsys, "bench", "[[x,y],[z,w]]", "--group", "S4", "--format", "json"
         )
         assert code == 0
         doc = json.loads(out)
-        assert [r["assignments"] for r in doc["routes"]] == [43 * 24**2] * 2
+        assert [r["assignments"] for r in doc["routes"]] == [681 * 24] * 2
 
     def test_formula_agrees_with_the_oracle_to_rounding(self, capsys):
         # the formula contracts the same exact class tally as the oracle

@@ -105,6 +105,11 @@ class StandInClasses:
     def __len__(self):
         return len(self.sizes)
 
+    def orbit_rows(self, depth):
+        # a lone generator's rows: the representatives, weighted by the sizes given
+        assert depth == 1
+        return np.asarray(self.representatives), np.asarray(self.sizes)
+
 
 def test_counts_reject_class_sizes_that_do_not_divide_the_totals():
     # x^2 on S3 sends the identity and the transpositions to the identity:
@@ -207,47 +212,147 @@ def test_character_sums_of_rank_zero_words_are_degree_powers():
     assert sums.tolist() == (table.degrees.astype(complex) ** 2).tolist()
 
 
+@pytest.mark.parametrize("nwords", (0, 1, 2, 3))
+def test_empty_walk_keeps_the_bits_of_the_contraction(nwords):
+    # every word at the identity class, counted once: the result must be
+    # the general contraction's, whose @ turns a -0.0 part into +0.0,
+    # which repr prints
+    for group_name in ("S3", "Z3", "S4"):
+        group, table = group_and_table(group_name)
+        identity = table.classes.identity_class
+        signed = np.full((2, len(table)), complex(-2.0, -0.0))
+        signed[1, identity] = complex(-0.0, -3.0)
+        chibar = np.vstack([table.conjugates, signed])
+        column = chibar[:, [identity]]
+        prod = column if nwords else np.ones_like(column)
+        for _ in range(nwords - 1):
+            prod = prod * column
+        expected = prod @ np.ones(1, dtype=np.int64) * float(group.order**2)
+        sums = _kernels.split_character_sum(group, [[]] * nwords, 2, table.classes, chibar)
+        assert repr(sums.tolist()) == repr(expected.tolist())
+
+
 def test_character_sums_of_no_words_count_the_assignments():
     group, table = group_and_table("D4")
     sums = _kernels.split_character_sum(group, [], 2, table.classes, np.conj(table.values))
     assert np.allclose(sums, np.full(len(table), 64), rtol=0, atol=1e-9)
 
 
-# orbits of G on pairs under simultaneous conjugation, by Burnside
-# (1/|G|) * sum over g of |C(g)|^2
+# orbits of G on pairs and on triples under simultaneous conjugation, by
+# Burnside (1/|G|) * sum over g of |C(g)|^2 and of |C(g)|^3
 PAIR_ORBITS = {
     "S4": 43, "A4": 22, "D5": 22, "Q8": 28, "S3": 11, "D4": 28,
     "Z1": 1, "Z4": 16, "Z7": 49, "Z12": 144,
 }
+TRIPLE_ORBITS = {
+    "S4": 681, "A4": 178, "D5": 154, "Q8": 176, "S3": 49, "D4": 176,
+    "Z1": 1, "Z4": 64, "Z7": 343, "Z12": 1728,
+}
 
 
-def pair_table_cases():
-    cases = [pytest.param(*group_and_table(name), PAIR_ORBITS[name], id=name)
-             for name in PAIR_ORBITS]
+def orbit_table_cases(orbits):
+    cases = [pytest.param(*group_and_table(name), orbits[name], id=name) for name in orbits]
     for name in ("S3", "S4", "Q8", "A4"):
         group, table = reversed_group(name)
-        cases.append(pytest.param(group, table, PAIR_ORBITS[name], id=group.name))
+        cases.append(pytest.param(group, table, orbits[name], id=group.name))
     return cases
 
 
-@pytest.mark.parametrize("group, table, orbits", pair_table_cases())
-def test_pair_table_has_one_row_per_orbit(group, table, orbits):
-    xs, ys, weights = table.classes.pair_orbits()
+def assert_one_row_per_orbit(group, classes, depth, orbits):
+    *entries, weights = classes.orbit_rows(depth)
     n = group.order
     assert weights.dtype == np.int64 and len(weights) == orbits
-    assert int(weights.sum()) == n * n
-    assert set(xs.tolist()) == set(table.classes.representatives)
+    assert orbits == sum(c ** (depth - 1) for c in classes.centralizer_sizes)
+    assert int(weights.sum()) == n**depth
+    assert set(entries[0].tolist()) == set(classes.representatives)
     mul, inv = group.mul, group.inv
     h = np.arange(n)
-    seen = np.zeros((n, n), dtype=np.int64)
-    for x, y, weight in zip(xs, ys, weights):
-        both = np.count_nonzero((mul[x] == mul[:, x]) & (mul[y] == mul[:, y]))
-        assert weight == n // both  # |G| / |C(x) ∩ C(y)|
-        orbit = {(int(a), int(b)) for a, b in zip(mul[mul[h, x], inv], mul[mul[h, y], inv])}
+    seen = np.zeros(n**depth, dtype=np.int64)
+    for row, weight in enumerate(weights):
+        row_entries = [int(entry[row]) for entry in entries]
+        stabilizer = np.ones(n, dtype=bool)
+        for x in row_entries:
+            stabilizer &= mul[x] == mul[:, x]
+        assert weight == n // np.count_nonzero(stabilizer)  # |G| / |C(x) ∩ C(y) ∩ ...|
+        conjugated = [mul[mul[h, x], inv] for x in row_entries]  # h x h^-1 over all h
+        orbit = set(zip(*(c.tolist() for c in conjugated)))
         assert len(orbit) == weight
-        for a, b in orbit:
-            seen[a, b] += 1
-    assert (seen == 1).all()  # the orbits are disjoint and cover G x G
+        for key in orbit:
+            seen[np.ravel_multi_index(key, (n,) * depth)] += 1
+    assert (seen == 1).all()  # the orbits are disjoint and cover G^depth
+
+
+@pytest.mark.parametrize("group, table, orbits", orbit_table_cases(PAIR_ORBITS))
+def test_pair_table_has_one_row_per_orbit(group, table, orbits):
+    assert_one_row_per_orbit(group, table.classes, 2, orbits)
+
+
+@pytest.mark.parametrize("group, table, orbits", orbit_table_cases(TRIPLE_ORBITS))
+def test_triple_table_has_one_row_per_orbit(group, table, orbits):
+    assert_one_row_per_orbit(group, table.classes, 3, orbits)
+    # each triple extends a pair row, in the pair table's order
+    xs, ys, _ = table.classes.orbit_rows(2)
+    pairs = list(dict.fromkeys(zip(*(a.tolist() for a in table.classes.orbit_rows(3)[:2]))))
+    assert pairs == list(zip(xs.tolist(), ys.tolist()))
+
+
+@pytest.mark.parametrize("rank", (3, 4))
+def test_s4_walk_over_triples_matches_python_reference(monkeypatch, rank):
+    # S4 is the only built-in above order 12.  The word's last generator
+    # occurring exactly twice is summed out through its fiber table, or,
+    # with no fiber table, walked: rank 3 then runs over the 681 orbits on
+    # triples, and rank 4 over those times |G|
+    group, table = group_and_table("S4")
+    classes, k = table.classes, len(table.classes)
+    word = [(0, 1), (1, 1), (2, 1), (0, -1), (1, 1), (2, -1), (1, -1)]
+    if rank == 4:
+        word += [(3, 1), (0, 1), (3, -1)]
+    rows = np.vstack([class_function_rows(table, rank), np.eye(k)])
+    expected = python_character_sums(group, [word], rank, classes, rows)
+    totals = expected[-k:].real.round().astype(np.int64)  # per class, over 24^rank
+    assert int(totals.sum()) == group.order**rank
+    for cells in (_kernels._FIBER_CELLS, 0):
+        monkeypatch.setattr(_kernels, "_FIBER_CELLS", cells)
+        if not cells:
+            assert _kernels.walked_assignments(group, [word], classes) == 681 * 24 ** (rank - 3)
+        sums = _kernels.split_character_sum(group, [word], rank, classes, rows)
+        assert np.allclose(sums, expected, rtol=0, atol=1e-9 * group.order**rank)
+        counts = _kernels.element_counts(group, word, rank, classes)
+        assert (counts * np.array(classes.sizes)).tolist() == totals.tolist()
+
+
+def direct_square(group):
+    """G x G, with (a, b) at a*|G| + b."""
+    n, mul = group.order, group.mul
+    table = mul[:, None, :, None] * n + mul[None, :, None, :]
+    return FiniteGroup(table.reshape(n * n, n * n), name=f"{group.name}x{group.name}")
+
+
+def test_walks_over_pairs_when_triples_save_nothing_or_pass_the_cap(monkeypatch):
+    # Z12 has |G|^3 triples, as many as its pairs times |G|; S3xS3 has
+    # 49^2 = 2401 orbits on triples, past the cap
+    z12, _ = group_and_table("Z12")
+    s3xs3 = direct_square(group_and_table("S3")[0])
+    s4, s4_table = group_and_table("S4")
+    for group in (z12, s3xs3):
+        classes = ConjugacyClasses(group)
+        triples = sum(c * c for c in classes.centralizer_sizes)
+        assert triples > _kernels._TRIPLE_ROWS or triples == group.order**3
+        for walked in (3, 4):
+            assert _kernels._orbit_depth(classes, walked) == 2
+        word = [(0, 1), (1, 1), (2, 1), (0, -1), (1, -1), (2, -1)] * 2
+        pairs = sum(classes.centralizer_sizes)
+        assert _kernels.walked_assignments(group, [word], classes) == pairs * group.order
+        walked = sum(
+            weight.size * group.order ** (weight.ndim - 1)  # rows span the axes after them
+            for weight, _ in _kernels._orbit_walk(group, [word], classes)
+        )
+        assert walked == pairs * group.order
+    assert _kernels._orbit_depth(s4_table.classes, 3) == 3
+    monkeypatch.setattr(_kernels, "_TRIPLE_ROWS", 680)
+    assert _kernels._orbit_depth(s4_table.classes, 3) == 2
+    word = [(0, 1), (1, 1), (2, 1)] * 3
+    assert _kernels.walked_assignments(s4, [word], s4_table.classes) == 43 * 24
 
 
 def python_joint_tally(group, words, rank, classes):

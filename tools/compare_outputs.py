@@ -38,10 +38,15 @@ process, the same list of ``main(argv)`` calls:
   square step, over the alphabet they infer and with unused names added
   (``SINGLE_RUNS``);
 
-each once with ``--format json`` and once with ``--format human``; and
+each once with ``--format json`` and once with ``--format human``;
 ``--help`` of the top-level parser and of each of the five subcommands
-(``HELP_RUNS``), whose text lists the built-in groups, with ``COLUMNS``
-fixed so both trees wrap it alike.  Every
+(``HELP_RUNS``), whose text lists the built-in groups; and command lines
+that argparse refuses or answers with help (``USAGE_RUNS``): an unknown
+option before the subcommand, after it and after the word, ``--group``
+with no value, ``--format xml``, an extra positional, an unknown and no
+subcommand, ``--tol nan``, ``--budget -1``, ``expand`` with no word and
+``expand --he``, an abbreviation of ``--help``.  Help and usage runs have
+``COLUMNS`` fixed so both trees wrap their text alike.  Every
 run whose exit code, stdout or stderr differs between the trees is
 printed, with its first differing field and line, and the exit status is
 1; with no difference it is 0.  An exception that escapes ``main`` is
@@ -94,6 +99,21 @@ BUDGET_RUN = ["expand", "[x1,x2]*[x3,x4]*[x5,x6]", "--group", "S4", "--verify"]
 HELP_RUNS = (
     ["--help"],
     *([command, "--help"] for command in ("classify", "reduce", "expand", "bench", "genus")),
+)
+# argv that argparse refuses (exit 1, usage on stderr) or answers with help
+USAGE_RUNS = (
+    ["--bogus", "expand", "[x,y]", "--group", "S3"],
+    ["expand", "--bogus", "[x,y]", "--group", "S3"],
+    ["expand", "[x,y]", "--group", "S3", "--bogus"],
+    ["expand", "[x,y]", "--group"],
+    ["expand", "[x,y]", "--group", "S3", "--format", "xml"],
+    ["expand", "[x,y]", "extra", "--group", "S3"],
+    ["expnd", "[x,y]", "--group", "S3"],
+    [],
+    ["expand", "[x,y]", "--group", "S3", "--tol", "nan"],
+    ["expand", "[x,y]", "--group", "S3", "--budget", "-1"],
+    ["expand", "--group", "S3"],
+    ["expand", "--he"],
 )
 
 # seven residual words: 5^7 classes of S4 and 12^7 of Z12 exceed the dense tally
@@ -227,6 +247,7 @@ def runs(tmp: Path) -> list[list[str]]:
             argv = argv[:at] + argv[at + 2 :]
         out.extend(argv + ["--format", fmt] for fmt in FORMATS)
     out.extend(HELP_RUNS)
+    out.extend(USAGE_RUNS)
     return out
 
 
