@@ -3,7 +3,7 @@
 import importlib
 
 from ._defaults import DEFAULT_BUDGET
-from .analysis import OccurrenceProfile, classify
+from .analysis import classify
 from .errors import (
     BudgetExceededError,
     CharacterComputationError,
@@ -14,21 +14,13 @@ from .errors import (
 )
 from .reduction import (
     ReducedForm,
-    SplitDecomposition,
     closed_form_str,
     format_trace,
     genus,
     normalize,
     prefactor_str,
-    split_dismissible,
 )
-from .words import (
-    Alphabet,
-    Word,
-    free_reduce,
-    parse_word,
-    word_to_str,
-)
+from .words import Alphabet, Word, parse_word, word_to_str
 
 # The numeric layer imports numpy, which the names above do not need; its
 # names resolve on first use (PEP 562): public name -> module.
@@ -39,7 +31,6 @@ _LAZY = {
     "compute_character_table": "chartable",
     "fs_indicator": "chartable",
     "load_character_table": "chartable",
-    "save_character_table": "chartable",
     "ClassFunction": "fourier",
     "coefficient_formula": "fourier",
     "distribution": "fourier",
@@ -47,10 +38,8 @@ _LAZY = {
     "ConjugacyClasses": "groups",
     "FiniteGroup": "groups",
     "builtin_group": "groups",
-    "builtin_names": "groups",
     "conjugacy_classes": "groups",
     "load_group": "groups",
-    "save_group": "groups",
 }
 
 __version__ = "0.1.0"
@@ -65,16 +54,13 @@ __all__ = [
     "DEFAULT_BUDGET",
     "FiniteGroup",
     "GroupValidationError",
-    "OccurrenceProfile",
     "ReducedForm",
     "ReductionError",
-    "SplitDecomposition",
     "TableValidationError",
     "Word",
     "WordSyntaxError",
     "active_backend",
     "builtin_group",
-    "builtin_names",
     "builtin_table",
     "classify",
     "closed_form_str",
@@ -83,7 +69,6 @@ __all__ = [
     "conjugacy_classes",
     "distribution",
     "format_trace",
-    "free_reduce",
     "fs_indicator",
     "genus",
     "load_character_table",
@@ -92,9 +77,6 @@ __all__ = [
     "parse_word",
     "prefactor_str",
     "project",
-    "save_character_table",
-    "save_group",
-    "split_dismissible",
     "word_to_str",
 ]
 

@@ -13,7 +13,10 @@ Grammar accepted by :func:`parse_word`::
             | "{" WORD "," WORD "}"
     SYMBOL := letter followed by letters, digits or underscores
 
-Juxtaposition or "*" denotes concatenation and whitespace is ignored.
+Juxtaposition or "*" denotes concatenation, and a leading, trailing or
+doubled "*" is allowed.  A letter is a Unicode letter.  SIGNED_INT is an
+optional "+" or "-" and decimal digits, with no whitespace between the
+sign and the digits; whitespace is ignored everywhere else, "^" included.
 "[a,b]" expands to a b a^-1 b^-1, "{a,b}" expands to a b a b^-1, and "1"
 denotes the empty word.  A zero exponent is rejected, and so is a power,
 a bracket or a whole word that would expand to more than
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import is_
 from typing import Iterable
 
@@ -39,8 +42,13 @@ Letter = tuple[int, int]
 # letters.
 MAX_POWER_LETTERS = 10**6
 
-# a flat word: ASCII names joined by "*", each with an optional exponent of 1-7 digits
-_FLAT_WORD = re.compile(r"[A-Za-z]\w*(?:\^-?\d{1,7})?(?:\*[A-Za-z]\w*(?:\^-?\d{1,7})?)*", re.ASCII)
+# One token of word text: a run of word characters that starts with
+# neither a decimal digit nor "_", "1", or a closing bracket, each with the
+# "^" and signed integer after it if there is one; or any other character
+# but whitespace and "*", which fall between tokens.  An integer may have
+# whitespace before its sign but none after it; a "^" with no integer
+# after it is kept, so that the error lands just past it.
+_TOKEN = re.compile(r"(?:[^\W\d_]\w*|1|[)\]}])(?:\s*\^\s*[+-]?\d*)?|[^\s*]")
 
 
 @dataclass(frozen=True)
@@ -152,8 +160,14 @@ def _render(tokens, letters, names: tuple[str, ...]) -> str:
     return "*".join(parts)
 
 
+_CLOSING = {"(": ")", "[": "]", "{": "}"}
+
+
 class _Parser:
-    """Recursive-descent parser for the word grammar.
+    """Recursive descent over the tokens of one text, which
+    ``_TOKEN.findall`` reads in one pass.  Every nested body reads on from
+    the one ``tokens`` iterator of (number, token) pairs.  A token's offset
+    in the text is worked out again only to report an error.
 
     Letters are (generator index, sign) from the start: ``index`` maps each
     name to its index, the explicit alphabet's or, when the alphabet is
@@ -162,149 +176,137 @@ class _Parser:
 
     def __init__(self, text: str, alphabet: Alphabet | None):
         self.text = text
-        self.pos = 0
+        self.tokens = enumerate(_TOKEN.findall(text))
         self.alphabet = alphabet
-        names = () if alphabet is None else alphabet.names
-        self.index = {name: i for i, name in enumerate(names)}
-        # greedy splitting of a symbol run tries the longest name first
-        self.by_length = sorted(names, key=len, reverse=True)
+        self.index = {}
+        if alphabet is not None:
+            # the names a token can be: a symbol run starts with a letter and has no "^"
+            names = enumerate(alphabet.names)
+            self.index = {n: i for i, n in names if n[0].isalpha() and "^" not in n}
 
-    def fail(self, message: str, position: int | None = None):
-        raise WordSyntaxError(message, self.pos if position is None else position)
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
+    def fail(self, message: str, k: int | None = None, past_caret: bool = False):
+        """Raise at token ``k``, or just past its "^" if ``past_caret``;
+        with ``k`` None, at the end of the text."""
+        position = len(self.text)
+        if k is not None:
+            match = next(islice(_TOKEN.finditer(self.text), k, None))
+            position = match.start()
+            if past_caret:
+                position += match.group().index("^") + 1
+        raise WordSyntaxError(message, position)
 
     def parse(self) -> Word:
-        letters = self.word_body(stoppers="")
-        if self.peek() != "":
-            self.fail("unexpected trailing input")
-        alphabet = self.alphabet
-        if alphabet is None:
-            alphabet = Alphabet(tuple(self.index))
-        return _word(alphabet, tuple(letters))
+        letters = self.body(None)[0]
+        return _word(self.alphabet or Alphabet(tuple(self.index)), tuple(letters))
 
-    def word_body(self, stoppers: str) -> list[Letter]:
+    def body(self, stop: str | None) -> tuple:
+        """The letters of the terms up to the token ``stop``, or to the end
+        of the text for None, with that token's number, "^" and digits."""
         out: list[Letter] = []
-        saw_term = False
-        while True:
-            ch = self.peek()
-            if ch == "" or ch in stoppers:
-                break
-            if ch == "*":
-                self.pos += 1
-                continue
-            at = self.pos
-            out.extend(self.term())
-            if len(out) > MAX_POWER_LETTERS:
-                self.fail(f"word expands past {MAX_POWER_LETTERS} letters", at)
-            saw_term = True
-        if not saw_term:
-            self.fail('empty word (write "1" for the identity)')
-        return out
+        saw_term = False  # a term may spell no letters: "1"
+        index = self.index
+        inferred = self.alphabet is None
+        cap = MAX_POWER_LETTERS
+        for k, token in self.tokens:
+            name, caret, digits = token.partition("^")
+            g = index.get(name)
+            if g is None:
+                name = name.rstrip()  # any whitespace before "^"
+                if inferred and name[:1].isalpha():  # a new name, or one before whitespace
+                    g = index.setdefault(name, len(index))
+            if g is None:
+                if name == stop:
+                    break
+                out += self.term(name, k, caret, digits)
+                saw_term = True
+            elif digits == "-1":  # an inverse letter, as word_to_str writes it
+                out.append((g, -1))
+            elif caret:
+                out += _power([(g, 1)], self.exponent(k, digits, 1))
+            else:
+                out.append((g, 1))
+            if len(out) > cap:
+                self.fail(f"word expands past {cap} letters", k)
+        else:  # the end of the text
+            k = caret = digits = None
+        if not (saw_term or out):
+            self.fail('empty word (write "1" for the identity)', k)
+        if k is None and stop:
+            self.fail(f"expected {stop!r}")
+        return out, k, caret, digits
 
-    def term(self) -> list[Letter]:
-        ch = self.peek()
-        if ch.isalpha():
-            # a run of juxtaposed generators; the exponent binds to the last
-            gens = self.symbols()
+    def term(self, head: str, k: int, caret: str, digits: str) -> list[Letter]:
+        """The letters of token ``k``, a term other than one name and its
+        exponent: "1", a bracket, or a symbol run over an explicit alphabet."""
+        if head in _CLOSING:
+            return self.group(head, k)
+        if head[:1].isalpha():  # the exponent binds to the last name
+            gens = self.symbols(head, k)
             letters = [(g, 1) for g in gens[:-1]]
             tail = [(gens[-1], 1)]
-            return letters + self._apply_exponent(tail)
-        return self._apply_exponent(self.factor())
+        elif head == "1":
+            letters = tail = []
+        else:
+            self.fail("expected a generator symbol, '1', '(', '[' or '{'", k)
+        if caret:
+            tail = _power(tail, self.exponent(k, digits, len(tail)))
+        return letters + tail
 
-    def _apply_exponent(self, letters: list[Letter]) -> list[Letter]:
-        if self.peek() != "^":
-            return letters
-        self.pos += 1
-        at = self.pos
-        exponent = self.signed_int()
-        if exponent == 0:
-            self.fail("zero exponent is not allowed", at)
-        if len(letters) * abs(exponent) > MAX_POWER_LETTERS:
-            self.fail(f"power expands past {MAX_POWER_LETTERS} letters", at)
-        if exponent < 0:
-            letters = [(g, -s) for g, s in reversed(letters)]
-            exponent = -exponent
-        return letters * exponent
-
-    def factor(self) -> list[Letter]:
-        ch = self.peek()
-        if ch == "1":
-            self.pos += 1
-            return []
-        if ch == "(":
-            self.pos += 1
-            body = self.word_body(stoppers=")")
-            self.expect(")")
-            return body
-        if ch in "[{":
-            closing = "]" if ch == "[" else "}"
-            at = self.pos
-            self.pos += 1
-            left = self.word_body(stoppers=",")
-            self.expect(",")
-            right = self.word_body(stoppers=closing)
-            self.expect(closing)
+    def group(self, opening: str, k: int) -> list[Letter]:
+        """The letters of "(w)", "[a,b]" or "{a,b}" opened by token ``k``,
+        with the exponent on its closing bracket."""
+        if opening == "(":
+            letters, end, caret, digits = self.body(")")
+        else:
+            left = self.body(",")[0]
+            right, end, caret, digits = self.body(_CLOSING[opening])
             if 2 * (len(left) + len(right)) > MAX_POWER_LETTERS:
-                self.fail(f"bracket expands past {MAX_POWER_LETTERS} letters", at)
-            left_inv = [(g, -s) for g, s in reversed(left)]
-            right_inv = [(g, -s) for g, s in reversed(right)]
-            if ch == "[":  # [a,b] -> a b a^-1 b^-1
-                return left + right + left_inv + right_inv
-            return left + right + left + right_inv  # {a,b} -> a b a b^-1
-        self.fail("expected a generator symbol, '1', '(', '[' or '{'")
+                self.fail(f"bracket expands past {MAX_POWER_LETTERS} letters", k)
+            if opening == "[":  # [a,b] -> a b a^-1 b^-1
+                letters = left + right + _power(left, -1) + _power(right, -1)
+            else:  # {a,b} -> a b a b^-1
+                letters = left + right + left + _power(right, -1)
+        if caret:
+            letters = _power(letters, self.exponent(end, digits, len(letters)))
+        return letters
 
-    def symbols(self) -> list[int]:
-        """Read one maximal symbol run and resolve it to generator indices.
+    def exponent(self, k: int, digits: str, length: int) -> int:
+        """The exponent ``digits`` of token ``k``, on a term of ``length`` letters."""
+        try:
+            exponent = int(digits)
+        except ValueError:  # no digits, or past Python's limit on digits in int()
+            if digits[-1:].isdecimal():
+                self.fail("exponent has too many digits", k, past_caret=True)
+            self.fail("expected an integer exponent", k, past_caret=True)
+        if not exponent:
+            self.fail("zero exponent is not allowed", k, past_caret=True)
+        if length * abs(exponent) > MAX_POWER_LETTERS:
+            self.fail(f"power expands past {MAX_POWER_LETTERS} letters", k, past_caret=True)
+        return exponent
 
-        Against an explicit alphabet the run is split greedily into known
-        names, longest first (so "xy" over (x, y) means x*y); with an
-        inferred alphabet the whole run is a single generator.
-        """
-        start = self.pos
-        self.pos += 1
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        run = self.text[start : self.pos]
-        index = self.index
-        if run in index:  # no longer name can be a prefix of the run
-            return [index[run]]
-        if self.alphabet is None:
-            index[run] = len(index)
-            return [index[run]]
+    def symbols(self, run: str, k: int) -> list[int]:
+        """Split the symbol run of token ``k`` greedily into names of the
+        explicit alphabet, longest first (so "xy" over (x, y) means x*y).
+        With an inferred alphabet a whole run is one name, which ``body``
+        reads itself."""
+        names = self.alphabet.names
+        by_length = sorted(names, key=len, reverse=True)
         gens = []
         rest = run
         while rest:
-            match = next((n for n in self.by_length if rest.startswith(n)), None)
+            match = next((n for n in by_length if rest.startswith(n)), None)
             if match is None:
-                self.fail(f"unknown generator {run!r}", start)
-            gens.append(index[match])
+                self.fail(f"unknown generator {run!r}", k)
+            gens.append(names.index(match))
             rest = rest[len(match) :]
         return gens
 
-    def signed_int(self) -> int:
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == digits:
-            self.fail("expected an integer exponent", start)
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # past Python's limit on digits in int()
-            self.fail("exponent has too many digits", start)
+
+def _power(letters: list[Letter], exponent: int) -> list[Letter]:
+    """``letters`` repeated ``exponent`` times, inverted if it is negative."""
+    if exponent > 0:
+        return letters * exponent
+    return [(g, -s) for g, s in reversed(letters)] * -exponent
 
 
 def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:
@@ -314,18 +316,6 @@ def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:
     the alphabet is inferred as the distinct symbols in order of first
     appearance.
     """
-    if alphabet is None and _FLAT_WORD.fullmatch(text):
-        # in one pass; a zero exponent or a word past the cap is left to _Parser
-        index: dict[str, int] = {}
-        letters: list[Letter] = []
-        for name, _, power in (term.partition("^") for term in text.split("*")):
-            exponent = int(power or 1)
-            if not exponent or len(letters) + abs(exponent) > MAX_POWER_LETTERS:
-                break
-            g = index.setdefault(name, len(index))
-            letters += [(g, 1)] * exponent if exponent > 0 else [(g, -1)] * -exponent
-        else:
-            return _word(Alphabet(tuple(index)), tuple(letters))
     return _Parser(text, alphabet).parse()
 
 

@@ -9,16 +9,16 @@ import numpy as np
 from wordfourier import (
     Alphabet,
     Word,
-    builtin_names,
     coefficient_formula,
     compute_character_table,
     fs_indicator,
     genus,
     normalize,
     parse_word,
-    split_dismissible,
 )
 from wordfourier.chartable import ORTHOGONALITY_TOL
+from wordfourier.groups import builtin_names
+from wordfourier.reduction import split_dismissible
 
 from closed_forms import nested_commutator_coeff, quartic_pair_coeff
 from corpus import (

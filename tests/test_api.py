@@ -12,16 +12,13 @@ PUBLIC_NAMES = [
     "DEFAULT_BUDGET",
     "FiniteGroup",
     "GroupValidationError",
-    "OccurrenceProfile",
     "ReducedForm",
     "ReductionError",
-    "SplitDecomposition",
     "TableValidationError",
     "Word",
     "WordSyntaxError",
     "active_backend",
     "builtin_group",
-    "builtin_names",
     "builtin_table",
     "classify",
     "closed_form_str",
@@ -30,7 +27,6 @@ PUBLIC_NAMES = [
     "conjugacy_classes",
     "distribution",
     "format_trace",
-    "free_reduce",
     "fs_indicator",
     "genus",
     "load_character_table",
@@ -39,9 +35,6 @@ PUBLIC_NAMES = [
     "parse_word",
     "prefactor_str",
     "project",
-    "save_character_table",
-    "save_group",
-    "split_dismissible",
     "word_to_str",
 ]
 

@@ -10,7 +10,6 @@ from wordfourier import (
     FiniteGroup,
     TableValidationError,
     builtin_group,
-    builtin_names,
     builtin_table,
     coefficient_formula,
     compute_character_table,
@@ -18,9 +17,9 @@ from wordfourier import (
     load_character_table,
     normalize,
     parse_word,
-    save_character_table,
 )
-from wordfourier.chartable import ORTHOGONALITY_TOL, _format_complex, _parse_complex
+from wordfourier.chartable import ORTHOGONALITY_TOL, _format_complex, _parse_complex, save_character_table
+from wordfourier.groups import builtin_names
 
 from corpus import group_and_table
 from group_builders import build_builtin

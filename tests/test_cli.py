@@ -16,11 +16,11 @@ from wordfourier import (
     coefficient_formula,
     normalize,
     parse_word,
-    save_character_table,
-    save_group,
-    split_dismissible,
 )
+from wordfourier.chartable import save_character_table
 from wordfourier.cli import main
+from wordfourier.groups import save_group
+from wordfourier.reduction import split_dismissible
 
 from corpus import form_from_split, group_and_table
 

@@ -2,9 +2,9 @@
 
 ``cli._json`` writes every ``--format json`` document; it must be byte for
 byte ``json.dumps(doc, sort_keys=True, indent=2)``.  ``parse_word`` reads
-a flat word with an inferred alphabet in one pass; it must give the Word,
-or the WordSyntaxError message and position, that the recursive-descent
-``_Parser`` gives.
+its text in one tokenizing pass; it must give the Word, or the
+WordSyntaxError message and position, that ``ReferenceParser``, a
+descent that steps through the text one character at a time, gives.
 """
 
 import json
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordfourier import WordSyntaxError, cli, words
-from wordfourier.words import Alphabet, _Parser, parse_word
+from wordfourier.words import Alphabet, Word, parse_word
 
 from test_symbolic_output import EXPAND_GROUPS
 from test_symbolic_output import words as corpus_words
@@ -99,14 +99,138 @@ def test_the_emitter_refuses_what_json_dumps_refuses():
             cli._json(bad)
 
 
-# pieces of word text: flat ones, and ones that send the text to _Parser
+class ReferenceParser:
+    """The word grammar read one character at a time, each step skipping
+    whitespace first."""
+
+    def __init__(self, text, alphabet):
+        self.text = text
+        self.pos = 0
+        self.alphabet = alphabet
+        names = () if alphabet is None else alphabet.names
+        self.index = {name: i for i, name in enumerate(names)}
+
+    def fail(self, message, position=None):
+        raise WordSyntaxError(message, self.pos if position is None else position)
+
+    def peek(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            self.fail(f"expected {ch!r}")
+        self.pos += 1
+
+    def parse(self):
+        letters = self.word_body(stoppers="")
+        alphabet = self.alphabet or Alphabet(tuple(self.index))
+        return Word(alphabet, tuple(letters))
+
+    def word_body(self, stoppers):
+        out, saw_term = [], False
+        while (ch := self.peek()) and ch not in stoppers:
+            if ch == "*":
+                self.pos += 1
+                continue
+            at = self.pos
+            out.extend(self.term())
+            if len(out) > words.MAX_POWER_LETTERS:
+                self.fail(f"word expands past {words.MAX_POWER_LETTERS} letters", at)
+            saw_term = True
+        if not saw_term:
+            self.fail('empty word (write "1" for the identity)')
+        return out
+
+    def term(self):
+        if self.peek().isalpha():  # the exponent binds to the last symbol of a run
+            gens = self.symbols()
+            return [(g, 1) for g in gens[:-1]] + self.exponent([(gens[-1], 1)])
+        return self.exponent(self.factor())
+
+    def exponent(self, letters):
+        if self.peek() != "^":
+            return letters
+        self.pos += 1
+        at = start = self.pos
+        if self.peek() in "+-":
+            self.pos += 1
+        digits = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == digits:
+            self.fail("expected an integer exponent", start)
+        try:
+            exponent = int(self.text[start : self.pos])
+        except ValueError:
+            self.fail("exponent has too many digits", start)
+        if exponent == 0:
+            self.fail("zero exponent is not allowed", at)
+        if len(letters) * abs(exponent) > words.MAX_POWER_LETTERS:
+            self.fail(f"power expands past {words.MAX_POWER_LETTERS} letters", at)
+        if exponent < 0:
+            letters = [(g, -s) for g, s in reversed(letters)]
+        return letters * abs(exponent)
+
+    def factor(self):
+        ch = self.peek()
+        if ch == "1":
+            self.pos += 1
+            return []
+        if ch == "(":
+            self.pos += 1
+            body = self.word_body(stoppers=")")
+            self.expect(")")
+            return body
+        if ch in ("[", "{"):
+            closing = "]" if ch == "[" else "}"
+            at = self.pos
+            self.pos += 1
+            left = self.word_body(stoppers=",")
+            self.expect(",")
+            right = self.word_body(stoppers=closing)
+            self.expect(closing)
+            if 2 * (len(left) + len(right)) > words.MAX_POWER_LETTERS:
+                self.fail(f"bracket expands past {words.MAX_POWER_LETTERS} letters", at)
+            left_inv = [(g, -s) for g, s in reversed(left)]
+            right_inv = [(g, -s) for g, s in reversed(right)]
+            if ch == "[":
+                return left + right + left_inv + right_inv
+            return left + right + left + right_inv
+        self.fail("expected a generator symbol, '1', '(', '[' or '{'")
+
+    def symbols(self):
+        start = self.pos
+        self.pos += 1
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+        run = self.text[start : self.pos]
+        if run in self.index:
+            return [self.index[run]]
+        if self.alphabet is None:
+            self.index[run] = len(self.index)
+            return [self.index[run]]
+        gens, rest = [], run
+        while rest:  # split greedily, longest name first
+            match = max((n for n in self.index if rest.startswith(n)), key=len, default=None)
+            if match is None:
+                self.fail(f"unknown generator {run!r}", start)
+            gens.append(self.index[match])
+            rest = rest[len(match) :]
+        return gens
+
+
+# pieces of word text: flat ones, and ones with anything else the grammar reads or refuses
 FLAT_NAMES = ("x", "y1", "ab_c", "X", "xy")
 FLAT_POWERS = ("", "", "^2", "^-1", "^-3", "^0", "^-0", "^01", "^20", "^21", "^-41",
                "^12345678")
-NAMES = FLAT_NAMES + ("é", "xé", "ß2", "_x", "2x")
-POWERS = FLAT_POWERS + ("^+2", "^", "^²", "^ 2")
-JOINS = ("*", "", " ", "**", "\t", "(", ")", "[", ",", "]", "1")
-EXPLICIT = Alphabet(("x", "y1", "ab_c", "X", "xy"))
+NAMES = FLAT_NAMES + ("é", "xé", "ß2", "_x", "2x", "²y", "x²y", "½")
+POWERS = FLAT_POWERS + ("^+2", "^", "^²", "^ 2", " ^ -2", "^- 2", "^^2", "^ ")
+JOINS = ("*", "", " ", "**", "\t", "(", ")", "[", ",", "]", "{", "}", "1", "^2")
+EXPLICIT = Alphabet(("x", "y1", "ab_c", "X", "xy", "²y"))
 
 
 @st.composite
@@ -118,7 +242,6 @@ def word_texts(draw, names, powers, joins):
     return "".join(parts)
 
 
-# flat words, which mostly take the fast path, and words with anything else
 texts = word_texts(FLAT_NAMES, FLAT_POWERS, ("*",)) | word_texts(NAMES, POWERS, JOINS)
 
 
@@ -131,13 +254,13 @@ def outcome(text, alphabet, parse):
 
 @SETTINGS
 @given(text=texts, explicit=st.booleans())
-def test_the_flat_parse_agrees_with_the_parser(text, explicit):
+def test_parse_word_agrees_with_the_reference_descent(text, explicit):
     alphabet = EXPLICIT if explicit else None
     # a small cap, so that words and powers past it are cheap to try
     with mock.patch.object(words, "MAX_POWER_LETTERS", 40):
-        fast = outcome(text, alphabet, parse_word)
-        slow = outcome(text, alphabet, lambda t, a: _Parser(t, a).parse())
-    assert fast == slow
+        got = outcome(text, alphabet, parse_word)
+        expected = outcome(text, alphabet, lambda t, a: ReferenceParser(t, a).parse())
+    assert got == expected
 
 
 def test_the_flat_parse_enforces_the_letter_cap():

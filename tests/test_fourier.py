@@ -8,17 +8,17 @@ from wordfourier import (
     BudgetExceededError,
     ClassFunction,
     GroupValidationError,
-    builtin_names,
     coefficient_formula,
     distribution,
-    free_reduce,
     normalize,
     parse_word,
     project,
-    split_dismissible,
 )
 from wordfourier.errors import FloatRangeError
 from wordfourier.fourier import divisors, rational_annotation
+from wordfourier.groups import builtin_names
+from wordfourier.reduction import split_dismissible
+from wordfourier.words import free_reduce
 
 from closed_forms import (
     commutator_with_fresh,

@@ -12,13 +12,12 @@ from wordfourier import (
     FiniteGroup,
     GroupValidationError,
     builtin_group,
-    builtin_names,
     compute_character_table,
     conjugacy_classes,
     load_group,
-    save_character_table,
-    save_group,
 )
+from wordfourier.chartable import save_character_table
+from wordfourier.groups import builtin_names, save_group
 from group_builders import (
     build_builtin,
     compose,

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from wordfourier import (
     _kernels,
-    builtin_names,
     coefficient_formula,
     distribution,
     normalize,
@@ -36,6 +35,7 @@ from wordfourier import (
 )
 from wordfourier.cli import main
 from wordfourier.fourier import divisors, rational_annotation
+from wordfourier.groups import builtin_names
 from wordfourier.words import Alphabet, Word
 
 from corpus import cyclic_shift, group_and_table, invert, python_distribution

@@ -14,16 +14,15 @@ from wordfourier import (
     ReducedForm,
     ReductionError,
     Word,
-    free_reduce,
     genus,
     normalize,
     parse_word,
-    split_dismissible,
     word_to_str,
 )
 from wordfourier.analysis import ABSENT, DISMISSIBLE, SINGLE, SQUARE, kind, occurrences
 from wordfourier.groups import conjugacy_classes
-from wordfourier.reduction import format_trace, prefactor_str
+from wordfourier.reduction import format_trace, prefactor_str, split_dismissible
+from wordfourier.words import free_reduce
 
 from corpus import corpus_word, evaluate, form_from_split, split_tambour
 from group_builders import build_builtin

@@ -1,5 +1,7 @@
 """Parser, free reduction, inversion, shifts, and word-map evaluation."""
 
+import random
+import re
 from itertools import groupby
 
 import numpy as np
@@ -9,12 +11,11 @@ from wordfourier import (
     Alphabet,
     Word,
     WordSyntaxError,
-    free_reduce,
     normalize,
     parse_word,
     word_to_str,
 )
-from wordfourier.words import MAX_POWER_LETTERS
+from wordfourier.words import MAX_POWER_LETTERS, free_reduce
 
 from corpus import concat, cyclic_shift, evaluate, invert, random_word
 from group_builders import build_builtin, cycle_notation, group_from_generators, perm_from_cycles
@@ -132,6 +133,189 @@ class TestParser:
             with pytest.raises(WordSyntaxError, match="word expands") as err:
                 parse_word(text)
             assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, names, alphabet, letters",
+        [
+            ("x ^ -2", ("x",), None, ((0, -1), (0, -1))),  # whitespace around "^"
+            ("x^+2", ("x",), None, ((0, 1), (0, 1))),
+            ("x^0007", ("x",), None, ((0, 1),) * 7),
+            ("*x", ("x",), None, ((0, 1),)),  # a leading, trailing or doubled "*"
+            ("x*", ("x",), None, ((0, 1),)),
+            ("x**y", ("x", "y"), None, ((0, 1), (1, 1))),
+            ("1x", ("x",), None, ((0, 1),)),
+            ("x*1", ("x",), None, ((0, 1),)),
+            ("x y", ("x", "y"), None, ((0, 1), (1, 1))),
+            ("x y", ("x", "y"), ("x", "y"), ((0, 1), (1, 1))),
+            ("α*β^-1", ("α", "β"), None, ((0, 1), (1, -1))),  # letters are Unicode letters
+            ("x_1*x_1", ("x_1",), None, ((0, 1), (0, 1))),
+            ("x1y", ("x", "x1", "y"), ("x", "x1", "y"), ((1, 1), (2, 1))),
+            ("[x,y]^-1", ("x", "y"), None, ((1, 1), (0, 1), (1, -1), (0, -1))),
+        ],
+    )
+    def test_accepted_edges(self, text, names, alphabet, letters):
+        word = parse_word(text, alphabet and Alphabet(alphabet))
+        assert (word.alphabet.names, word.letters) == (names, letters)
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("x^- 2", "expected an integer exponent", 2),  # no space after the sign
+            ("x*y^0", "zero exponent", 4),
+            ("x^3*y^0", "zero exponent", 6),
+            ("x^-0", "zero exponent", 2),
+            ("x^2^3", "expected a generator symbol", 3),
+            ("(x)^2^3", "expected a generator symbol", 5),
+            ("_x", "expected a generator symbol", 0),
+            ("x,y", "expected a generator symbol", 1),
+            ("()", "empty word", 1),
+            ("[,x]", "empty word", 1),
+            (f"x*y^{MAX_POWER_LETTERS}", "word expands", 2),
+            ("x^12345678", "power expands", 2),  # eight digits
+        ],
+    )
+    def test_rejected_edges(self, text, message, position):
+        with pytest.raises(WordSyntaxError, match=message) as err:
+            parse_word(text)
+        assert err.value.position == position
+
+
+# Over an explicit alphabet these juxtapose unambiguously: no name is a
+# longer name's prefix followed by the start of another name.
+DRAW_NAMES = ("x", "y", "z", "x1", "y2", "α", "β_1")
+
+
+def invert_letters(letters):
+    return [(name, -sign) for name, sign in reversed(letters)]
+
+
+class GrammarDraw:
+    """Seeded word texts, each drawn together with the (name, sign) letters
+    it must parse to.  Half the texts are flat: no "()", "[,]" or "{,}".
+    Half are plain: ASCII names with powers, joined by "*", where an
+    exponent has no "+", no leading zero and no whitespace.  The rest adds
+    Unicode names, "1", whitespace, juxtaposition, a doubled, leading or
+    trailing "*", a "+" and leading zeros, up to eight digits.  Groups nest
+    two deep, and over an explicit alphabet a term may also be a juxtaposed
+    run of names, whose power binds to its last name."""
+
+    def __init__(self, seed, explicit):
+        self.rng = random.Random(seed)
+        self.explicit = explicit
+        self.order = []  # names in order of first appearance in the text
+        self.flat = self.plain = False
+
+    def noisy(self):
+        return not self.plain and self.rng.random() < 0.3
+
+    def space(self):
+        return self.rng.choice((" ", "  ", "\t")) if self.noisy() else ""
+
+    def name(self):
+        name = self.rng.choice(DRAW_NAMES[:5] if self.plain else DRAW_NAMES)
+        if name not in self.order:
+            self.order.append(name)
+        return name
+
+    def power(self, text, letters):
+        rng = self.rng
+        if rng.random() < 0.5:
+            return text, letters
+        exponent = rng.choice((1, 2, 3)) * rng.choice((1, -1))
+        sign = "-" if exponent < 0 else "+" if self.noisy() else ""
+        digits = "0" * (rng.choice((2, 7)) if self.noisy() else 0) + str(abs(exponent))
+        text += self.space() + "^" + self.space() + sign + digits
+        if exponent < 0:
+            letters = invert_letters(letters)
+        return text, letters * abs(exponent)
+
+    def term(self, depth):
+        kinds = ["name", "name", "name"] + ([] if self.plain else ["one"])
+        if self.explicit:
+            kinds.append("run")
+        if depth < 2 and not self.flat:
+            kinds += ["()", "[]", "{}"]
+        kind = self.rng.choice(kinds)
+        if kind == "name":
+            name = self.name()
+            return self.power(name, [(name, 1)])
+        if kind == "run":
+            names = [self.name() for _ in range(self.rng.randint(2, 3))]
+            tail, letters = self.power(names[-1], [(names[-1], 1)])
+            return "".join(names[:-1]) + tail, [(n, 1) for n in names[:-1]] + letters
+        if kind == "one":
+            return self.power("1", [])
+        left, a = self.word(depth + 1)
+        if kind == "()":
+            return self.power(f"({left})", a)
+        right, b = self.word(depth + 1)
+        if kind == "[]":
+            letters = a + b + invert_letters(a) + invert_letters(b)
+        else:
+            letters = a + b + a + invert_letters(b)
+        return self.power(f"{kind[0]}{left},{right}{kind[1]}", letters)
+
+    def word(self, depth=0):
+        rng = self.rng
+        parts, letters = [], []
+        for _ in range(rng.randint(1, 5 - depth)):
+            text, more = self.term(depth)
+            if parts:
+                joints = ["*", " * ", "**", " "]
+                if parts[-1][-1] in ")]}" or text[0] in "([{":
+                    joints.append("")
+                parts.append(rng.choice(joints) if self.noisy() else "*")
+            parts.append(text)
+            letters += more
+        text = "".join(parts)
+        if self.noisy():
+            text = "*" + text
+        if self.noisy():
+            text += "*"
+        return self.space() + text + self.space(), letters
+
+    def draw(self):
+        """(text, alphabet or None, alphabet names, letters)"""
+        self.order = []
+        self.flat = self.rng.random() < 0.5
+        self.plain = self.rng.random() < 0.5
+        text, letters = self.word()
+        if self.explicit:
+            names = list(DRAW_NAMES)
+            self.rng.shuffle(names)
+            names = tuple(names)
+        else:
+            names = tuple(self.order)
+        spelled = tuple((names.index(name), sign) for name, sign in letters)
+        return text, Alphabet(names) if self.explicit else None, names, spelled
+
+
+def drawn_texts(seed, count=50):
+    draw = GrammarDraw(seed, explicit=seed % 2 == 1)
+    return [draw.draw() for _ in range(count)]
+
+
+class TestSeededGrammar:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_parse_gives_the_drawn_letters(self, seed):
+        for text, alphabet, names, letters in drawn_texts(seed):
+            word = parse_word(text, alphabet)
+            assert (word.alphabet.names, word.letters) == (names, letters), text
+
+    def test_draws_cover_the_grammar(self):
+        texts = [text for seed in range(8) for text, *_ in drawn_texts(seed)]
+        for piece in (
+            r"\(", r"\[", r"\{", r"\^-", r"\^\+", r"\^\s*\d{8}", r"\s\^", r"\^\s",
+            r"\*\*", r"^\*", r"\*$", r"\w\s+\w", r"[)\]}]\w",
+        ):
+            assert any(re.search(piece, text) for text in texts), piece
+        explicit = [text for seed in range(1, 8, 2) for text, *_ in drawn_texts(seed)]
+        assert any("xy" in text or "zx" in text for text in explicit)
+        # flat texts both within and past the plain "name^int*name" shape
+        flat = [text for text in texts if not set(text) & set("([{")]
+        plain = re.compile(r"\w+(\^-?[1-9]\d{0,6})?(\*\w+(\^-?[1-9]\d{0,6})?)*")
+        shapes = [bool(plain.fullmatch(text)) for text in flat]
+        assert shapes.count(True) > 50 and shapes.count(False) > 50
 
 
 class TestAlphabet:

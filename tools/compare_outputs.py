@@ -26,7 +26,17 @@ process, the same list of ``main(argv)`` calls:
   ``.grp``, whose character table is computed.  All are written once from
   the shipped S3 data into one temporary directory that both trees read;
 * ``reduce`` runs that fail to parse their word or ``--alphabet``
-  (``WORD_ERRORS``);
+  (``WORD_ERRORS``), among them each rejected edge of the word grammar
+  that ``tests/test_words.py`` pins: a space after an exponent's sign, a
+  zero exponent, a second exponent, a symbol that starts with "_", a
+  stray ",", an empty "()" or bracket half, and a word or power past the
+  letter cap;
+* ``reduce`` on each accepted edge of the word grammar that
+  ``tests/test_words.py`` pins, over the alphabet it infers and over an
+  explicit one (``PARSE_RUNS``): whitespace around "^", a "+" sign,
+  leading zeros, a leading, trailing or doubled "*", "1" juxtaposed with
+  a name, Unicode and underscored names, and a run split greedily into
+  names;
 * ``reduce`` on long words that no workload query takes
   (``REDUCE_RUNS``): the two-occurrence and general-letter cascade words
   of ``tools/square_words.py`` (100 to 400 letters, runs in the intermediate
@@ -78,6 +88,20 @@ WORD_ERRORS = (
     ["reduce", "x^2\u00b2"],
     ["reduce", "ab", "--alphabet", "a,c"],
     ["reduce", "x", "--alphabet", "x,x"],
+    *(["reduce", text] for text in (
+        "x^- 2", "x*y^0", "x^3*y^0", "x^-0", "x^2^3", "(x)^2^3", "_x", "x,y", "()", "[,x]",
+        "x*y^1000000", "x^12345678",
+    )),
+)
+# accepted edges of the grammar, over the alphabet they infer and an explicit one
+PARSE_TEXTS = (
+    "x ^ -2", "x^+2", "x^0007", "*x", "x*", "x**y", "1x", "x*1", "x y", "\u03b1*\u03b2^-1",
+    "x_1*x_1", "x1y", "[x,y]^-1",
+)
+PARSE_RUNS = tuple(
+    ["reduce", text, *alphabet]
+    for text in PARSE_TEXTS
+    for alphabet in ([], ["--alphabet", "x,y,x1,x_1,\u03b1,\u03b2"])
 )
 
 # square steps that make a run at a splice join, over an alphabet with power-like names
@@ -238,6 +262,7 @@ def runs(tmp: Path) -> list[list[str]]:
     base.append(BUDGET_RUN)
     base.extend(error_runs(tmp))
     base.extend(WORD_ERRORS)
+    base.extend(PARSE_RUNS)
     base.extend(REDUCE_RUNS)
     base.extend(SINGLE_RUNS)
     out = []
