@@ -7,20 +7,18 @@ identity, and every row's Frobenius-Schur indicator must lie within
 its trivial row, the conjugate values and each row's (degree, indicator)
 as Python ints, so users read them without checking or building again.
 Tables are computed by simultaneously diagonalizing the class-sum
-multiplication matrices of the group's class algebra: a random real linear
-combination of those matrices has the character-column vectors as
-eigenvectors, and a fresh combination is drawn whenever two eigenvalues
-collide.  The seed is recorded in the table metadata for reproducibility.
-Tables are immutable: attributes cannot be reassigned, the arrays are
-read-only and the metadata is a read-only mapping.  The table of each
-built-in group is loaded and validated once per process and then shared.
+multiplication matrices of the group's class algebra: one fixed real
+linear combination of those matrices has the character-column vectors as
+eigenvectors, so a group's computed table is always the same.
+Tables are immutable: attributes cannot be reassigned and the arrays are
+read-only.  The table of each built-in group is loaded and validated once
+per process and then shared.
 """
 
 from __future__ import annotations
 
 import math
 from importlib import resources
-from types import MappingProxyType
 
 import numpy as np
 
@@ -29,26 +27,18 @@ from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes, is_builtin
 
 ORTHOGONALITY_TOL = 1e-9
 FS_TOL = 1e-6
-DEFAULT_SEED = 0
 COMPUTE_ORDER_BOUND = 120
-_COMPUTE_RETRIES = 12
 
 
 class CharacterTable:
     """Rows are irreducible characters, columns are conjugacy classes."""
 
     __slots__ = (
-        "group", "classes", "values", "degrees", "meta", "indicators", "trivial_index",
+        "group", "classes", "values", "degrees", "indicators", "trivial_index",
         "conjugates", "degree_fs",
     )
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        classes: ConjugacyClasses,
-        values: np.ndarray,
-        meta: dict | None = None,
-    ):
+    def __init__(self, group: FiniteGroup, classes: ConjugacyClasses, values: np.ndarray):
         values = np.ascontiguousarray(np.asarray(values, dtype=np.complex128))
         k = len(classes)
         if values.shape != (k, k):
@@ -103,7 +93,6 @@ class CharacterTable:
             ("classes", classes),
             ("values", values),
             ("degrees", degrees),
-            ("meta", MappingProxyType(dict(meta or {}))),
             ("indicators", tuple(indicators)),
             ("trivial_index", int(trivial[0])),
             ("conjugates", conjugates),
@@ -119,13 +108,10 @@ class CharacterTable:
 
     def __reduce__(self):
         # slot state is restored by assignment, which __setattr__ refuses
-        return (CharacterTable, (self.group, self.classes, self.values, dict(self.meta)))
+        return (CharacterTable, (self.group, self.classes, self.values))
 
     def __len__(self) -> int:
         return len(self.degrees)
-
-    def is_real(self, chi: int) -> bool:
-        return bool(np.max(np.abs(self.values[chi].imag)) <= ORTHOGONALITY_TOL)
 
     def __repr__(self) -> str:
         return f"CharacterTable({self.group.name}, degrees={self.degrees.tolist()})"
@@ -153,14 +139,18 @@ def _structure_constants(group: FiniteGroup, classes: ConjugacyClasses) -> np.nd
     return a
 
 
-def compute_character_table(group: FiniteGroup, seed: int = DEFAULT_SEED) -> CharacterTable:
+def compute_character_table(group: FiniteGroup) -> CharacterTable:
     """Compute the table of irreducible characters of a group of order at
     most ``COMPUTE_ORDER_BOUND``.
 
-    Rows come out ordered by degree, then lexicographically by value.
-    Raises :class:`CharacterComputationError` when no random combination of
-    class-sum matrices separates the eigenvalues within ``_COMPUTE_RETRIES``
-    draws.
+    The class-sum matrices are combined with the weights of the first
+    standard normal draw of ``np.random.default_rng(0)``, one fixed
+    combination, so the same group always gives the same table.  Rows come
+    out ordered by degree, then lexicographically by value.  Raises
+    :class:`CharacterComputationError` when that combination does not
+    separate the characters: two eigenvalues too close, an eigenvector
+    that vanishes on the identity class, a non-integral degree, or rows
+    that fail the table's validation.
     """
     if group.order > COMPUTE_ORDER_BOUND:
         raise CharacterComputationError(
@@ -173,48 +163,35 @@ def compute_character_table(group: FiniteGroup, seed: int = DEFAULT_SEED) -> Cha
     sizes = np.array(classes.sizes, dtype=np.float64)
     struct = _structure_constants(group, classes)
     id_cls = classes.identity_class
-    rng = np.random.default_rng(seed)
 
-    last_error = "no attempt made"
-    for attempt in range(1, _COMPUTE_RETRIES + 1):
-        weights = rng.standard_normal(k)
-        combined = np.tensordot(weights, struct, axes=(0, 0))
-        eigenvalues, eigenvectors = np.linalg.eig(combined)
-        gap = _min_gap(eigenvalues)
-        if gap < 1e-6 * (1.0 + np.max(np.abs(eigenvalues))):
-            last_error = f"eigenvalue gap {gap:.2e} too small"
-            continue
-        rows = []
-        ok = True
-        for col in range(k):
-            v = eigenvectors[:, col]
-            if abs(v[id_cls]) < 1e-12:
-                ok, last_error = False, "eigenvector vanishes on the identity class"
-                break
-            v = v / v[id_cls]
-            norm = float((np.abs(v) ** 2 / sizes).sum())
-            degree = math.sqrt(order / norm)
-            rounded = round(degree)
-            if rounded < 1 or abs(degree - rounded) > 1e-6:
-                ok, last_error = False, f"non-integral degree {degree}"
-                break
-            rows.append(rounded * v / sizes)
-        if not ok:
-            continue
-        values = np.array(sorted(rows, key=_row_sort_key), dtype=np.complex128)
-        try:
-            return CharacterTable(
-                group,
-                classes,
-                values,
-                meta={"seed": seed, "attempts": attempt, "source": "computed"},
-            )
-        except TableValidationError as exc:
-            last_error = str(exc)
-            continue
-    raise CharacterComputationError(
-        f"failed to separate characters of {group.name} after {_COMPUTE_RETRIES} draws: {last_error}"
-    )
+    def fail(reason: str):
+        raise CharacterComputationError(
+            f"failed to separate characters of {group.name}: {reason}"
+        )
+
+    weights = np.random.default_rng(0).standard_normal(k)
+    combined = np.tensordot(weights, struct, axes=(0, 0))
+    eigenvalues, eigenvectors = np.linalg.eig(combined)
+    gap = _min_gap(eigenvalues)
+    if gap < 1e-6 * (1.0 + np.max(np.abs(eigenvalues))):
+        fail(f"eigenvalue gap {gap:.2e} too small")
+    rows = []
+    for col in range(k):
+        v = eigenvectors[:, col]
+        if abs(v[id_cls]) < 1e-12:
+            fail("eigenvector vanishes on the identity class")
+        v = v / v[id_cls]
+        norm = float((np.abs(v) ** 2 / sizes).sum())
+        degree = math.sqrt(order / norm)
+        rounded = round(degree)
+        if rounded < 1 or abs(degree - rounded) > 1e-6:
+            fail(f"non-integral degree {degree}")
+        rows.append(rounded * v / sizes)
+    values = np.array(sorted(rows, key=_row_sort_key), dtype=np.complex128)
+    try:
+        return CharacterTable(group, classes, values)
+    except TableValidationError as exc:
+        fail(str(exc))
 
 
 def _min_gap(eigenvalues: np.ndarray) -> float:
@@ -306,9 +283,7 @@ def _load_table_text(text: str, group: FiniteGroup, source: str) -> CharacterTab
         if len(tokens) != k:
             raise TableValidationError(f"{source}: row of {len(tokens)} values != {k}")
         rows.append([_parse_complex(t, source) for t in tokens])
-    return CharacterTable(
-        group, classes, np.array(rows, dtype=np.complex128), meta={"source": source}
-    )
+    return CharacterTable(group, classes, np.array(rows, dtype=np.complex128))
 
 
 def load_character_table(group: FiniteGroup, path) -> CharacterTable:

@@ -109,8 +109,8 @@ def _tolerance(text: str) -> float:
 
 
 def _count(text: str) -> int:
-    """argparse type of --seed and --budget: an integer >= 0 (numpy's
-    seeding needs one, and a negative budget would refuse every word)."""
+    """argparse type of --budget: an integer >= 0 (a negative budget would
+    refuse every word)."""
     try:
         value = int(text)
     except ValueError:
@@ -134,8 +134,6 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool) -> None:
                             help="enumeration cap, in assignments (default: %(default)s)")
         parser.add_argument("--tol", type=_tolerance, default=1e-6,
                             help="--verify and exact-column tolerance (default: %(default)s)")
-        parser.add_argument("--seed", type=_count, default=0,
-                            help="seed for a computed character table (default: %(default)s)")
 
 
 @functools.cache  # one parser per process: parse_args keeps no state between calls
@@ -212,7 +210,7 @@ def _resolve_group(args):
     if args.table_file:
         table = load_character_table(group, args.table_file)
     else:
-        table = compute_character_table(group, seed=args.seed)
+        table = compute_character_table(group)
     return group, table
 
 
@@ -380,7 +378,6 @@ def cmd_expand(args) -> int:
         "group": group.name,
         "order": group.order,
         "prefactor": prefactor_str(form),
-        "seed": args.seed,
         "backend": _kernels.active_backend(),
         "rows": rows,
     }

@@ -285,10 +285,6 @@ def load_group(path) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 # built-in groups
 
-def builtin_names() -> tuple[str, ...]:
-    return BUILTIN_NAMES
-
-
 def _canonical_name(name: str) -> str:
     for key in BUILTIN_NAMES:
         if key.lower() == name.lower():

@@ -20,12 +20,14 @@ sign and the digits; whitespace is ignored everywhere else, "^" included.
 "[a,b]" expands to a b a^-1 b^-1, "{a,b}" expands to a b a b^-1, and "1"
 denotes the empty word.  A zero exponent is rejected, and so is a power,
 a bracket or a whole word that would expand to more than
-``MAX_POWER_LETTERS`` letters.
+``MAX_POWER_LETTERS`` letters, and an exponent of more digits than
+``sys.int_info.default_max_str_digits``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import is_
@@ -271,18 +273,30 @@ class _Parser:
         return letters
 
     def exponent(self, k: int, digits: str, length: int) -> int:
-        """The exponent ``digits`` of token ``k``, on a term of ``length`` letters."""
-        try:
-            exponent = int(digits)
-        except ValueError:  # no digits, or past Python's limit on digits in int()
-            if digits[-1:].isdecimal():
+        """The exponent ``digits`` of token ``k``, on a term of ``length`` letters.
+
+        The errors depend on the digits alone, not on the interpreter's
+        limit on digits in ``int()`` (``PYTHONINTMAXSTRDIGITS``): more
+        digits than that limit's default are too many, and ``int()`` reads
+        at most as many significant digits as ``MAX_POWER_LETTERS`` has.
+        Any more stand for ``MAX_POWER_LETTERS + 1``, past the cap on a term
+        of one letter or more; a power of an empty term is empty.
+        """
+        number = digits.lstrip().lstrip("+-")  # whitespace may come before the sign
+        width = len(str(MAX_POWER_LETTERS))
+        if len(number) > width:
+            if len(number) > sys.int_info.default_max_str_digits:
                 self.fail("exponent has too many digits", k, past_caret=True)
+            # drop leading zeros, of any script int() reads
+            number = number[next((i for i, c in enumerate(number) if int(c)), -1) :]
+        elif not number:
             self.fail("expected an integer exponent", k, past_caret=True)
+        exponent = int(number) if len(number) <= width else MAX_POWER_LETTERS + 1
         if not exponent:
             self.fail("zero exponent is not allowed", k, past_caret=True)
-        if length * abs(exponent) > MAX_POWER_LETTERS:
+        if length * exponent > MAX_POWER_LETTERS:
             self.fail(f"power expands past {MAX_POWER_LETTERS} letters", k, past_caret=True)
-        return exponent
+        return -exponent if "-" in digits else exponent
 
     def symbols(self, run: str, k: int) -> list[int]:
         """Split the symbol run of token ``k`` greedily into names of the

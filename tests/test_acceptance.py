@@ -16,8 +16,8 @@ from wordfourier import (
     normalize,
     parse_word,
 )
+from wordfourier._defaults import BUILTIN_NAMES
 from wordfourier.chartable import ORTHOGONALITY_TOL
-from wordfourier.groups import builtin_names
 from wordfourier.reduction import split_dismissible
 
 from closed_forms import nested_commutator_coeff, quartic_pair_coeff
@@ -99,7 +99,7 @@ def test_04_empty_and_single_closed_forms():
 
 def test_05_fs_indicator_equals_square_word_coefficient():
     square = parse_word("x^2")
-    for name in builtin_names():
+    for name in BUILTIN_NAMES:
         group, table = group_and_table(name)
         oracle = oracle_coefficients(square, name)
         for chi in range(len(table)):
@@ -265,7 +265,7 @@ def test_11_quartic_pair():
 
 
 def test_12_table_validation_and_recomputation():
-    for name in builtin_names():
+    for name in BUILTIN_NAMES:
         group, table = group_and_table(name)
         k = len(table)
         sizes = np.array(table.classes.sizes, dtype=float)

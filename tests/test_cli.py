@@ -12,6 +12,7 @@ import pytest
 
 import wordfourier
 from wordfourier import (
+    CharacterComputationError,
     CharacterTable,
     coefficient_formula,
     normalize,
@@ -187,7 +188,11 @@ class TestExpand:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["seed"] == 0
+        _, shipped, _ = run(capsys, "expand", "x^2", "--group", "Z4", "--format", "json")
+        assert "seed" not in doc
+        assert [r["display"] for r in doc["rows"]] == [
+            r["display"] for r in json.loads(shipped)["rows"]
+        ]
 
 
 class TestBench:
@@ -452,15 +457,31 @@ class TestExitCodes:
         code, _, _ = run(capsys, "expand", "x^2", "--group", "S3", "--verify", "--tol", "1e-3")
         assert code == 0
 
-    def test_seed_must_be_a_nonnegative_integer(self, capsys, tmp_path):
+    def test_seed_is_a_usage_error(self, capsys, tmp_path):
+        # a computed table is one fixed function of its group: no draw to seed
         group, _ = group_and_table("Z4")
         gpath = tmp_path / "z4.grp"
         save_group(group, gpath)
-        for seed in ("-1", "1.5"):
+        for command in ("expand", "bench"):
             code, out, err = run(
-                capsys, "expand", "x^2", "--group-file", str(gpath), "--seed", seed
+                capsys, command, "x^2", "--group-file", str(gpath), "--seed", "0"
             )
-            assert (code, out) == (1, "") and "argument --seed" in err
+            assert (code, out) == (1, "") and "unrecognized arguments: --seed 0" in err
+
+    def test_a_failed_table_computation_exits_2(self, capsys, tmp_path, monkeypatch):
+        # besides the order bound, a combination that does not separate the
+        # characters raises CharacterComputationError
+        from wordfourier import chartable
+
+        monkeypatch.setattr(chartable, "_min_gap", lambda eigenvalues: 0.0)
+        group, _ = group_and_table("Z4")
+        with pytest.raises(CharacterComputationError, match="eigenvalue gap"):
+            chartable.compute_character_table(group)
+        gpath = tmp_path / "z4.grp"
+        save_group(group, gpath)
+        code, out, err = run(capsys, "expand", "x^2", "--group-file", str(gpath))
+        assert (code, out) == (2, "")
+        assert err.startswith("validation error: ") and err.count("\n") == 1
 
 
 class TestNumpyFreeStart:

@@ -16,8 +16,9 @@ from wordfourier import (
     conjugacy_classes,
     load_group,
 )
+from wordfourier._defaults import BUILTIN_NAMES
 from wordfourier.chartable import save_character_table
-from wordfourier.groups import builtin_names, save_group
+from wordfourier.groups import save_group
 from group_builders import (
     build_builtin,
     compose,
@@ -97,7 +98,7 @@ def switch_intercalates(table: np.ndarray, picks) -> np.ndarray:
     return table
 
 
-SMALL_BUILTINS = tuple(name for name in builtin_names() if builtin_group(name).order <= 10)
+SMALL_BUILTINS = tuple(name for name in BUILTIN_NAMES if builtin_group(name).order <= 10)
 
 
 class TestValidation:
@@ -193,7 +194,7 @@ class TestConjugacyClasses:
             members = np.flatnonzero(class_of == c)
             assert rep == members.min()
 
-    @pytest.mark.parametrize("name", builtin_names())
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_squaring_is_class_well_defined(self, name):
         group = builtin_group(name)
         classes = conjugacy_classes(group)
@@ -267,13 +268,13 @@ DATA = resources.files("wordfourier").joinpath("data")
 def test_builtin_names_are_the_shipped_data_files():
     # in the order the CLI help prints them
     expected = ("A4", "D4", "D5", "Q8", "S3", "S4", *(f"Z{n}" for n in range(1, 13)))
-    assert builtin_names() == expected
+    assert BUILTIN_NAMES == expected
     for folder, suffix in (("groups", ".grp"), ("tables", ".chtab")):
         stems = [p.name[: -len(suffix)] for p in DATA.joinpath(folder).iterdir()]
-        assert sorted(stems) == sorted(builtin_names()), folder
+        assert sorted(stems) == sorted(BUILTIN_NAMES), folder
 
 
-@pytest.mark.parametrize("name", builtin_names())
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_assets_match_fresh_construction(name, tmp_path):
     shipped = builtin_group(name)
     fresh = build_builtin(name)

@@ -33,9 +33,9 @@ from wordfourier import (
     project,
     word_to_str,
 )
+from wordfourier._defaults import BUILTIN_NAMES
 from wordfourier.cli import main
 from wordfourier.fourier import divisors, rational_annotation
-from wordfourier.groups import builtin_names
 from wordfourier.words import Alphabet, Word
 
 from corpus import cyclic_shift, group_and_table, invert, python_distribution
@@ -203,7 +203,7 @@ def _solutions(word, group_name) -> int:
     return int(counts[table.classes.class_of[group.identity]])
 
 
-@pytest.mark.parametrize("group_name", builtin_names())
+@pytest.mark.parametrize("group_name", BUILTIN_NAMES)
 def test_solomon_solutions_of_w_equal_1_are_a_multiple_of_the_order(group_name):
     # seeded words rather than hypothesis: its overhead on 18 groups
     # would be twenty times the cost of the counts
@@ -216,7 +216,7 @@ def test_solomon_solutions_of_w_equal_1_are_a_multiple_of_the_order(group_name):
         assert _solutions(word, group_name) % order == 0, word_to_str(word)
 
 
-@pytest.mark.parametrize("group_name", builtin_names())
+@pytest.mark.parametrize("group_name", BUILTIN_NAMES)
 def test_frobenius_solutions_of_x_to_the_n_are_a_multiple_of_gcd_n_order(group_name):
     order = group_and_table(group_name)[0].order
     x = Alphabet(("x",))

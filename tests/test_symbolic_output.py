@@ -55,27 +55,27 @@ EXPECTED = {
         "a6973ec8 7594093d 7df50ad1 7d0b93ea eabd8ff4 77c1d0f0 2045d99f",
     ),
     "expand": (
-        "e7e3709f4aa01f01226b2c81aeaf295c7673325b3b3e2d10ad76611f7e1aaf91",
-        "ba49c3f7 bcef24ef 6ef367f3 5c38267a 9797a9a3 b253cda6 c4e6bcaa "
-        "23eb7eda a83a5540 55261f16 7da213ab f400977c 93562138 89e82a9a "
-        "afc6c93e e78fa99c 9ef3f830 29afa677 5f805b6c aadf13d7 e68dcd50 "
-        "8da4e349 7b459d36 b9313d9a 9d1628b0 9c52ed67 b6fe6753 90678d10 "
-        "d06c2ebf 76db26d2 0a270042 97dc1482 315e38ca 0cda67ae db3178a9 "
-        "2e6deaaa aa067cd9 a628000d 52367150 671b7f43 1d82e95c ef7b86c1 "
-        "7d38c254 2395eed1 e845a9fa a22f21dd 2053fee3 def7b3dc 1879e0fa "
-        "62ba4e28 e8a96355 52d0dd68 9d2f4d3e 2e292041 f51639e7 4c1c9814 "
-        "3e16b565 94e74d57 e54a9efa dda2aa6c 8e04c5a4 88f87343 2380e0f1 "
-        "780da295 2140fe0e f0ba0425 61fa4305 543cfbb2 023eafa0 27cf444a "
-        "1d1dfed5 b519cac6 c07f3985 ed7acb5e 50124d62 2d61f862 0926407a "
-        "86e595be fdf2cb1d 65990cce 58df27ce 1e935983 6fdfa225 20874f7f "
-        "3ab80d53 72cd5a82 27190ecb 3b9e0f67 e971b369 d47af87b 805e2bd5 "
-        "c2a5aab3 176fb382 0764a673 ca2220ca e1c9ba9f 9d25ec12 0891773c "
-        "425f35db 8fe9ed21 036ddd97 e867a98b 21950eeb 7099b4f4 a83704c0 "
-        "cb41dcbb 0d62637d 272eb4fe 735cec84 5dfc591a e4e87a75 2cc57db1 "
-        "fdf23522 2802dced f458638d d9216b02 65d3bfc6 2b12ea9a 765b778d "
-        "2f066172 4c1c9814 3e16b565 94e74d57 e54a9efa dda2aa6c 8e04c5a4 "
-        "88f87343 2380e0f1 780da295 2140fe0e 739d5829 d751036b 04978ac5 "
-        "95b90184 81b931f5 ecc6d86c 63db6635 1c3f1be4 c9269988 1c2d9be2",
+        "8847de5c216ae5737663d0401257e86b2ae189405773d916eb5ab8436f874f54",
+        "2b90cd18 96e39a4e df29eda7 d573ec52 b25e2374 cef882a6 3ec9643f "
+        "f012e1e4 20db8b31 20407d16 056bec52 85263125 0aabed3d aa292359 "
+        "654f020f 31074cf0 17e5dba3 94056b8b 46e28726 647c9102 cbde5d76 "
+        "a66409e1 dae629d0 90150bd8 a2c68119 b93dc8e5 7caef04b 2ee30c03 "
+        "2d97379d 998501ed 2d76bb7b 2f8b6160 6ed4636e 0b6c9a31 8b10bb06 "
+        "eb4caff5 eb67d9dc 59067e85 b89a8bea 09098eb2 a8cf0174 65dc3598 "
+        "7de66354 3a0b84f7 ba163979 d4fd860a 415ce0de 99f3a7be e0e267eb "
+        "c6cb7196 09cc8735 0db80a37 171002ae d1ff2305 e8bbedc8 157d8fff "
+        "b6087bc0 d4905158 c086c521 5a8d3976 bf4908cc 1bd74215 f08b9889 "
+        "03de38c6 d267bdaa 067d2ba6 15506585 bd1034b4 03ede412 f346c53f "
+        "c75b9a04 b24e9700 fb5af6db f5f9bb41 756010cc ccc1fcf8 971bd1f6 "
+        "2191ffab 6a6d891b b4e2b3a5 de090c12 ec5639b5 2cc608de 945dc0a1 "
+        "060db2e7 2037f378 073d09bc c8b86838 a19d0feb f0932115 3138e055 "
+        "eb5ff5d6 d3b052d0 af438771 2fcef9f8 3572b320 88e66ee5 6732fff8 "
+        "32a58949 938b5924 e5823113 8650dbb5 379817ff 32bb923c 01026a4c "
+        "4e1775be 3e3ba497 53d59fcb 459a4d36 90de9ea6 6dd0a0d7 e6f02e64 "
+        "fdc228c3 e8f1cc79 242eb9da 2a87aa39 f14b4493 5e4f56b8 84bfa20f "
+        "ae079d01 157d8fff b6087bc0 d4905158 c086c521 5a8d3976 bf4908cc "
+        "1bd74215 f08b9889 03de38c6 d267bdaa 75a7aece 6a6f9094 1852bd5c "
+        "209a16c1 948f6738 f84717f7 37a777f0 13c64acc 1185e182 6c9b4fa9",
     ),
     "genus": (
         "e8f7febc95d98b9c8230e59c6bcabd1c8d6c1ae53125cf3552d24989c64b91f5",

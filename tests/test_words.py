@@ -1,12 +1,17 @@
 """Parser, free reduction, inversion, shifts, and word-map evaluation."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wordfourier
 from wordfourier import (
     Alphabet,
     Word,
@@ -116,6 +121,30 @@ class TestParser:
             assert err.value.position == position
         assert parse_word("x^٣") == parse_word("x^3")
 
+    @pytest.mark.parametrize("setting", (None, "0", "640"), ids=("unset", "0", "640"))
+    def test_exponent_errors_ignore_the_int_digit_limit(self, setting):
+        # int() refuses more digits than PYTHONINTMAXSTRDIGITS allows; the
+        # parser's messages read the same under every setting
+        program = (
+            "from wordfourier import WordSyntaxError, parse_word\n"
+            "for digits in (1000, 5000):\n"
+            "    try:\n"
+            "        parse_word('x^' + '9' * digits)\n"
+            "    except WordSyntaxError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(wordfourier.__file__).parents[1]))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if setting is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = setting
+        done = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.stdout.splitlines() == [
+            f"power expands past {MAX_POWER_LETTERS} letters (at position 2)",
+            "exponent has too many digits (at position 2)",
+        ]
+
     def test_bracket_past_the_letter_cap_is_a_syntax_error(self):
         half = MAX_POWER_LETTERS // 2
         # [[...[x,y],y]...,y] nested k deep has 3*2^k - 2 letters, so the
@@ -151,6 +180,7 @@ class TestParser:
             ("x_1*x_1", ("x_1",), None, ((0, 1), (0, 1))),
             ("x1y", ("x", "x1", "y"), ("x", "x1", "y"), ((1, 1), (2, 1))),
             ("[x,y]^-1", ("x", "y"), None, ((1, 1), (0, 1), (1, -1), (0, -1))),
+            ("1^99999999999999999999", (), None, ()),  # used to die with OverflowError
         ],
     )
     def test_accepted_edges(self, text, names, alphabet, letters):

@@ -55,8 +55,9 @@ that argparse refuses or answers with help (``USAGE_RUNS``): an unknown
 option before the subcommand, after it and after the word, ``--group``
 with no value, ``--format xml``, an extra positional, an unknown and no
 subcommand, ``--tol nan``, ``--budget -1``, ``expand`` with no word and
-``expand --he``, an abbreviation of ``--help``.  Help and usage runs have
-``COLUMNS`` fixed so both trees wrap their text alike.  Every
+``expand --he``, an abbreviation of ``--help``, and ``expand --seed 0``,
+refused since a computed character table takes no seed.  Help and usage
+runs have ``COLUMNS`` fixed so both trees wrap their text alike.  Every
 run whose exit code, stdout or stderr differs between the trees is
 printed, with its first differing field and line, and the exit status is
 1; with no difference it is 0.  An exception that escapes ``main`` is
@@ -138,6 +139,7 @@ USAGE_RUNS = (
     ["expand", "[x,y]", "--group", "S3", "--budget", "-1"],
     ["expand", "--group", "S3"],
     ["expand", "--he"],
+    ["expand", "x^2", "--group", "S3", "--seed", "0"],
 )
 
 # seven residual words: 5^7 classes of S4 and 12^7 of Z12 exceed the dense tally

@@ -156,7 +156,7 @@ _PERMUTATION_GENERATORS = {
 
 
 def build_builtin(name: str) -> FiniteGroup:
-    """Construct the built-in group ``name`` (as ``builtin_names`` spells
+    """Construct the built-in group ``name`` (as ``BUILTIN_NAMES`` spells
     it) from its generators."""
     if name == "Q8":
         group, _ = group_from_mul_function(

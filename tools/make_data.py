@@ -2,7 +2,8 @@
 """Regenerate the shipped group and character-table data assets.
 
 Builds every built-in group from its generators (``group_builders.py``,
-next to this script), computes its character table with the default seed,
+next to this script), computes its character table from the one fixed
+combination of class-sum matrices that ``compute_character_table`` uses,
 certifies a tighter-than-shipping tolerance, and writes both files under
 src/wordfourier/data/.
 """
@@ -15,8 +16,9 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from group_builders import build_builtin
+from wordfourier._defaults import BUILTIN_NAMES
 from wordfourier.chartable import compute_character_table, save_character_table
-from wordfourier.groups import builtin_names, save_group
+from wordfourier.groups import save_group
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "wordfourier" / "data"
 
@@ -27,7 +29,7 @@ def main() -> None:
     groups_dir.mkdir(parents=True, exist_ok=True)
     tables_dir.mkdir(parents=True, exist_ok=True)
 
-    for name in builtin_names():
+    for name in BUILTIN_NAMES:
         group = build_builtin(name)
         table = compute_character_table(group)
         classes = table.classes
