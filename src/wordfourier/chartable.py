@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import CharacterComputationError, TableValidationError
-from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes, is_builtin
+from .groups import ConjugacyClasses, FiniteGroup, _canonical_name, conjugacy_classes, is_builtin
 
 ORTHOGONALITY_TOL = 1e-9
 FS_TOL = 1e-6
@@ -303,17 +303,18 @@ def builtin_table(group: FiniteGroup) -> CharacterTable:
     returns, the table is read and validated on the first call and shared
     after that.  Any other group object of the same name, such as a
     ``--group-file`` group, gets a table loaded and validated for it on
-    every call.
+    every call.  Raises KeyError when no built-in group has the name.
     """
     cached = _BUILTIN_TABLES.get(group.name)
     if cached is not None and cached.group is group:
         return cached
+    name = _canonical_name(group.name)
     text = (
         resources.files("wordfourier")
-        .joinpath("data", "tables", f"{group.name}.chtab")
+        .joinpath("data", "tables", f"{name}.chtab")
         .read_text(encoding="ascii")
     )
-    table = _load_table_text(text, group, f"builtin:{group.name}")
+    table = _load_table_text(text, group, f"builtin:{name}")
     if is_builtin(group):
-        _BUILTIN_TABLES[group.name] = table
+        _BUILTIN_TABLES[name] = table
     return table

@@ -62,7 +62,6 @@ def _numeric() -> None:
     from .fourier import (
         coefficient_formula,
         distribution,
-        divisors,
         project,
         rational_annotation,
     )
@@ -347,8 +346,8 @@ def _expand_rows(form, group, table, args, verify: bool):
     worst = 0.0
     for chi, (value, (degree, fs)) in enumerate(zip(values.tolist(), table.degree_fs)):
         # |G|*c/chi(1) is an algebraic integer (Frobenius), so a rational c
-        # has a denominator dividing |G|/chi(1)
-        rational = rational_annotation(value, divisors(group.order // degree), tol=args.tol)
+        # is a multiple of 1/(|G|/chi(1))
+        rational = rational_annotation(value, group.order // degree, tol=args.tol)
         row = {
             "chi": chi,
             "degree": degree,

@@ -28,8 +28,6 @@ object they are used with; anything else raises
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,37 +161,13 @@ def _past_float_range(form: ReducedForm, group: FiniteGroup) -> FloatRangeError:
     return FloatRangeError(f"{what} is past the float range")
 
 
-def rational_annotation(
-    value: complex, denominators, tol: float = 1e-6
-) -> Fraction | None:
-    """The fraction p/q within tol of ``value`` with the smallest allowed q,
-    or None.  Raises FloatRangeError when ``value`` times q is not finite."""
-    if abs(complex(value).imag) > tol:
+def rational_annotation(value: complex, n: int, tol: float = 1e-6) -> Fraction | None:
+    """The multiple p/n of 1/n nearest ``value``, if it lies within tol, else
+    None.  ``value * n`` is rounded exactly, so a finite value never
+    overflows."""
+    value = complex(value)
+    if abs(value.imag) > tol:
         return None
-    real = complex(value).real
-    for q in sorted({int(d) for d in denominators}):
-        if q <= 0:
-            continue
-        if not math.isfinite(real * q):
-            raise FloatRangeError(f"coefficient {real!r} times {q} is past the float range")
-        p = round(real * q)
-        if abs(real - p / q) <= tol:
-            return Fraction(p, q)
-    return None
-
-
-def divisors(n: int) -> tuple[int, ...]:
-    return _divisors(abs(int(n)))
-
-
-@functools.lru_cache(maxsize=1024)  # expand asks for the divisors of |G|/chi(1) per row
-def _divisors(n: int) -> tuple[int, ...]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+    num, den = value.real.as_integer_ratio()
+    p = round(Fraction(num * n, den))
+    return Fraction(p, n) if abs(value.real - p / n) <= tol else None

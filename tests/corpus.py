@@ -109,13 +109,14 @@ def python_distribution(word, group):
     """Dict-and-loop reference oracle, independent of the numpy kernels."""
     counts = [0] * group.order
     rank = word.alphabet.rank
+    mul, inv = group.mul.tolist(), group.inv.tolist()
     for assigned in product(range(group.order), repeat=rank):
         acc = group.identity
         for g, s in word.letters:
             x = assigned[g]
             if s < 0:
-                x = int(group.inv[x])
-            acc = int(group.mul[acc, x])
+                x = inv[x]
+            acc = mul[acc][x]
         counts[acc] += 1
     return counts
 

@@ -160,6 +160,15 @@ class TestBuiltinTables:
         coefficients = coefficient_formula(normalize(parse_word("[x,y]")), fresh, table)
         assert np.allclose(coefficients, 24 / table.degrees)
 
+    def test_the_name_is_looked_up_among_the_built_ins(self):
+        # as in builtin_group: any letter case, and a name that is not built
+        # in is a KeyError, never a path under the data directory
+        s3 = builtin_group("S3")
+        assert builtin_table(FiniteGroup(s3.mul, name="s3")).degrees.tolist() == [1, 1, 2]
+        for name in ("foo", "../tables/S3"):
+            with pytest.raises(KeyError, match="unknown built-in group"):
+                builtin_table(FiniteGroup(s3.mul, name=name))
+
 
 class TestFsIndicator:
     def test_trivial_character_is_plus_one(self):

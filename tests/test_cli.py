@@ -128,15 +128,15 @@ class TestExpand:
         doc = json.loads(out)
         assert [r["rational"] for r in doc["rows"]] == ["1/6", "1/6", "1/3"]
 
-    def test_a_large_tol_picks_from_the_divisors_of_order_over_degree(self, capsys):
-        # the degree-2 row of the empty word on S3 is 1/3; at --tol 0.2 the
-        # wider search over the divisors of |G|*chi(1) would stop at 1/2
+    def test_a_large_tol_picks_the_nearest_multiple_of_degree_over_order(self, capsys):
+        # the rows of the empty word on S3 are 1/6, 1/6 and 1/3: each is its
+        # own nearest multiple of chi(1)/|G|, whatever --tol allows besides
         code, out, _ = run(
             capsys, "expand", "1", "--group", "S3", "--tol", "0.2", "--format", "json"
         )
         doc = json.loads(out)
         assert code == 0
-        assert [r["rational"] for r in doc["rows"]] == ["0", "0", "1/3"]
+        assert [r["rational"] for r in doc["rows"]] == ["1/6", "1/6", "1/3"]
 
     def test_verify_flag(self, capsys):
         code, out, _ = run(capsys, "expand", "{x,y}", "--group", "S3", "--verify")
@@ -244,6 +244,17 @@ class TestBench:
             assert (code, out) == (2, "")
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_human_report_is_a_header_and_one_aligned_line_per_route(self, capsys):
+        code, out, _ = run(capsys, "bench", "[x,y]", "--group", "S3", "--format", "human")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "word: x*y*x^-1*y^-1  group: S3  backend: numpy"
+        assert lines[1].split() == [
+            "route", "assignments", "seconds", "max", "delta", "normalize", "s"
+        ]
+        assert [line.split()[:2] for line in lines[2:]] == [["oracle", "3"], ["formula", "0"]]
+        assert len({len(line) for line in lines[1:]}) == 1
+
     def test_worked_example_counts(self, capsys):
         word = "x1*y1*x1*x2*y3*x2*x1*y1^-1*x1^3*y2*x3^-1*y3^-1*x3^2*y2^-1*x3"
         code, out, _ = run(capsys, "bench", word, "--group", "S3", "--format", "json")
@@ -309,6 +320,57 @@ class TestGenus:
         assert code == 1 and "not admissible" in err
 
 
+S3_TABLE = (
+    "chartable S3 classes 3\n0 1 2\n1 3 2\n"
+    "1+0i 1+0i 1+0i\n1+0i -1+0i 1+0i\n2+0i 0+0i -1+0i\n"
+)
+# case -> (the built-in group the --table-file is for, or None for a
+# --group-file; the file's text; the message, {path} being the file's)
+VALIDATION_ERRORS = {
+    "table-truncated": ("S3", "chartable S3 classes 3\n0 1 2\n", "{path}: truncated table file"),
+    "table-bad-class-count": (
+        "S3", S3_TABLE.replace("classes 3", "classes three"), "{path}: bad class count 'three'"
+    ),
+    "table-wrong-line-count": (
+        "S3", S3_TABLE.rsplit("2+0i", 1)[0], "{path}: expected 6 lines, found 5"
+    ),
+    "table-bad-class-data": ("S3", S3_TABLE.replace("0 1 2", "0 1 x"), "{path}: bad class data"),
+    "table-class-count-not-the-groups": (
+        "S3",
+        "chartable S3 classes 2\n0 1\n1 3\n1+0i 1+0i\n1+0i -1+0i\n",
+        "{path}: file has 2 classes, group has 3",
+    ),
+    "table-short-row": (
+        "S3", S3_TABLE.replace("1+0i 1+0i 1+0i", "1+0i 1+0i"), "{path}: row of 2 values != 3"
+    ),
+    "complex-without-i": (
+        "S3", S3_TABLE.replace("-1+0i", "-1+0"), "{path}: bad complex value '-1+0'"
+    ),
+    "complex-without-a-sign": (
+        "S3", S3_TABLE.replace("-1+0i", "5i"), "{path}: bad complex value '5i'"
+    ),
+    "complex-not-a-number": (
+        "S3", S3_TABLE.replace("-1+0i", "1+xi"), "{path}: bad complex value '1+xi'"
+    ),
+    "table-non-integer-degree": (
+        "S3", S3_TABLE.replace("2+0i", "1.5+0i"), "degrees must be positive integers"
+    ),
+    # orthonormal, with degrees whose squares sum to |G|, but no row of ones
+    "table-no-trivial-row": (
+        "Z2", "chartable Z2 classes 2\n0 1\n1 1\n1+0i 0+1i\n1+0i 0-1i\n", "no trivial character row"
+    ),
+    "group-empty": (None, "", "{path}: empty group file"),
+    "group-bad-order": (None, "group G order six\n", "{path}: bad order 'six'"),
+    "group-short-row": (None, "group G order 2\n0 1\n1\n", "{path}: row of length 1 != 2"),
+    "group-entry-out-of-range": (
+        None, "group G order 2\n0 1\n1 2\n", "table entries must be element indices"
+    ),
+    "group-order-zero": (
+        None, "group G order 0\n", "multiplication table must be square, got (0,)"
+    ),
+}
+
+
 class TestExitCodes:
     def test_parse_error_is_one(self, capsys):
         code, _, err = run(capsys, "classify", "x^0")
@@ -353,6 +415,19 @@ class TestExitCodes:
             str(tpath),
         )
         assert code == 2 and "validation" in err
+
+    @pytest.mark.parametrize("case", VALIDATION_ERRORS)
+    def test_a_bad_file_is_two(self, capsys, tmp_path, case):
+        group, text, message = VALIDATION_ERRORS[case]
+        path = tmp_path / "bad"
+        path.write_text(text)
+        if group is None:
+            argv = ("--group-file", str(path))
+        else:
+            argv = ("--group", group, "--table-file", str(path))
+        code, out, err = run(capsys, "expand", "x", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"validation error: {message.format(path=path)}\n"
 
     def test_non_finite_table_value_is_two(self, capsys, tmp_path):
         # NaN at class 1, which the power map does not read, passed every
@@ -446,6 +521,22 @@ class TestExitCodes:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")
             assert err.startswith("error: --alphabet: duplicate") and err.count("\n") == 1
+
+    def test_an_empty_alphabet_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "reduce", "x", "--alphabet", ",")
+        assert (code, out) == (1, "")
+        assert err == "error: --alphabet needs a comma-separated list of names\n"
+
+    def test_a_failed_verification_is_two_after_the_table(self, capsys, monkeypatch):
+        # the formula is moved 1e-3 off the oracle, past the default --tol
+        from wordfourier import cli
+
+        formula = cli.coefficient_formula
+        monkeypatch.setattr(cli, "coefficient_formula", lambda *a, **k: formula(*a, **k) + 1e-3)
+        code, out, err = run(capsys, "expand", "[x,y]", "--group", "S3", "--verify")
+        assert code == 2
+        assert out.splitlines()[-1] == "max |formula - oracle| = 1.000e-03"
+        assert err == "verification failed: max delta 1.000e-03 exceeds tol 1e-06\n"
 
     def test_tol_must_be_finite_and_nonnegative(self, capsys):
         # nan used to switch --verify off and -1 to fail every word

@@ -15,7 +15,7 @@ from wordfourier import (
     compute_character_table,
     parse_word,
 )
-from wordfourier.words import Alphabet
+from wordfourier.words import Alphabet, Word
 
 from corpus import CORPUS, MASTER_CAP, corpus_word, group_and_table, python_distribution
 
@@ -62,9 +62,9 @@ def test_counts_match_python_reference(backend, word_id, group_name):
 
 
 def test_numpy_chunking_boundaries(monkeypatch):
-    # 7 cells per chunk: S3 keeps one generator as a whole axis of 6 with
-    # one row per chunk, D4 and A4 enumerate every generator per row, and
-    # chunk edges fall inside the block of rows of a class representative
+    # 7 cells per chunk: these words walk at most three generators, all
+    # over the orbit rows, and chunk edges fall inside the block of rows of
+    # a class representative
     monkeypatch.setattr(_kernels, "_CHUNK", 7)
     for group_name in ("S3", "D4", "A4"):
         group, table = group_and_table(group_name)
@@ -358,14 +358,16 @@ def test_walks_over_pairs_when_triples_save_nothing_or_pass_the_cap(monkeypatch)
 def python_joint_tally(group, words, rank, classes):
     """Class tuples of the words' values over every |G|^rank assignment."""
     tally = Counter()
+    mul, inv = group.mul.tolist(), group.inv.tolist()
+    class_of = np.asarray(classes.class_of).tolist()
     for assigned in product(range(group.order), repeat=rank):
         found = []
         for letters in words:
             acc = group.identity
             for g, s in letters:
-                x = assigned[g] if s > 0 else int(group.inv[assigned[g]])
-                acc = int(group.mul[acc, x])
-            found.append(int(classes.class_of[acc]))
+                x = assigned[g] if s > 0 else inv[assigned[g]]
+                acc = mul[acc][x]
+            found.append(class_of[acc])
         tally[tuple(found)] += 1
     return tally
 
@@ -517,8 +519,9 @@ def test_fiber_skips_a_last_generator_that_does_not_occur_twice(group_name, last
 
 
 def test_fiber_tally_across_chunk_edges(monkeypatch):
-    # 7 cells per chunk: every walked generator is a row digit, and chunk
-    # edges fall inside the block of rows of a class representative
+    # 7 cells per chunk: at most three generators are walked, all over the
+    # orbit rows, and chunk edges fall inside the block of rows of a class
+    # representative
     monkeypatch.setattr(_kernels, "_CHUNK", 7)
     for group_name in ("S3", "A4"):
         group, table = group_and_table(group_name)
@@ -528,6 +531,35 @@ def test_fiber_tally_across_chunk_edges(monkeypatch):
                 assert_fiber_tally_matches_reference(
                     group, table.classes, word, present, present - 2, signs
                 )
+
+
+def shuffled_word(seed, times):
+    """Generator g ``times[g]`` times, with signs alternating from +1, in
+    a random order: an even count gives it exponent sum 0."""
+    letters = [(g, (-1) ** i) for g, n in enumerate(times) for i in range(n)]
+    return [letters[at] for at in np.random.default_rng(seed).permutation(len(letters))]
+
+
+@pytest.mark.parametrize("group_name", ("S3", "A4"))
+def test_walk_past_the_orbit_rows_takes_mixed_radix_digits(monkeypatch, group_name):
+    # 7 cells per chunk: the first three walked generators run over the
+    # orbit rows, S3 keeps the next one as a whole axis of 6 and A4 none,
+    # and every later one is a digit of the chunk's assignments.  Every
+    # exponent sum is 0, where a generator with sum +-1 would spread the
+    # word's values evenly whatever the others were assigned
+    monkeypatch.setattr(_kernels, "_CHUNK", 7)
+    group, table = group_and_table(group_name)
+    walked = 6 if group.order <= 6 else 5  # two digits on either group
+    # four letters each: a single word with no generator to sum out
+    letters = shuffled_word(walked, [4] * walked)
+    assert _kernels._fiber_split(group, [letters], table.classes) is None
+    names = tuple("abcdef"[:walked])
+    assert_counts_match_reference(Word(Alphabet(names), tuple(letters)), group, table.classes)
+    assert_tally_matches_reference(group, [letters[:9], letters[9:]], walked, table.classes)
+    # the last generator twice, summed out by the fiber table: one digit
+    word = shuffled_word(walked, [4] * (walked - 1) + [2])
+    signs = tuple(s for g, s in word if g == walked - 1)
+    assert_fiber_tally_matches_reference(group, table.classes, word, walked, walked - 1, signs)
 
 
 @pytest.mark.parametrize("group_name", ("S3", "D4", "Q8", "A4"))

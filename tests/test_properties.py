@@ -19,6 +19,7 @@ import io
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from wordfourier import (
 )
 from wordfourier._defaults import BUILTIN_NAMES
 from wordfourier.cli import main
-from wordfourier.fourier import divisors, rational_annotation
+from wordfourier.fourier import rational_annotation
 from wordfourier.words import Alphabet, Word
 
 from corpus import cyclic_shift, group_and_table, invert, python_distribution
@@ -127,9 +128,26 @@ def test_order_over_degree_times_each_coefficient_is_an_integer(group_name, word
         assert np.all(np.abs(scaled - np.rint(scaled.real)) <= tol)
 
 
-# So the exact column of expand searches only the denominators dividing
-# |G|/chi(1).  At the default --tol it picks the same fraction as a search
-# over the divisors of |G|*chi(1)^max(b, 1), which holds them all.
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _smallest_denominator(value, denominators, tol=1e-6):
+    """The reference search: the fraction p/q within tol of value whose q is
+    the smallest of the denominators tried, or None."""
+    if abs(value.imag) > tol:
+        return None
+    for q in sorted(denominators):
+        p = round(value.real * q)
+        if abs(value.real - p / q) <= tol:
+            return Fraction(p, q)
+    return None
+
+
+# So the exact column of expand is the one multiple of 1/(|G|/chi(1)) nearest
+# the coefficient.  At the default --tol that is the fraction a search over
+# every divisor of |G|*chi(1)^max(b, 1), which holds all the denominators,
+# picks first.
 @pytest.mark.parametrize("group_name", GROUPS + ("S4",))
 @SETTINGS
 @given(word=words())
@@ -143,9 +161,40 @@ def test_exact_column_matches_the_wider_denominator_search(group_name, word):
         assert main(argv) == 0
     b = normalize(word).deg_exponent
     for row in json.loads(stdout.getvalue())["rows"]:
-        wider = divisors(group.order * row["degree"] ** max(b, 1))
-        pick = rational_annotation(complex(*row["coefficient"]), wider)
+        wider = _divisors(group.order * row["degree"] ** max(b, 1))
+        pick = _smallest_denominator(complex(*row["coefficient"]), wider)
         assert row["rational"] == (None if pick is None else str(pick))
+
+
+# Below tol 1/(2n) at most one multiple of 1/n lies within tol, so rounding
+# at n and searching the divisors of n agree while the search's float
+# product |value|*q is below 2**51, where its spacing is at most 1/4.  Above
+# that the product can round to the far neighbour and the search finds
+# nothing where the float distance check accepts the near one.
+def test_rounding_at_n_matches_the_divisor_search():
+    rng = random.Random(39)
+    compared = 0
+    for _ in range(20000):
+        n = rng.randint(1, 120)
+        tol = rng.choice((0.0, 1e-12, 1e-9, 1e-6, 1e-4))
+        kind = rng.randrange(5)
+        if kind == 0:  # a multiple of 1/n, perturbed
+            value = rng.randint(-(10**6), 10**6) / n + rng.uniform(-2, 2) * tol
+        elif kind == 1:  # anywhere
+            value = rng.uniform(-1e3, 1e3)
+        elif kind == 2:  # an integer
+            value = float(rng.randint(-(2**40), 2**40))
+        elif kind == 3:  # up to the edge of the compared range
+            value = rng.choice((1, -1)) * 2.0 ** rng.uniform(40, 51) / n
+        else:  # up to 2**200
+            value = rng.choice((1, -1)) * 2.0 ** rng.uniform(0, 200)
+        if abs(value) * n >= 2**51:
+            continue
+        value = complex(value, rng.choice((0.0, tol / 2, 2 * tol + 1e-9)))
+        expected = _smallest_denominator(value, _divisors(n), tol)
+        assert rational_annotation(value, n, tol) == expected, (value, n, tol)
+        compared += 1
+    assert compared > 10000
 
 
 # Z3's characters are not real, so there conjugation changes coefficients

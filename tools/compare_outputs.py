@@ -47,6 +47,10 @@ process, the same list of ``main(argv)`` calls:
   ``tools/square_words.py``, where the single rule fires only after a
   square step, over the alphabet they infer and with unused names added
   (``SINGLE_RUNS``);
+* ``expand`` at a ``--tol`` other than the default (``TOL_RUNS``): 0.2
+  on the empty word over S3, wide enough to hold two multiples of
+  chi(1)/|G|, 0 on ``[x,y]`` over S4, where only exact floats get a
+  fraction, and 0.01 on ``x^3*y^3`` over D5;
 
 each once with ``--format json`` and once with ``--format human``;
 ``--help`` of the top-level parser and of each of the five subcommands
@@ -149,6 +153,13 @@ KERNEL_RUNS = (
     ["expand", "x^3", "--group", "A4", "--verify"],
     ["expand", SEVEN_WORDS, "--group", "S4"],
     ["expand", SEVEN_WORDS, "--group", "Z12"],
+)
+
+# the exact column away from the default --tol
+TOL_RUNS = (
+    ["expand", "1", "--group", "S3", "--tol", "0.2"],
+    ["expand", "[x,y]", "--group", "S4", "--tol", "0"],
+    ["expand", "x^3*y^3", "--group", "D5", "--tol", "0.01"],
 )
 
 # run in a fresh interpreter per tree: argv lists on stdin, one
@@ -267,6 +278,7 @@ def runs(tmp: Path) -> list[list[str]]:
     base.extend(PARSE_RUNS)
     base.extend(REDUCE_RUNS)
     base.extend(SINGLE_RUNS)
+    base.extend(TOL_RUNS)
     out = []
     for argv in base:
         if "--format" in argv:
