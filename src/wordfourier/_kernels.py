@@ -130,16 +130,16 @@ def walked_assignments(group, word_letter_lists, classes) -> int:
     return rows * group.order ** (walked - depth)
 
 
-def _orbit_walk(group, word_letter_lists, classes):
+def _orbit_walk(group, word_letter_lists, classes, present):
     """Walk the assignments of the present generators, up to conjugation.
 
+    ``present`` is the words' ``_present_generators``, and is not empty.
     Yields ``(weight, values)`` per chunk of rows.  ``weight`` is the int64
     size of each row's conjugation orbit, and ``values`` holds each word's
     value (an element index, a scalar for an empty word); all broadcast to
-    (rows, |G|, ..., |G|).  Needs at least one present generator.
+    (rows, |G|, ..., |G|).
     """
     order, mul, inv = group.order, group.mul, group.inv
-    present = _present_generators(word_letter_lists)
     inverted = {g for letters in word_letter_lists for g, e in letters if e < 0}
     *heads, weights = classes.orbit_rows(_orbit_depth(classes, len(present)))
     # the head generators are row digits; later ones may be whole axes
@@ -195,9 +195,10 @@ def _sum_by_column(tuples, counts):
     return tuples[:, starts], np.add.reduceat(counts, starts)
 
 
-def _joint_tally(group, word_letter_lists, classes):
+def _joint_tally(group, word_letter_lists, classes, present):
     """Count the class tuples (c_1..c_r) of the r words' values over every
-    assignment of the present generators, exactly in int64.
+    assignment of the ``present`` generators (``_present_generators`` of
+    the words), exactly in int64.
 
     Returns ``(tuples, counts)``: an (r, m) array whose columns are the
     tuples that occur, and their counts.  With no generator present that
@@ -210,23 +211,34 @@ def _joint_tally(group, word_letter_lists, classes):
     occur, not with k^r.
     """
     k, r = len(classes), len(word_letter_lists)
-    if not any(word_letter_lists):
+    if not present:
         return np.full((r, 1), classes.identity_class), np.ones(1, dtype=np.int64)
     fiber = _fiber_split(group, word_letter_lists, classes)
-    words, base = (fiber[0], group.order) if fiber else (word_letter_lists, k)
-    class_of = np.asarray(classes.class_of)
-    dense = np.zeros(base ** len(words) if fiber or k**r <= _DENSE else 0, dtype=np.int64)
-    tuples = np.zeros((r, 0), dtype=np.int64)
-    counts = np.zeros(0, dtype=np.int64)
-    for weight, values in _orbit_walk(group, words, classes):
-        if not fiber:  # the fiber walk keys its segment values by element
-            values = [class_of[value] for value in values]
-        if dense.size:  # every walked generator is in a word: keys span the chunk
+    if fiber:
+        words, base = fiber[0], group.order
+        present = _present_generators(words)
+    else:
+        words, base = word_letter_lists, k
+    if fiber or k**r <= _DENSE:
+        dense = np.zeros(base ** len(words), dtype=np.int64)
+        for weight, values in _orbit_walk(group, words, classes, present):
+            if not fiber:  # the fiber walk keys its segment values by element
+                values = [classes.class_of[value] for value in values]
             key = values[0]
             for value in values[1:]:
                 key = key * base + value
-            np.add.at(dense, key.ravel(), np.broadcast_to(weight, key.shape).ravel())
-            continue
+            # every walked generator is in a word: keys span the chunk, and
+            # a row's weight is repeated over the cells of its whole axes
+            np.add.at(dense, key.ravel(), weight.repeat(key.size // weight.size))
+        if fiber:
+            dense = dense @ classes.fiber_table(*fiber[1])
+        (keys,) = dense.nonzero()
+        tuples = keys[None] if r == 1 else np.array(np.unravel_index(keys, (k,) * r))
+        return tuples, dense[keys]
+    tuples = np.zeros((r, 0), dtype=np.int64)
+    counts = np.zeros(0, dtype=np.int64)
+    for weight, values in _orbit_walk(group, words, classes, present):
+        values = [classes.class_of[value] for value in values]
         shape = np.broadcast_shapes(weight.shape, *(v.shape for v in values))
         found = _sum_by_column(
             np.stack([np.broadcast_to(v, shape).ravel() for v in values]),
@@ -236,11 +248,6 @@ def _joint_tally(group, word_letter_lists, classes):
             np.concatenate((tuples, found[0]), axis=1),
             np.concatenate((counts, found[1])),
         )
-    if fiber:
-        dense = dense @ classes.fiber_table(*fiber[1])
-    if dense.size:
-        keys = np.flatnonzero(dense)
-        return np.array(np.unravel_index(keys, (k,) * r)), dense[keys]
     return tuples, counts
 
 
@@ -251,13 +258,14 @@ def element_counts(group, letters, rank, classes) -> np.ndarray:
     Raises GroupValidationError when a class total is not a multiple of the
     class size, i.e. the counts would not be constant on ``classes``.
     """
-    (found,), found_counts = _joint_tally(group, [letters], classes)
+    present = _present_generators([letters])
+    (found,), found_counts = _joint_tally(group, [letters], classes, present)
     totals = np.zeros(len(classes), dtype=np.int64)
     totals[found] = found_counts
     per_element, remainder = np.divmod(totals, np.asarray(classes.sizes, dtype=np.int64))
     if np.any(remainder):
         raise GroupValidationError("word-map counts are not constant on a class")
-    return per_element * group.order ** (rank - len(_present_generators([letters])))
+    return per_element * group.order ** (rank - len(present))
 
 
 def split_character_sum(group, word_letter_lists, rank, classes, chibar) -> np.ndarray:
@@ -275,7 +283,7 @@ def split_character_sum(group, word_letter_lists, rank, classes, chibar) -> np.n
         for _ in word_letter_lists[1:]:
             prod = prod * column
         return (prod + 0.0) * scale  # + 0.0 makes a -0.0 part +0.0, as @ does below
-    tuples, counts = _joint_tally(group, word_letter_lists, classes)
+    tuples, counts = _joint_tally(group, word_letter_lists, classes, present)
     prod = chibar[:, tuples[0]]
     for found in tuples[1:]:
         prod = prod * chibar[:, found]

@@ -12,8 +12,9 @@ and :func:`kind` classifies one generator from the scan, through
 the signs alone.  :func:`reduction.normalize` classifies its input's
 generators once through :func:`tally_kind` and tracks the changes from
 there, :func:`reduction.split_dismissible` reads :func:`occurrences` and
-:func:`kind`, and so does :func:`classify`, which builds the
-per-generator profile the CLI prints.
+classifies its two-letter generators through :func:`tally_kind`, and
+:func:`classify`, which builds the per-generator profile the CLI prints,
+reads :func:`occurrences` and :func:`kind`.
 
 Classification concerns the freely reduced word, so :func:`classify`
 reduces its input defensively and records whether that changed anything.

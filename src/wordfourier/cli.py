@@ -60,6 +60,7 @@ def _numeric() -> None:
         load_character_table,
     )
     from .fourier import (
+        closed_form_coefficients,
         coefficient_formula,
         distribution,
         project,
@@ -132,7 +133,8 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool) -> None:
         parser.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                             help="enumeration cap, in assignments (default: %(default)s)")
         parser.add_argument("--tol", type=_tolerance, default=1e-6,
-                            help="--verify and exact-column tolerance (default: %(default)s)")
+                            help="tolerance of --verify and of the exact column of residual "
+                                 "forms (default: %(default)s)")
 
 
 @functools.cache  # one parser per process: parse_args keeps no state between calls
@@ -230,6 +232,56 @@ def _json(value, indent: str = "\n") -> str:
     if isinstance(value, (list, tuple)) and value:
         return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
     return "null" if value is None else json.dumps(value)  # bools, nan, inf, {}, [], subclasses
+
+
+def _expand_json(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` for the ``expand``
+    document, written in its fixed shape with its keys in sorted order:
+    scalars at the top, and ``rows``, a list of dicts of scalars and
+    [real, imag] pairs, where --verify adds ``delta`` and ``oracle`` to
+    each row and ``max_delta`` to the top.  Scalars are written by
+    ``_json``, and so is a pair that is not two finite floats."""
+    rows = []
+    for row in doc["rows"]:
+        text = (
+            f'{{\n      "chi": {_json(row["chi"], _IN_ROW)},'
+            f'\n      "coefficient": {_pair(row["coefficient"])},'
+            f'\n      "degree": {_json(row["degree"], _IN_ROW)}'
+        )
+        if "delta" in row:
+            text += f',\n      "delta": {_json(row["delta"], _IN_ROW)}'
+        text += (
+            f',\n      "display": {_json(row["display"], _IN_ROW)},'
+            f'\n      "fs": {_json(row["fs"], _IN_ROW)}'
+        )
+        if "oracle" in row:
+            text += f',\n      "oracle": {_pair(row["oracle"])}'
+        rows.append(text + f',\n      "rational": {_json(row["rational"], _IN_ROW)}\n    }}')
+    text = (
+        f'{{\n  "backend": {_json(doc["backend"], _IN_DOC)},'
+        f'\n  "command": {_json(doc["command"], _IN_DOC)},'
+        f'\n  "group": {_json(doc["group"], _IN_DOC)},'
+    )
+    if "max_delta" in doc:
+        text += f'\n  "max_delta": {_json(doc["max_delta"], _IN_DOC)},'
+    return text + (
+        f'\n  "order": {_json(doc["order"], _IN_DOC)},'
+        f'\n  "prefactor": {_json(doc["prefactor"], _IN_DOC)},'
+        '\n  "rows": [\n    ' + ",\n    ".join(rows) + "\n  ],"
+        f'\n  "word": {_json(doc["word"], _IN_DOC)}\n}}'
+    )
+
+
+# the indent of a value's nested lines at each depth of the expand document
+_IN_DOC, _IN_ROW = "\n  ", "\n      "
+
+
+def _pair(value) -> str:
+    """A row's [real, imag] pair, as ``_expand_json`` writes it."""
+    real, imag = value
+    if type(real) is float and type(imag) is float and math.isfinite(real) and math.isfinite(imag):
+        return f"[\n        {real!r},\n        {imag!r}\n      ]"
+    return _json(value, _IN_ROW)
 
 
 def _cnum(z: complex) -> list[float]:
@@ -342,18 +394,24 @@ def _expand_rows(form, group, table, args, verify: bool):
         dist = distribution(form.word, group, classes=table.classes, budget=args.budget)
         oracle = project(dist, table).tolist()
     values = coefficient_formula(form, group, table, budget=args.budget)
+    exact = closed_form_coefficients(form, group, table)
     rows = []
     worst = 0.0
     for chi, (value, (degree, fs)) in enumerate(zip(values.tolist(), table.degree_fs)):
-        # |G|*c/chi(1) is an algebraic integer (Frobenius), so a rational c
-        # is a multiple of 1/(|G|/chi(1))
-        rational = rational_annotation(value, group.order // degree, tol=args.tol)
+        if exact is None:
+            # |G|*c/chi(1) is an algebraic integer (Frobenius), so a rational
+            # c is a multiple of 1/(|G|/chi(1))
+            rational = rational_annotation(value, group.order // degree, tol=args.tol)
+            display = _fmt_value(value)
+        else:
+            rational = exact[chi]
+            display = str(rational) if rational.denominator == 1 else f"{float(rational):.9g}"
         row = {
             "chi": chi,
             "degree": degree,
             "fs": fs,
             "coefficient": _cnum(value),
-            "display": _fmt_value(value),
+            "display": display,
             "rational": None if rational is None else str(rational),
         }
         if oracle is not None:
@@ -383,7 +441,7 @@ def cmd_expand(args) -> int:
     if args.verify:
         doc["max_delta"] = worst
     if args.fmt == "json":
-        print(_json(doc))
+        print(_expand_json(doc))
     else:
         width = max(10, *(len(r["display"]) for r in rows))
         lines = [

@@ -28,6 +28,7 @@ object they are used with; anything else raises
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -150,9 +151,10 @@ def coefficient_formula(
         table.conjugates if len(live) == len(table) else table.conjugates[live],
     )
     # Python's float * complex overflows to inf without a warning
-    coefficients[live] = [p * z for p, z in zip(prefactor.values(), inner.tolist())]
-    if not np.isfinite(coefficients).all():
+    values = [p * z for p, z in zip(prefactor.values(), inner.tolist())]
+    if not all(map(cmath.isfinite, values)):
         raise _past_float_range(form, group)
+    coefficients[live] = values
     return coefficients
 
 
@@ -161,13 +163,39 @@ def _past_float_range(form: ReducedForm, group: FiniteGroup) -> FloatRangeError:
     return FloatRangeError(f"{what} is past the float range")
 
 
+def closed_form_coefficients(
+    form: ReducedForm, group: FiniteGroup, table: CharacterTable
+) -> list[Fraction] | None:
+    """Each row's coefficient as an exact fraction, worked out from
+    integers alone, when the form has no residual generator; else None.
+
+    Row chi is then |G|^a * FS(chi)^s * chi(1)^(r - b), each of the r
+    residual words being empty and contributing chi(1), and a
+    ``trivial_only`` form is |G|^a on the trivial row and 0 elsewhere.
+    """
+    if form.residual_rank:
+        return None
+    order, a = group.order, form.g_exponent
+    if form.trivial_only:
+        size = Fraction(order) ** a
+        return [size if chi == table.trivial_index else Fraction(0) for chi in range(len(table))]
+    e, s = len(form.residual_words) - form.deg_exponent, form.fs_exponent
+    rows = []
+    for degree, fs in table.degree_fs:
+        num = order ** max(a, 0) * degree ** max(e, 0) * fs**s
+        rows.append(Fraction(num, order ** max(-a, 0) * degree ** max(-e, 0)))
+    return rows
+
+
 def rational_annotation(value: complex, n: int, tol: float = 1e-6) -> Fraction | None:
     """The multiple p/n of 1/n nearest ``value``, if it lies within tol, else
-    None.  ``value * n`` is rounded exactly, so a finite value never
-    overflows."""
+    None.  ``value * n`` is rounded exactly in integers, half to even as
+    ``round`` does, so a finite value never overflows."""
     value = complex(value)
     if abs(value.imag) > tol:
         return None
     num, den = value.real.as_integer_ratio()
-    p = round(Fraction(num * n, den))
+    p, rest = divmod(num * n, den)  # den > 0, so 0 <= rest < den
+    if 2 * rest > den or (2 * rest == den and p & 1):
+        p += 1
     return Fraction(p, n) if abs(value.real - p / n) <= tol else None

@@ -35,11 +35,11 @@ class FiniteGroup:
             mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int64))
         except OverflowError:
             raise GroupValidationError("table entries must be element indices") from None
+        if not mul.size:  # an empty list of rows, as an order-0 file gives, has shape (0,)
+            raise GroupValidationError("a group has at least one element")
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise GroupValidationError(f"multiplication table must be square, got {mul.shape}")
         n = mul.shape[0]
-        if n == 0:
-            raise GroupValidationError("a group has at least one element")
         if mul.min() < 0 or mul.max() >= n:
             raise GroupValidationError("table entries must be element indices")
 

@@ -59,12 +59,11 @@ from .analysis import (
     GENERAL,
     SINGLE,
     SQUARE,
-    kind,
     occurrences,
     tally_kind,
 )
 from .errors import ReductionError
-from .words import Alphabet, Word, _render, _spell, _word, free_reduce
+from .words import Alphabet, Word, _alphabet, _render, _spell, _word, free_reduce
 
 # exponent delta of one square step: one factor |G|/chi(1)*FS
 _SQUARE_DELTA = (1, 1, 1)
@@ -223,18 +222,17 @@ def format_trace(form: ReducedForm) -> str:
 
 
 def _restrict(alphabet: Alphabet, drop) -> tuple[Alphabet, dict[int, int]]:
-    """The alphabet without the generators named in ``drop``, and the map
-    from each kept generator's index to its index in that alphabet."""
-    restricted = alphabet.without(drop)
-    position = {name: i for i, name in enumerate(restricted.names)}
-    return restricted, {
-        g: position[name] for g, name in enumerate(alphabet.names) if name in position
-    }
+    """The alphabet without the generators whose indices are in the set
+    ``drop``, and the map from each kept generator's index to its index in
+    that alphabet."""
+    kept = [g for g in range(alphabet.rank) if g not in drop]
+    names = alphabet.names
+    return _alphabet(tuple([names[g] for g in kept])), dict(zip(kept, range(len(kept))))
 
 
-def _drop_generators(word: Word, names) -> Word:
-    alphabet, remap = _restrict(word.alphabet, names)
-    return _word(alphabet, tuple((remap[g], s) for g, s in word.letters))
+def _drop_generators(word: Word, drop) -> Word:
+    alphabet, remap = _restrict(word.alphabet, drop)
+    return _word(alphabet, tuple([(remap[g], s) for g, s in word.letters]))
 
 
 def split_dismissible(word: Word) -> SplitDecomposition:
@@ -242,18 +240,23 @@ def split_dismissible(word: Word) -> SplitDecomposition:
     once with each sign) simultaneously via the slot pairing.
 
     Occurrence counts are taken on the word as given; the word need not be
-    freely reduced.
+    freely reduced.  Its words and alphabet are built from the valid word
+    without being validated again.
     """
     occ = occurrences(word)
     names = word.alphabet.names
-    chosen = [g for g, o in enumerate(occ) if kind(o) == DISMISSIBLE]
+    # only a generator of two letters can be dismissible
+    chosen = [
+        g for g, o in enumerate(occ)
+        if len(o) == 2 and tally_kind(2, o[0][1] + o[1][1]) == DISMISSIBLE
+    ]
     if not chosen:
         raise ReductionError(f"no dismissible letter in {word}")
 
-    residual_alphabet, remap = _restrict(word.alphabet, (names[g] for g in chosen))
+    residual_alphabet, remap = _restrict(word.alphabet, set(chosen))
 
     # letters over the residual alphabet; the slots' own are never read
-    letters = tuple([(remap.get(g), s) for g, s in word.letters])
+    letters = tuple([(remap[g], s) if g in remap else None for g, s in word.letters])
     slot_positions = sorted(p for g in chosen for p, _ in occ[g])
     twon = len(slot_positions)
     slots = [(names[word.letters[p][0]], word.letters[p][1]) for p in slot_positions]
@@ -419,7 +422,7 @@ def normalize(word: Word) -> ReducedForm:
             dropped = [g for g in range(absent.bit_length()) if absent >> g & 1]
             absent = 0
             removed.update(dropped)
-            kept = Alphabet(tuple(n for g, n in enumerate(names) if g not in removed))
+            kept = _alphabet(tuple([n for g, n in enumerate(names) if g not in removed]))
             trace.append(
                 TraceStep(
                     "absent",
@@ -489,9 +492,10 @@ def normalize(word: Word) -> ReducedForm:
         )
         residual_alphabet, residual_words = Alphabet(()), ()
     else:
-        current = _word(alphabet, tuple(letters))
+        if back is not None:  # square steps spliced the letters
+            current = _word(alphabet, tuple(letters))
         if removed:
-            current = _drop_generators(current, (names[g] for g in removed))
+            current = _drop_generators(current, removed)
         if dismissible:
             split = split_dismissible(current)
             trace.append(_split_step(split))

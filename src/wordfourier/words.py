@@ -31,7 +31,6 @@ import sys
 from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import is_
-from typing import Iterable
 
 from .errors import WordSyntaxError
 
@@ -77,10 +76,6 @@ class Alphabet:
         except ValueError:
             raise KeyError(f"unknown generator {name!r}") from None
 
-    def without(self, drop: Iterable[str]) -> "Alphabet":
-        gone = set(drop)
-        return Alphabet(tuple(n for n in self.names if n not in gone))
-
     def __iter__(self):
         return iter(self.names)
 
@@ -110,6 +105,14 @@ class Word:
 
     def __str__(self) -> str:
         return word_to_str(self)
+
+
+def _alphabet(names: tuple[str, ...]) -> Alphabet:
+    """An alphabet of names known to be distinct and non-empty, such as
+    some of a valid alphabet's.  Skips ``Alphabet``'s checks."""
+    alphabet = object.__new__(Alphabet)
+    object.__setattr__(alphabet, "names", names)
+    return alphabet
 
 
 def _word(alphabet: Alphabet, letters: tuple[Letter, ...]) -> Word:

@@ -110,7 +110,52 @@ class TestReduce:
         assert code == 1
 
 
+# seed-1 query of the symbolic-mix benchmark workload over S3: a closed form
+# with prefactor |G|^39*FS^39/chi(1)^39 and one empty residual word, so row
+# chi is 6^39/chi(1)^38, past 2^53 on every row
+CLOSED_FORM_PAST_2_53 = (
+    "x37*x26*x30*x31^-1*x32*x28*x5^-1*x16*x30*x9*x29*x4*x2^-1*x15*x14*x6*x18*x19*x36*"
+    "x19^-1*x31^-1*x33*x18^-1*x11*x7^-1*x29*x28^-1*x25^-1*x33^-1*x12^-1*x8*x11^-1*x27*"
+    "x35*x27*x26*x36^-1*x25^-1*x17^-1*x40*x21^-1*x39^-1*x21^-1*x38*x15*x8^-1*x13*x13*"
+    "x22*x35^-1*x10*x14^-1*x23*x24*x16^-1*x24*x22*x39^-1*x4^-1*x1*x12^-1*x37^-1*x3^-1*"
+    "x3^-1*x32^-1*x40^-1*x5^-1*x34*x10^-1*x6*x7^-1*x9^-1*x38^-1*x20*x1^-1*x34^-1*"
+    "x17^-1*x2^-1*x23*x20^-1"
+)
+
+
 class TestExpand:
+    def test_closed_forms_past_2_53_are_exact(self, capsys):
+        # the float coefficients are 2227915756473955671925827043328 and
+        # 8105110306037952512, which an annotation rounded from them repeats
+        exact = [str(6**39), str(6**39), str(2 * 3**39)]
+        code, out, _ = run(
+            capsys, "expand", CLOSED_FORM_PAST_2_53, "--group", "S3", "--format", "json"
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r["rational"] for r in rows] == exact
+        assert [r["display"] for r in rows] == exact
+        assert rows[0]["coefficient"] == [float(6**39), 0.0]
+        code, out, _ = run(capsys, "expand", CLOSED_FORM_PAST_2_53, "--group", "S3")
+        assert code == 0
+        for line, value in zip(out.splitlines()[3:], exact):
+            assert line.split()[3:] == [value, value]
+
+    @pytest.mark.parametrize(
+        "argv, exact",
+        (
+            (("[x,y]", "--group", "S4"), ["24", "24", "12", "8", "8"]),
+            (("x", "--alphabet", "x,y", "--group", "S3"), ["6", "0", "0"]),  # trivial only
+            (("1", "--group", "S3"), ["1/6", "1/6", "1/3"]),
+        ),
+        ids=("split", "trivial-only", "empty-word"),
+    )
+    def test_tol_does_not_move_closed_forms(self, capsys, argv, exact):
+        for tol in ("0", "1e-6", "0.2", "100"):
+            code, out, _ = run(capsys, "expand", *argv, "--tol", tol, "--format", "json")
+            assert code == 0
+            assert [r["rational"] for r in json.loads(out)["rows"]] == exact, tol
+
     def test_frobenius_on_s3(self, capsys):
         code, out, _ = run(capsys, "expand", "[x,y]", "--group", "S3", "--format", "json")
         assert code == 0
@@ -130,7 +175,8 @@ class TestExpand:
 
     def test_a_large_tol_picks_the_nearest_multiple_of_degree_over_order(self, capsys):
         # the rows of the empty word on S3 are 1/6, 1/6 and 1/3: each is its
-        # own nearest multiple of chi(1)/|G|, whatever --tol allows besides
+        # own nearest multiple of chi(1)/|G|, whatever --tol allows besides,
+        # and a closed form, which is annotated exactly at any --tol
         code, out, _ = run(
             capsys, "expand", "1", "--group", "S3", "--tol", "0.2", "--format", "json"
         )
@@ -365,9 +411,7 @@ VALIDATION_ERRORS = {
     "group-entry-out-of-range": (
         None, "group G order 2\n0 1\n1 2\n", "table entries must be element indices"
     ),
-    "group-order-zero": (
-        None, "group G order 0\n", "multiplication table must be square, got (0,)"
-    ),
+    "group-order-zero": (None, "group G order 0\n", "a group has at least one element"),
 }
 
 

@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordfourier import WordSyntaxError, cli, words
+from wordfourier import FiniteGroup, WordSyntaxError, cli, words
+from wordfourier.groups import save_group
 from wordfourier.words import Alphabet, Word, parse_word
 
+from corpus import group_and_table
 from test_symbolic_output import EXPAND_GROUPS
 from test_symbolic_output import words as corpus_words
 
@@ -42,15 +44,21 @@ def command_runs():
 
 
 def test_every_command_writes_what_json_dumps_writes(monkeypatch, capsys):
+    # expand has its own writer, and the other commands share _json
     docs = []
-    emit = cli._json
+    emit, emit_expand = cli._json, cli._expand_json
 
     def recording(value, indent="\n"):
         if indent == "\n":  # the whole document, not a nested value
-            docs.append(value)
+            docs.append(("_json", value))
         return emit(value, indent)
 
+    def recording_expand(doc):
+        docs.append(("_expand_json", doc))
+        return emit_expand(doc)
+
     monkeypatch.setattr(cli, "_json", recording)
+    monkeypatch.setattr(cli, "_expand_json", recording_expand)
     written = set()
     for label, argv in command_runs():
         docs.clear()
@@ -59,7 +67,8 @@ def test_every_command_writes_what_json_dumps_writes(monkeypatch, capsys):
         if code != 0:  # genus of a word that is not admissible prints nothing
             assert not docs and not out, label
             continue
-        (doc,) = docs
+        ((writer, doc),) = docs
+        assert writer == ("_expand_json" if argv[0] == "expand" else "_json"), label
         assert out == reference(doc) + "\n", label
         written.add(argv[0])
     assert written == {"classify", "reduce", "genus", "expand", "bench"}
@@ -97,6 +106,89 @@ def test_the_emitter_refuses_what_json_dumps_refuses():
             reference(bad)
         with pytest.raises(TypeError):
             cli._json(bad)
+
+
+# the expand document: scalars at the top and in each row, [real, imag]
+# pairs, a null or a string rational, and the keys --verify adds
+expand_floats = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(SPECIAL_FLOATS + (-5e-324, 1.5e308, -1.5e308, math.inf, math.nan))
+)
+expand_pairs = st.lists(expand_floats, min_size=2, max_size=2)
+
+
+@st.composite
+def expand_documents(draw):
+    verify = draw(st.booleans())
+    rows = []
+    for chi in range(draw(st.integers(1, 6))):
+        row = {
+            "chi": chi,
+            "degree": draw(st.integers(1, 10)),
+            "fs": draw(st.sampled_from((-1, 0, 1))),
+            "coefficient": draw(expand_pairs),
+            "display": draw(st.text()),
+            "rational": draw(st.none() | st.text()),
+        }
+        if verify:
+            row["oracle"] = draw(expand_pairs)
+            row["delta"] = draw(expand_floats)
+        rows.append(row)
+    doc = {
+        "command": "expand",
+        "word": draw(st.text()),
+        "group": draw(st.text()),
+        "order": draw(st.integers(1, 2**70)),
+        "prefactor": draw(st.text()),
+        "backend": "numpy",
+        "rows": rows,
+    }
+    if verify:
+        doc["max_delta"] = draw(expand_floats)
+    return doc
+
+
+@SETTINGS
+@given(doc=expand_documents())
+def test_the_expand_writer_writes_what_json_dumps_writes(doc):
+    assert cli._expand_json(doc) == reference(doc)
+
+
+def test_the_expand_writer_on_the_documents_expand_prints(monkeypatch, capsys, tmp_path):
+    docs = []
+    emit = cli._expand_json
+    monkeypatch.setattr(cli, "_expand_json", lambda doc: docs.append(doc) or emit(doc))
+    group, _ = group_and_table("S3")
+    named = tmp_path / "named.grp"
+    save_group(FiniteGroup(group.mul, name='S3"quoted\\slashed'), named)
+    runs = {
+        # non-ASCII generator names, and a rational on every row
+        "unicode": ("[\u03b1,\u03b2]*\u03b3^3", "--group", "S3"),
+        # x^3 over Z5 is not annotated at --tol 0: its floats are not exact
+        "rational-null": ("x^3", "--group", "Z5", "--tol", "0"),
+        "group-name": ("[x,y]*x^3", "--group-file", str(named)),
+        "negative-zero": ("x^2*y^3", "--group", "Q8"),  # row 4 is 2e-15 - 0.0i
+    }
+    for label, argv in runs.items():
+        for verify in ((), ("--verify",)):
+            docs.clear()
+            code = cli.main(["expand", *argv, *verify, "--format", "json"])
+            # --verify at --tol 0 fails on the float noise, after printing
+            assert code == (2 if verify and "--tol" in argv else 0), label
+            out = capsys.readouterr().out
+            (doc,) = docs
+            assert out == reference(doc) + "\n", label
+            assert ("max_delta" in doc) == bool(verify)
+            if label == "rational-null":
+                assert None in [row["rational"] for row in doc["rows"]]
+            if label == "group-name":
+                assert doc["group"] == 'S3"quoted\\slashed'
+                assert '"group": "S3\\"quoted\\\\slashed"' in out
+            if label == "unicode":
+                assert "\\u03b1" in out and None not in [row["rational"] for row in doc["rows"]]
+            if label == "negative-zero":
+                parts = [part for row in doc["rows"] for part in row["coefficient"]]
+                assert any(math.copysign(1, part) < 0 for part in parts if part == 0)
 
 
 class ReferenceParser:

@@ -345,7 +345,7 @@ def test_walks_over_pairs_when_triples_save_nothing_or_pass_the_cap(monkeypatch)
         assert _kernels.walked_assignments(group, [word], classes) == pairs * group.order
         walked = sum(
             weight.size * group.order ** (weight.ndim - 1)  # rows span the axes after them
-            for weight, _ in _kernels._orbit_walk(group, [word], classes)
+            for weight, _ in _kernels._orbit_walk(group, [word], classes, [0, 1, 2])
         )
         assert walked == pairs * group.order
     assert _kernels._orbit_depth(s4_table.classes, 3) == 3
@@ -387,8 +387,8 @@ def joint_words(seed, generators, count):
 
 
 def assert_tally_matches_reference(group, words, rank, classes):
-    tuples, counts = _kernels._joint_tally(group, words, classes)
-    present = {g for letters in words for g, _ in letters}
+    present = _kernels._present_generators(words)
+    tuples, counts = _kernels._joint_tally(group, words, classes, present)
     assert counts.dtype == np.int64 and (counts > 0).all()
     assert tuples.shape == (len(words), len(counts))
     got = dict(zip(map(tuple, tuples.T.tolist()), counts.tolist()))
@@ -422,6 +422,40 @@ def test_joint_tally_across_chunk_edges_and_sparse_merges(monkeypatch, dense):
             assert_tally_matches_reference(group, words, 3, table.classes)
 
 
+# The formula route's walks are small: one chunk, the whole orbit table.
+# Each shape the tally takes there, against the references:
+# one word (whose class is the whole tuple; a generator of that word that
+# occurs twice is summed out through its fiber table), an inverted
+# generator (joint_words ends word 0 with the inverses), 1-4 words, one
+# generator over the classes, and whole axes after the orbit rows (four
+# generators).
+@pytest.mark.parametrize("nwords", (1, 2, 3, 4))
+@pytest.mark.parametrize(
+    "group_name, generators",
+    (
+        ("S3", 3), ("Q8", 3), ("A4", 3), ("D5", 3), ("S4", 2),
+        ("D5", 1), ("S4", 1), ("S3", 4), ("Q8", 4),
+    ),
+)
+def test_small_walks_in_one_chunk_match_python_references(group_name, generators, nwords):
+    group, table = group_and_table(group_name)
+    classes = table.classes
+    seed = 1000 + 10 * generators + nwords
+    words = joint_words(seed, tuple(range(generators)), nwords)
+    assert any(s < 0 for letters in words for _, s in letters)
+    fiber = _kernels._fiber_split(group, words, classes)
+    walked = fiber[0] if fiber else words
+    present = _kernels._present_generators(walked)
+    ((weight, values),) = _kernels._orbit_walk(group, walked, classes, present)
+    assert weight.size == len(classes.orbit_rows(min(len(present), 3))[-1])
+    assert weight.ndim == 1 + max(0, len(present) - 3)
+    assert_tally_matches_reference(group, words, generators, classes)
+    chibar = class_function_rows(table, seed)
+    sums = _kernels.split_character_sum(group, words, generators, classes, chibar)
+    expected = python_character_sums(group, words, generators, classes, chibar)
+    assert np.allclose(sums, expected, rtol=0, atol=1e-9 * group.order**generators)
+
+
 # (words, rank) with empty words: no generator present, no words at all,
 # and empty words among non-empty ones, with generator 1 absent
 EMPTY_WORD_CASES = {
@@ -449,7 +483,8 @@ def test_joint_tally_of_empty_words_and_of_no_words(monkeypatch, group_name, cas
 def test_single_word_tally_is_the_oracle_class_totals(group_name, word_id):
     group, table = group_and_table(group_name)
     word = corpus_word(word_id)
-    (found,), counts = _kernels._joint_tally(group, [word.letters], table.classes)
+    present = _kernels._present_generators([word.letters])
+    (found,), counts = _kernels._joint_tally(group, [word.letters], table.classes, present)
     totals = np.zeros(len(table.classes), dtype=np.int64)
     totals[found] = counts
     reference = np.bincount(

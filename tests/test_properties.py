@@ -87,13 +87,14 @@ def test_the_walk_covers_every_assignment_once_in_fewer_rows(group_name, word):
     n, k = group.order, len(table.classes)
     fiber = _kernels._fiber_split(group, [word.letters], table.classes)
     tallied = fiber[0] if fiber else [word.letters]
-    present = len({g for letters in tallied for g, _ in letters})
+    generators = _kernels._present_generators(tallied)
+    present = len(generators)
     walked = _kernels.walked_assignments(group, [word.letters], table.classes)
     if not present:
         assert walked == 0
         return
     rows = covered = 0
-    for weight, _ in _kernels._orbit_walk(group, tallied, table.classes):
+    for weight, _ in _kernels._orbit_walk(group, tallied, table.classes, generators):
         cells = n ** (weight.ndim - 1)  # each row spans the whole axes after it
         rows += weight.size * cells
         covered += int(weight.sum()) * cells
@@ -144,10 +145,25 @@ def _smallest_denominator(value, denominators, tol=1e-6):
     return None
 
 
+def _exact_coefficients(word, group_name):
+    """<N_w, chi> = (1/|G|) sum over classes C of |C| N_w(C) chibar(C), in
+    fractions, from the oracle's exact counts; every character of the
+    groups it is called on is integer-valued."""
+    group, table = group_and_table(group_name)
+    counts = distribution(word, group, classes=table.classes).values.tolist()
+    characters = np.rint(table.values.real).astype(np.int64)
+    assert np.allclose(characters, table.values, rtol=0, atol=1e-9)
+    return [
+        Fraction(sum(map(math.prod, zip(table.classes.sizes, counts, row))), group.order)
+        for row in characters.tolist()
+    ]
+
+
 # So the exact column of expand is the one multiple of 1/(|G|/chi(1)) nearest
 # the coefficient.  At the default --tol that is the fraction a search over
 # every divisor of |G|*chi(1)^max(b, 1), which holds all the denominators,
-# picks first.
+# picks first.  A closed form (no residual generator) is annotated from
+# integers, so there the column is the exact coefficient.
 @pytest.mark.parametrize("group_name", GROUPS + ("S4",))
 @SETTINGS
 @given(word=words())
@@ -159,8 +175,13 @@ def test_exact_column_matches_the_wider_denominator_search(group_name, word):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main(argv) == 0
-    b = normalize(word).deg_exponent
+    form = normalize(word)
+    b = form.deg_exponent
+    exact = _exact_coefficients(word, group_name) if not form.residual_rank else None
     for row in json.loads(stdout.getvalue())["rows"]:
+        if exact is not None:
+            assert row["rational"] == str(exact[row["chi"]])
+            continue
         wider = _divisors(group.order * row["degree"] ** max(b, 1))
         pick = _smallest_denominator(complex(*row["coefficient"]), wider)
         assert row["rational"] == (None if pick is None else str(pick))
@@ -195,6 +216,34 @@ def test_rounding_at_n_matches_the_divisor_search():
         assert rational_annotation(value, n, tol) == expected, (value, n, tol)
         compared += 1
     assert compared > 10000
+
+
+# rational_annotation rounds value*n in integers, half to even; with an
+# infinite tol it returns that rounding whatever the distance
+def test_integer_rounding_matches_rounding_the_exact_product():
+    rng = random.Random(41)
+    ties = 0
+    for _ in range(20000):
+        n = rng.randint(1, 120)
+        kind = rng.randrange(5)
+        if kind == 0:  # an exact tie (p + 1/2)/n: dyadic, since the odd part of n cancels
+            p = rng.randint(-(10**9), 10**9)
+            value = Fraction(2 * p + 1, 2 * (n & -n))
+            assert (value * n).denominator == 2
+            value = float(value)
+            ties += 1
+        elif kind == 1:  # anywhere
+            value = rng.uniform(-1e3, 1e3)
+        elif kind == 2:  # subnormal
+            value = rng.choice((1, -1)) * rng.randint(1, 2**52) * 5e-324
+        elif kind == 3:  # past 2**53, where every float is an integer
+            value = rng.choice((1, -1)) * 2.0 ** rng.uniform(53, 1000)
+        else:  # a multiple of 1/n, perturbed
+            value = rng.randint(-(10**6), 10**6) / n + rng.uniform(-1e-9, 1e-9)
+        expected = Fraction(round(Fraction(value) * n), n)
+        assert rational_annotation(value, n, math.inf) == expected, (value, n)
+        assert rational_annotation(complex(value, 0.0), n, math.inf) == expected
+    assert ties > 3000
 
 
 # Z3's characters are not real, so there conjugation changes coefficients

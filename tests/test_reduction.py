@@ -362,7 +362,7 @@ class TestPrefactorDisplay:
 
 def drop(word, names):
     """The word over its alphabet without ``names``, which it must not use."""
-    alphabet = word.alphabet.without(names)
+    alphabet = Alphabet(tuple(n for n in word.alphabet.names if n not in names))
     index = [alphabet.names.index(n) if n in alphabet.names else None for n in word.alphabet]
     return Word(alphabet, tuple((index[g], s) for g, s in word.letters))
 

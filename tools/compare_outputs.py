@@ -19,12 +19,15 @@ process, the same list of ``main(argv)`` calls:
   ``--budget``, so its error names that budget (``BUDGET_RUN``);
 * ``expand`` runs that fail to load a group or a character table: an
   unknown ``--group``, ``--group`` with ``--group-file``, a missing, a
-  badly headed and an out-of-range ``.grp``, a loop of order 256 that is
-  not associative, a loop of order 5 with a one-sided inverse, a
-  ``.chtab`` whose classes are not the group's, and ``.chtab`` files with
-  a NaN or an infinite value; and ``expand --verify`` on S3xS3 from a
-  ``.grp``, whose character table is computed.  All are written once from
-  the shipped S3 data into one temporary directory that both trees read;
+  badly headed and an out-of-range ``.grp``, a ``.grp`` of order 0, a
+  loop of order 256 that is not associative, a loop of order 5 with a
+  one-sided inverse, a ``.chtab`` whose classes are not the group's, and
+  ``.chtab`` files with a NaN or an infinite value; ``expand --verify`` on
+  S3xS3 from a ``.grp``, whose character table is computed; and
+  ``expand --verify`` on S3 from a ``.grp`` whose group name holds '"'
+  and a backslash, which the JSON writer escapes.  All are written once
+  from the shipped S3 data into one temporary directory that both trees
+  read;
 * ``reduce`` runs that fail to parse their word or ``--alphabet``
   (``WORD_ERRORS``), among them each rejected edge of the word grammar
   that ``tests/test_words.py`` pins: a space after an exponent's sign, a
@@ -49,8 +52,9 @@ process, the same list of ``main(argv)`` calls:
   (``SINGLE_RUNS``);
 * ``expand`` at a ``--tol`` other than the default (``TOL_RUNS``): 0.2
   on the empty word over S3, wide enough to hold two multiples of
-  chi(1)/|G|, 0 on ``[x,y]`` over S4, where only exact floats get a
-  fraction, and 0.01 on ``x^3*y^3`` over D5;
+  chi(1)/|G|, 0 on ``[x,y]`` over S4, 0.01 on ``x^3*y^3`` over D5, and 0
+  on the seed-1 symbolic-mix word over S3, a closed form whose rows lie
+  past 2^53 (``CLOSED_FORM_RUN``);
 
 each once with ``--format json`` and once with ``--format human``;
 ``--help`` of the top-level parser and of each of the five subcommands
@@ -162,6 +166,16 @@ TOL_RUNS = (
     ["expand", "x^3*y^3", "--group", "D5", "--tol", "0.01"],
 )
 
+def CLOSED_FORM_RUN(queries) -> list[str]:
+    """The first symbolic-mix seed-1 ``expand`` over S3 without --verify,
+    a closed form |G|^39*FS^39/chi(1)^39 times chi(1), at ``--tol 0``."""
+    argv = next(
+        q.argv for q in queries.build("symbolic-mix", 1)
+        if q.argv[0] == "expand" and "S3" in q.argv and "--verify" not in q.argv
+    )
+    return [*argv[:2], "--group", "S3", "--tol", "0"]
+
+
 # run in a fresh interpreter per tree: argv lists on stdin, one
 # [exit code, stdout, stderr] per run as JSON on stdout
 RUNNER = r"""
@@ -229,6 +243,8 @@ def error_runs(tmp: Path) -> list[list[str]]:
         "bad-header.grp": ["grp S3 order 6", *grp[1:]],
         "past-int64.grp": [grp[0], grp[1].rsplit(" ", 1)[0] + " " + "9" * 23, *grp[2:]],
         "S3xS3.grp": group_lines("S3xS3", s3xs3),
+        "order-zero.grp": ["group G order 0"],
+        "escaped-name.grp": group_lines('S3"quoted\\slashed', s3),
         "loop-256.grp": group_lines("loop256", xor_loop),
         "one-sided-inverse.grp": group_lines("loop5", one_sided),
         "S3.chtab": chtab,
@@ -249,6 +265,8 @@ def error_runs(tmp: Path) -> list[list[str]]:
         ["expand", "[x,y]", *group_file("loop-256.grp")],
         ["expand", "[x,y]", *group_file("one-sided-inverse.grp")],
         ["expand", "[x,y]", *group_file("S3xS3.grp"), "--verify"],
+        ["expand", "[x,y]", *group_file("order-zero.grp")],
+        ["expand", "[x,y]*x^3", *group_file("escaped-name.grp"), "--verify"],
         ["expand", "[x,y]", "--group", "Z3", "--table-file", str(tmp / "S3.chtab")],
         ["expand", "[x,y]", *table_file("nan-class-1.chtab")],
         ["expand", "[x,y]", *table_file("nan-class-2.chtab")],
@@ -279,6 +297,7 @@ def runs(tmp: Path) -> list[list[str]]:
     base.extend(REDUCE_RUNS)
     base.extend(SINGLE_RUNS)
     base.extend(TOL_RUNS)
+    base.append(CLOSED_FORM_RUN(queries))
     out = []
     for argv in base:
         if "--format" in argv:
