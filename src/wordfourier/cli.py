@@ -400,8 +400,13 @@ def _expand_rows(form, group, table, args, verify: bool):
     for chi, (value, (degree, fs)) in enumerate(zip(values.tolist(), table.degree_fs)):
         if exact is None:
             # |G|*c/chi(1) is an algebraic integer (Frobenius), so a rational
-            # c is a multiple of 1/(|G|/chi(1))
-            rational = rational_annotation(value, group.order // degree, tol=args.tol)
+            # c is a multiple of 1/(|G|/chi(1)); where floats near c are
+            # spaced wider than tol, the float cannot back that claim
+            rational = (
+                rational_annotation(value, group.order // degree, tol=args.tol)
+                if math.ulp(value.real) <= args.tol
+                else None
+            )
             display = _fmt_value(value)
         else:
             rational = exact[chi]

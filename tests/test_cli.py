@@ -141,6 +141,27 @@ class TestExpand:
         for line, value in zip(out.splitlines()[3:], exact):
             assert line.split()[3:] == [value, value]
 
+    @pytest.mark.parametrize("squares", (10, 12))
+    def test_residual_rows_past_the_float_spacing_are_not_annotated(self, capsys, squares):
+        # x^3*y^3 and one square per a_i: a residual form whose trivial row,
+        # |G|^(d-1) for every word, lies where floats are spaced 0.25 or 128
+        # apart, wider than --tol; the float is 5.5 or 3072 off it
+        word = "x^3*y^3*" + "*".join(f"a{i}^2" for i in range(squares))
+        code, out, _ = run(capsys, "expand", word, "--group", "S4", "--format", "json")
+        assert code == 0
+        (trivial, *_) = json.loads(out)["rows"]
+        assert trivial["coefficient"][0] != 24 ** (squares + 1)
+        assert trivial["rational"] is None
+
+    def test_no_residual_row_is_annotated_at_tol_zero(self, capsys):
+        # the coefficients of x^3*y^3 over S3 are the floats 6, 0 and 3, but
+        # no float is spaced 0 apart from its neighbours
+        code, out, _ = run(
+            capsys, "expand", "x^3*y^3", "--group", "S3", "--tol", "0", "--format", "json"
+        )
+        assert code == 0
+        assert [r["rational"] for r in json.loads(out)["rows"]] == [None, None, None]
+
     @pytest.mark.parametrize(
         "argv, exact",
         (

@@ -20,9 +20,8 @@ from wordfourier import FiniteGroup, WordSyntaxError, cli, words
 from wordfourier.groups import save_group
 from wordfourier.words import Alphabet, Word, parse_word
 
+import contract_runs
 from corpus import group_and_table
-from test_symbolic_output import EXPAND_GROUPS
-from test_symbolic_output import words as corpus_words
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -31,20 +30,9 @@ def reference(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def command_runs():
-    """Every command on the corpus and tambour words, over EXPAND_GROUPS
-    for expand (with and without --verify) and S3 for bench."""
-    for label, argv in corpus_words():
-        for command in ("classify", "reduce", "genus"):
-            yield f"{command} {label}", (command, *argv)
-        for group in EXPAND_GROUPS:
-            for verify in ((), ("--verify",)):
-                yield f"expand {label}/{group}", ("expand", *argv, "--group", group, *verify)
-        yield f"bench {label}", ("bench", *argv, "--group", "S3")
-
-
-def test_every_command_writes_what_json_dumps_writes(monkeypatch, capsys):
-    # expand has its own writer, and the other commands share _json
+def test_every_command_writes_what_json_dumps_writes(monkeypatch, capsys, tmp_path):
+    # every JSON run of the contract, and bench on its corpus and tambour
+    # words over S3; expand has its own writer, and the other commands share _json
     docs = []
     emit, emit_expand = cli._json, cli._expand_json
 
@@ -59,17 +47,22 @@ def test_every_command_writes_what_json_dumps_writes(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_json", recording)
     monkeypatch.setattr(cli, "_expand_json", recording_expand)
+    runs = [argv for argv in contract_runs.runs(tmp_path) if argv[-2:] == ["--format", "json"]]
+    runs += [
+        ["bench", text, *alphabet, "--group", "S3", "--format", "json"]
+        for text, alphabet in contract_runs.words()
+    ]
     written = set()
-    for label, argv in command_runs():
+    for argv in runs:
         docs.clear()
-        code = cli.main([*argv, "--format", "json"])
+        code = cli.main(argv)
         out = capsys.readouterr().out
-        if code != 0:  # genus of a word that is not admissible prints nothing
-            assert not docs and not out, label
+        if not docs:  # an error, or genus of a word that is not admissible
+            assert code and not out, argv
             continue
         ((writer, doc),) = docs
-        assert writer == ("_expand_json" if argv[0] == "expand" else "_json"), label
-        assert out == reference(doc) + "\n", label
+        assert writer == ("_expand_json" if argv[0] == "expand" else "_json"), argv
+        assert out == reference(doc) + "\n", argv
         written.add(argv[0])
     assert written == {"classify", "reduce", "genus", "expand", "bench"}
 

@@ -4,6 +4,8 @@ The reference (:func:`rebuild`) applies the unused, single and square
 rules on its own, by plain slicing, and ``normalize`` must agree with it
 step by step."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from wordfourier.words import free_reduce
 
 from corpus import corpus_word, evaluate, form_from_split, split_tambour
 from group_builders import build_builtin
-from square_words import SINGLE_AFTER_SQUARE, UNUSED_NAMES, square_words
+from square_words import SINGLE_AFTER_SQUARE, UNUSED_NAMES, square_words, twice_word
 
 INTRO_ALPHABET = Alphabet(("x1", "x2", "x3", "y1", "y2", "y3"))
 
@@ -528,6 +530,17 @@ def test_normalize_equals_the_rebuild_on_long_words(text, names):
     # 100 to 400 letters: two-occurrence words, and cascades that cancel at
     # both joins, drop general letters to two occurrences and build runs
     assert_normalize_equals_the_rebuild(parse_word(text, Alphabet(names)))
+
+
+@pytest.mark.parametrize("n", (20, 50, 100, 200))
+def test_orientable_twice_words_are_dismissible_and_have_a_genus(n):
+    # each letter once with each sign, as in the contract's long words
+    text, names = twice_word(random.Random(f"long:{n}"), n, orientable=True)
+    word = parse_word(text, Alphabet(names))
+    kinds = [kind(occ) for occ in occurrences(word)]
+    assert kinds == [DISMISSIBLE] * n + [ABSENT] * len(UNUSED_NAMES)
+    assert 0 < genus(word) <= n // 2
+    assert_normalize_equals_the_rebuild(word)
 
 
 @pytest.mark.parametrize("unused", ((), UNUSED_NAMES), ids=("inferred", "unused-names"))

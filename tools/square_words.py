@@ -1,11 +1,12 @@
 """Seeded long words for the square rule, as text over an explicit alphabet.
 
 ``tests/test_reduction.py`` checks ``normalize`` against its step-by-step
-reference on these words, and ``tools/compare_outputs.py`` runs ``reduce``
-on them.  Nothing here imports the package.
+reference on these words, and ``tools/contract_runs.py`` lists ``reduce``,
+``classify`` and ``genus`` runs on them.  Nothing here imports the package.
 
-* :func:`twice_word`: every generator occurs twice, with random signs, the
-  shape of the benchmark's reduce words.
+* :func:`twice_word`: every generator occurs twice, with random signs (the
+  shape of the benchmark's reduce words) or, for an orientable word, once
+  with each sign.
 * :func:`cascade_word`: blocks a*t*y*v*b*t*y*v*c around one square y each.
   Splicing y out cancels t at the first join (w1 and w2 end in t) and v at
   the second (w2 and w3 start with v); when b is empty w2 is gone, and a
@@ -53,10 +54,16 @@ def _signed(rng: random.Random, names) -> Letters:
     return [(name, rng.choice((1, -1))) for name in names]
 
 
-def twice_word(rng: random.Random, n: int) -> tuple[str, tuple[str, ...]]:
-    """A word of 2n letters in which each of x1..xn occurs twice."""
+def twice_word(
+    rng: random.Random, n: int, orientable: bool = False
+) -> tuple[str, tuple[str, ...]]:
+    """A word of 2n letters in which each of x1..xn occurs twice: once with
+    each sign if ``orientable``, so that every letter is dismissible."""
     names = tuple(f"x{i + 1}" for i in range(n))
-    letters = _signed(rng, names * 2)
+    if orientable:
+        letters = [(name, sign) for name in names for sign in (1, -1)]
+    else:
+        letters = _signed(rng, names * 2)
     rng.shuffle(letters)
     return text(letters), names + UNUSED_NAMES
 
