@@ -22,3 +22,12 @@ def z3():
 @pytest.fixture(scope="session")
 def q8():
     return group_and_table("Q8")
+
+
+@pytest.fixture(scope="session")
+def contract(tmp_path_factory):
+    """(argv, fingerprint) of every run of tools/contract_runs.py, and the
+    SHA-256 over all records, as tests/test_contract.py takes them."""
+    from test_contract import fingerprints
+
+    return fingerprints(tmp_path_factory.mktemp("contract"))

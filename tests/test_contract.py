@@ -91,8 +91,8 @@ def fingerprints(tmp):
     return list(zip(argvs, prints)), hashlib.sha256(b"".join(records)).hexdigest()
 
 
-def test_every_contract_run_matches_the_record(tmp_path):
-    runs, digest = fingerprints(tmp_path)
+def test_every_contract_run_matches_the_record(contract):
+    runs, digest = contract
     want_digest, *want_prints = RECORD.read_text(encoding="ascii").split()
     if digest == want_digest:
         return
