@@ -20,23 +20,26 @@ and both make the same walk, ``_orbit_walk``, and the same exact tally,
   ``_FIBER_CELLS``.
 * Orbits.  Every summand depends only on the conjugacy classes of the
   words' values, and those do not change when all generators are
-  conjugated by one element (summing z out keeps this).  So the first d
-  generators to appear run over one tuple per orbit of G on G^d
-  (``ConjugacyClasses.orbit_rows(d)``), each row weighted by its orbit
-  size: d = 1 is the class representatives, weighted by class size, d = 2
-  one pair (x, y) per orbit, y over the orbits of x's centraliser, and
-  d = 3 one triple per orbit, the third entry over the orbits of
-  C(x) ∩ C(y).  ``_orbit_depth`` takes d = 3 for three or more walked
+  conjugated by one element (summing z out keeps this).  So any d of the
+  walked generators, the orbit heads, run over one tuple per orbit of G
+  on G^d (``ConjugacyClasses.orbit_rows(d)``), each row weighted by its
+  orbit size: d = 1 is the class representatives, weighted by class
+  size, d = 2 one pair (x, y) per orbit, y over the orbits of x's
+  centraliser, and d = 3 one triple per orbit, the third entry over the
+  orbits of C(x) ∩ C(y).  ``_orbit_depth`` takes d = 3 for three or more walked
   generators when the triple table is smaller than the pair table times
   |G| (never for an abelian group, where both have |G|^3 rows) and has at
   most ``_TRIPLE_ROWS`` rows; otherwise d is 2, or 1 for a lone generator.
-* Prefix sharing.  The other generators, in order of first appearance,
-  are kept as broadcast axes, so a letter is evaluated over the generators
-  seen so far and costs only the size of that prefix.  The leading ones
-  are enumerated per row in mixed-radix order (the orbit row most
-  significant);
-  as many trailing ones as fit in ``_CHUNK`` cells are whole axes of |G|,
-  and a chunk takes as many rows as keep it near ``_CHUNK`` cells.
+* Chains.  As many of the other generators as fit in ``_CHUNK`` cells
+  are whole broadcast axes of |G|; any left over are enumerated per row
+  in mixed-radix order (the orbit row most significant), and a chunk
+  takes as many rows as keep it near ``_CHUNK`` cells.  So a product of
+  letters costs only the cells of the generators in it.  Each word is
+  multiplied as a chain from the left and one from the right, which one
+  product joins, and each letter is one add and one ``take`` on a flat
+  table: ``FiniteGroup.lifted`` for the left chain, which keeps its value
+  times |G|, and ``mul.ravel()`` for the right one.  ``_plan`` picks the
+  heads and, per word, where the chains meet, for the fewest cells.
 
 The tally counts, in int64, the class tuples (c_1..c_r) of the r words'
 values over all assignments.  The int64 row weights are added in place
@@ -51,6 +54,9 @@ tuple's classes, one float sum of exact integers.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, combinations
+from operator import or_
 
 import numpy as np
 
@@ -117,10 +123,10 @@ def _orbit_depth(classes, walked: int) -> int:
 
 def walked_assignments(group, word_letter_lists, classes) -> int:
     """Rows ``_joint_tally`` walks for these words: R*|G|^(p-d) for p
-    walked generators, of which the first d = ``_orbit_depth`` run over
-    R = sum |C(x)|^(d-1) orbit rows, or 0 when none is present and nothing
-    is walked.  The walked generators are the present ones, less the one a
-    fiber table sums out (``_fiber_split``)."""
+    walked generators, of which d = ``_orbit_depth``, whichever heads
+    ``_plan`` picks, run over R = sum |C(x)|^(d-1) orbit rows, or 0 when
+    none is present and nothing is walked.  The walked generators are the
+    present ones, less the one a fiber table sums out (``_fiber_split``)."""
     fiber = _fiber_split(group, word_letter_lists, classes)
     walked = len(_present_generators(fiber[0] if fiber else word_letter_lists))
     if not walked:
@@ -130,42 +136,104 @@ def walked_assignments(group, word_letter_lists, classes) -> int:
     return rows * group.order ** (walked - depth)
 
 
-def _orbit_walk(group, word_letter_lists, classes, present):
+def _plan(word_letter_lists, present, depth, inner, order, rows, chunks):
+    """How ``_orbit_walk`` lays out and multiplies its words: ``(layout, splits)``.
+
+    ``layout`` is the present generators in the walk's order: ``depth``
+    orbit heads, any digits (the first other generators to appear), then
+    ``inner`` axes of |G|.  Conjugation acts on every generator at once,
+    so any ``depth`` of them may be the heads.  A product of letters over
+    the generators M spans (``rows`` if M holds a head or a digit, else
+    ``chunks``) times |G| per axis in M cells, summed over the chunks.
+
+    Word i is two chains, its last ``splits[i]`` letters multiplied right
+    to left and the others left to right, joined by one product, so each
+    letter after the first costs one product.  Along a word of L letters
+    the products of letters 0..j grow with j and those of letters j..L-1
+    shrink, so the best split takes the cheaper of the two at each j in
+    1..L-2, and then the whole word.  The plan takes the heads, and with
+    them the splits, of the fewest cells; a tie keeps the first generators
+    to appear as heads and the left-to-right chain, a split of 1.
+    """
+    splits = [1] * len(word_letter_lists)
+    if not inner or order == 1:  # every choice spans the same cells
+        return present, splits
+    # generator masks, bit g for g: per word w, the products of letters
+    # 0..j and j..L-1 for j in 1..L-2, and w itself at the end of both
+    prefixes, suffixes = [], []
+    for letters in word_letter_lists:
+        if len(letters) > 1:
+            masks = [1 << g for g, _ in letters]
+            before = list(accumulate(masks, or_))
+            after = list(accumulate(masks[::-1], or_))[-2:0:-1]
+            prefixes += before[1:]
+            suffixes += after + before[-1:]
+    # a column per choice of heads, the first generators to appear first;
+    # the heads and the digits span the rows
+    bits = [1 << g for g in present]
+    heads = [sum(chosen) for chosen in combinations(bits, depth)]
+    spans = heads
+    if len(present) > depth + inner:
+        free = len(present) - depth - inner
+        spans = [h | sum([b for b in bits if not b & h][:free]) for h in heads]
+    masks = np.array(prefixes + suffixes, dtype=np.int64)[:, None]
+    within = np.bitwise_count(masks & (sum(bits) ^ np.array(spans)))  # axes in each
+    powers = np.array([order**k for k in range(inner + 1)])
+    cells = np.where(within < np.bitwise_count(masks), rows, chunks) * powers.take(within)
+    n = len(prefixes)
+    best = int(np.minimum(cells[:n], cells[n:]).sum(axis=0).argmin())
+    left = (cells[:n, best] <= cells[n:, best]).tolist()  # where a prefix is cheaper
+    at = 0
+    for i, letters in enumerate(word_letter_lists):
+        if len(letters) > 1:  # L-1 entries, the last the whole word's, always True
+            splits[i] = len(letters) - sum(left[at : at + len(letters) - 1])
+            at += len(letters) - 1
+    head, span = heads[best], spans[best]  # sort heads, then digits, then axes
+    return sorted(present, key=lambda g: (not head >> g & 1) + (not span >> g & 1)), splits
+
+
+def _orbit_walk(group, word_letter_lists, classes, present, lift_first=False):
     """Walk the assignments of the present generators, up to conjugation.
 
     ``present`` is the words' ``_present_generators``, and is not empty.
     Yields ``(weight, values)`` per chunk of rows.  ``weight`` is the int64
     size of each row's conjugation orbit, and ``values`` holds each word's
-    value (an element index, a scalar for an empty word); all broadcast to
-    (rows, |G|, ..., |G|).
+    value (an element index, a scalar for an empty word), the first one
+    times |G| when ``lift_first``; all broadcast to (rows, |G|, ..., |G|).
     """
-    order, mul, inv = group.order, group.mul, group.inv
+    order, inv = group.order, group.inv
+    products, lifted = group.mul.ravel(), group.lifted  # a*|G| + b -> ab, ab*|G|
     inverted = {g for letters in word_letter_lists for g, e in letters if e < 0}
-    *heads, weights = classes.orbit_rows(_orbit_depth(classes, len(present)))
-    # the head generators are row digits; later ones may be whole axes
+    depth = _orbit_depth(classes, len(present))
+    *heads, weights = classes.orbit_rows(depth)
+    # past the heads, as many whole axes of |G| as fit a chunk, then digits
     inner = 0
-    while inner < len(present) - len(heads) and order ** (inner + 1) <= _CHUNK:
+    while inner < len(present) - depth and order ** (inner + 1) <= _CHUNK:
         inner += 1
-    free = len(present) - len(heads) - inner
-    ndim = 1 + inner
+    free = len(present) - depth - inner
+    total = len(weights) * order**free
+    rows = max(1, _CHUNK // order**inner)
+    layout, splits = _plan(
+        word_letter_lists, present, depth, inner, order, total, -(-total // rows)
+    )
 
-    letter_values = {}
+    letter = {}
 
     def assign(g, x):  # the letters of g; g^-1 only where a word reads it
-        letter_values[g, 1] = x
+        letter[g, 1] = x
         if g in inverted:
-            letter_values[g, -1] = inv[x]
+            letter[g, -1] = inv[x]
 
-    for axis, g in enumerate(present[len(present) - inner:], start=1):
+    ndim = 1 + inner
+    for axis, g in enumerate(layout[len(layout) - inner :], start=1):
         shape = [1] * ndim
         shape[axis] = order
         assign(g, np.arange(order, dtype=np.int64).reshape(shape))
-
     column = (-1,) + (1,) * inner
     heads = [head.reshape(column) for head in heads]
     weights = weights.reshape(column)
-    total = len(weights) * order**free
-    rows = max(1, _CHUNK // order**inner)
+    # 0-d arrays, which numpy combines with an array faster than Python ints
+    scale, identity = np.asarray(order), np.asarray(group.identity)
     for start in range(0, total, rows):
         stop = min(start + rows, total)
         if free:  # mixed-radix digits of the chunk's assignments, row first
@@ -173,15 +241,23 @@ def _orbit_walk(group, word_letter_lists, classes, present):
             digits = [(rest // order**i % order).reshape(column) for i in range(free - 1, -1, -1)]
         else:  # the chunk's rows are a range of the orbit table
             row, digits = slice(start, stop), []
-        for g, x in zip(present, [head[row] for head in heads] + digits):
+        # the row generators, heads then digits, lead the layout
+        for g, x in zip(layout, [head[row] for head in heads] + digits):
             assign(g, x)
         values = []
-        for letters in word_letter_lists:
-            # an empty word is the identity; any other starts at its first letter
-            acc = letter_values[letters[0]] if letters else np.int64(group.identity)
-            for letter in letters[1:]:
-                acc = mul[acc, letter_values[letter]]
-            values.append(acc)
+        for letters, split in zip(word_letter_lists, splits):
+            lifting = lift_first and not values
+            if len(letters) > 1:
+                left = letter[letters[0]] * scale  # left to right, times |G|
+                for g, e in letters[1:-split]:
+                    left = lifted.take(left + letter[g, e])
+                right = letter[letters[-1]]  # right to left: a read of mul.T
+                for g, e in letters[-2 : -split - 1 : -1]:
+                    right = products.take(letter[g, e] * scale + right)
+                values.append((lifted if lifting else products).take(left + right))
+            else:  # one letter, or the identity for an empty word
+                value = letter[letters[0]] if letters else identity
+                values.append(value * scale if lifting else value)
         yield weights[row], values
 
 
@@ -221,12 +297,13 @@ def _joint_tally(group, word_letter_lists, classes, present):
         words, base = word_letter_lists, k
     if fiber or k**r <= _DENSE:
         dense = np.zeros(base ** len(words), dtype=np.int64)
-        for weight, values in _orbit_walk(group, words, classes, present):
-            if not fiber:  # the fiber walk keys its segment values by element
-                values = [classes.class_of[value] for value in values]
-            key = values[0]
-            for value in values[1:]:
-                key = key * base + value
+        for weight, values in _orbit_walk(group, words, classes, present, bool(fiber)):
+            if fiber:  # the segment values (b, c) key by element: b*|G| + c
+                key = values[0] + values[1]
+            else:
+                key = classes.class_of[values[0]]
+                for value in values[1:]:
+                    key = key * base + classes.class_of[value]
             # every walked generator is in a word: keys span the chunk, and
             # a row's weight is repeated over the cells of its whole axes
             np.add.at(dense, key.ravel(), weight.repeat(key.size // weight.size))

@@ -7,10 +7,11 @@ and ``project`` turns those counts into one coefficient per character.
 ``coefficient_formula`` evaluates the symbolic claim carried by a
 :class:`~wordfourier.reduction.ReducedForm` instead.  Both routes return
 the same thing, a complex array with one coefficient per character row.
-Both go through the one walk and tally in ``_kernels`` (numpy only): the
-first two or three generators to appear run over one tuple per orbit of
-simultaneous conjugation, weighted by orbit size, later generators share the letters
-evaluated before them, and absent generators contribute a factor |G| each.
+Both go through the one walk and tally in ``_kernels`` (numpy only): two
+or three of the generators run over one tuple per orbit of simultaneous
+conjugation, weighted by orbit size, each word is multiplied as two chains
+that share the letters evaluated before them, and absent generators
+contribute a factor |G| each.
 In a single word, a generator z occurring exactly twice is not walked:
 w = A z^e1 B z^e2 C is conjugate to z^e1 B z^e2 (C A), so the walk
 tallies the values of B and C A and a cached table of counts over z turns that into

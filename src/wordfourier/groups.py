@@ -28,7 +28,7 @@ from .errors import GroupValidationError
 class FiniteGroup:
     """A finite group given by its full multiplication table."""
 
-    __slots__ = ("name", "order", "mul", "inv", "identity")
+    __slots__ = ("name", "order", "mul", "inv", "identity", "lifted")
 
     def __init__(self, mul: np.ndarray, name: str = "G"):
         try:
@@ -78,14 +78,18 @@ class FiniteGroup:
                 frontier = np.flatnonzero(step & ~reached)
                 reached |= step
 
-        mul.setflags(write=False)
-        inv.setflags(write=False)
+        # lifted[g*n + h] = (g*h)*n: a product kept times n takes the next
+        # letter by one add and one flat read
+        lifted = (mul * n).ravel()
+        for table in (mul, inv, lifted):
+            table.setflags(write=False)
         for attr, value in (
             ("name", name),
             ("order", n),
             ("mul", mul),
             ("inv", inv),
             ("identity", identity),
+            ("lifted", lifted),
         ):
             object.__setattr__(self, attr, value)
 

@@ -328,8 +328,8 @@ class TestBench:
         assert code == 0
         doc = json.loads(out)
         by_route = {r["route"]: r for r in doc["routes"]}
-        # y2 occurs twice and is summed out; the first three of the five
-        # walked generators run over the 49 orbits of S3 on triples, times
+        # y2 occurs twice and is summed out; three of the five walked
+        # generators run over the 49 orbits of S3 on triples, times
         # |G| per further one.  The formula walks two, over the 11 orbits
         # of S3 on pairs
         assert by_route["oracle"]["assignments"] == 49 * 6**2

@@ -1,8 +1,11 @@
 """Both kernels against plain Python loops over every assignment."""
 
 import dataclasses
+import json
+import math
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -577,9 +580,9 @@ def shuffled_word(seed, times):
 
 @pytest.mark.parametrize("group_name", ("S3", "A4"))
 def test_walk_past_the_orbit_rows_takes_mixed_radix_digits(monkeypatch, group_name):
-    # 7 cells per chunk: the first three walked generators run over the
-    # orbit rows, S3 keeps the next one as a whole axis of 6 and A4 none,
-    # and every later one is a digit of the chunk's assignments.  Every
+    # 7 cells per chunk: three walked generators run over the orbit rows,
+    # S3 keeps one other as a whole axis of 6 and A4 none, and the rest
+    # are digits of the chunk's assignments.  Every
     # exponent sum is 0, where a generator with sum +-1 would spread the
     # word's values evenly whatever the others were assigned
     monkeypatch.setattr(_kernels, "_CHUNK", 7)
@@ -666,3 +669,150 @@ def test_fiber_table_counts_each_z_once_and_is_built_once(group_name):
                 for c in range(n):
                     expected[b * n + c, classes.class_of[mul[middle, c]]] += 1
         assert table.tolist() == expected.tolist()
+
+
+# The walk's plan (_kernels._plan): which present generators are the orbit
+# heads, and for each word the letter where a left-to-right chain and a
+# right-to-left one meet.  Both are free choices: the tally is the same.
+
+
+def two_occurrence_letters(seed, rank):
+    """Each of ``rank`` generators twice, in a seeded order with seeded
+    signs, as the oracle's surface words are."""
+    rng = np.random.default_rng(seed)
+    letters = [(g, int(rng.choice((1, -1)))) for g in range(rank) for _ in (0, 1)]
+    return [letters[at] for at in rng.permutation(len(letters))]
+
+
+# (group, words, _CHUNK or None): single words summed out through
+# their fiber tables at ranks 5 and 6, and residual sets of 2-4 words; with
+# a small _CHUNK, A4's walk keeps one axis and one digit over 267 chunks
+PLAN_CASES = {
+    "D5-rank6": ("D5", [two_occurrence_letters(1, 6)], None),
+    "A4-rank6": ("A4", [two_occurrence_letters(2, 6)], None),
+    "Q8-rank6": ("Q8", [two_occurrence_letters(3, 6)], None),
+    "S4-rank5": ("S4", [two_occurrence_letters(4, 5)], None),
+    "S4-3words": ("S4", joint_words(5, (0, 1, 2, 3), 3), None),
+    "A4-2words": ("A4", joint_words(6, (0, 1, 2, 3, 4), 2), None),
+    "Q8-4words": ("Q8", joint_words(7, (0, 1, 2, 3, 4), 4), None),
+    "D5-4words": ("D5", joint_words(8, (0, 1, 2, 3), 4), None),
+    "A4-digit": ("A4", [two_occurrence_letters(9, 6)], 100),
+}
+
+
+class CountedTakes(np.ndarray):
+    """A product table that counts the cells its ``take`` reads."""
+
+    taken = 0
+
+    def take(self, indices, *args, **kwargs):
+        CountedTakes.taken += np.size(indices)
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+class CountingGroup:
+    """What the walk reads of a group, with product tables that count."""
+
+    def __init__(self, group):
+        self.order, self.inv, self.identity = group.order, group.inv, group.identity
+        self.mul = group.mul.view(CountedTakes)
+        self.lifted = group.lifted.view(CountedTakes)
+
+
+def plan_case(monkeypatch, case):
+    group_name, words, chunk = PLAN_CASES[case]
+    if chunk:
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    group, table = group_and_table(group_name)
+    classes = table.classes
+    fiber = _kernels._fiber_split(group, words, classes)
+    assert (fiber is not None) == (len(words) == 1)
+    return group, words, classes, fiber[0] if fiber else words
+
+
+def forcing(monkeypatch):
+    """Make ``_orbit_walk`` take ``plan["heads"]``, an index into the
+    choices of heads in order of first appearance, and a split of
+    ``plan["split"]`` letters (or all but one) in every word."""
+    plan = {"heads": 0, "split": 1}
+
+    def forced(word_letter_lists, present, depth, inner, order, rows, chunks):
+        heads = list(combinations(present, depth))[plan["heads"]]
+        layout = list(heads) + [g for g in present if g not in heads]
+        splits = [max(1, min(plan["split"], len(w) - 1)) for w in word_letter_lists]
+        return layout, splits
+
+    monkeypatch.setattr(_kernels, "_plan", forced)
+    return plan
+
+
+def tally(group, words, classes):
+    present = _kernels._present_generators(words)
+    tuples, counts = _kernels._joint_tally(group, words, classes, present)
+    return tuples.tolist(), counts.tolist()
+
+
+@pytest.mark.parametrize("case", PLAN_CASES)
+def test_every_choice_of_heads_and_split_tallies_as_the_left_to_right_chain(
+    monkeypatch, case
+):
+    group, words, classes, tallied = plan_case(monkeypatch, case)
+    planned = tally(group, words, classes)
+    plan = forcing(monkeypatch)
+    # the first generators to appear as heads, every word left to right
+    expected = tally(group, words, classes)
+    assert planned == expected
+    walked = len(_kernels._present_generators(tallied))
+    longest = max(map(len, tallied))
+    for plan["heads"] in range(math.comb(walked, _kernels._orbit_depth(classes, walked))):
+        for plan["split"] in range(1, longest):
+            assert tally(group, words, classes) == expected, plan
+
+
+@pytest.mark.parametrize("case", PLAN_CASES)
+def test_the_plan_reads_no_more_cells_than_the_left_to_right_chain(monkeypatch, case):
+    group, words, classes, tallied = plan_case(monkeypatch, case)
+    counting = CountingGroup(group)
+    walked = _kernels._present_generators(tallied)
+
+    def walk():
+        CountedTakes.taken = rows = 0
+        for weight, _ in _kernels._orbit_walk(counting, tallied, classes, walked):
+            rows += weight.size * group.order ** (weight.ndim - 1)
+        return CountedTakes.taken, rows
+
+    planned, planned_rows = walk()
+    forcing(monkeypatch)
+    chain, chain_rows = walk()
+    assert planned <= chain
+    if case in ("D5-rank6", "A4-rank6"):  # the walks the plan was made for
+        assert planned < chain
+    # the same rows, whichever generators are the heads
+    assert planned_rows == chain_rows == _kernels.walked_assignments(group, words, classes)
+    depth = _kernels._orbit_depth(classes, len(walked))
+    rows = sum(c ** (depth - 1) for c in classes.centralizer_sizes)
+    assert planned_rows == rows * group.order ** (len(walked) - depth)
+
+
+def test_a_lone_generator_or_no_axis_leaves_nothing_to_plan():
+    # every product spans the rows alone; nothing of the class data is read
+    words = [[(0, 1), (0, -1), (0, 1)], [(0, -1)], []]
+    assert _kernels._plan(words, [0], 1, 0, 24, 5, 1) == ([0], [1, 1, 1])
+    # one element: every axis has one cell
+    assert _kernels._plan(words, [0, 1, 2], 2, 1, 1, 1, 1) == ([0, 1, 2], [1, 1, 1])
+
+
+def test_kernel_ab_times_two_trees_and_checks_their_results(capsys):
+    import kernel_ab  # tools/, on the path through conftest
+
+    src = str(Path(_kernels.__file__).resolve().parents[1])
+    assert kernel_ab.main([src, src, "--seed", "1", "--rounds", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert doc["identical"] and doc["rounds"] == 2
+    oracle = {(row["group"], row["rank"]): row for row in doc["rows"]
+              if row["kernel"] == "element_counts"}
+    # the seed-1 oracle-enum words: 24 of 24^4, 12 of 10^6, 3 of 12^6, 1 of 24^5
+    assert {key: row["calls"] for key, row in oracle.items()} == {
+        ("S4", 4): 24, ("D5", 6): 12, ("A4", 6): 3, ("S4", 5): 1,
+    }
+    assert all(row["new_wins"].endswith("/2") for row in doc["rows"])
