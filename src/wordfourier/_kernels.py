@@ -7,21 +7,26 @@ and both make the same walk, ``_orbit_walk``, and the same exact tally,
 * Generators absent from every word are left out; each one multiplies the
   result by |G|.  With none present the tally is the one empty
   assignment: every word at the identity class, counted once.
-* Fiber table.  A generator z that occurs exactly twice in a single word,
-  w = A z^e1 B z^e2 C, is summed out without being walked: conjugating by
-  A gives class(w) = class(z^e1 B z^e2 (C A)), so the count over z
-  depends only on the values b, c of the segments B and C A, and
-  ``ConjugacyClasses.fiber_table(e1, e2)`` holds it per (b, c) and class.
-  The walk then runs over the other generators and tallies (b, c) by
-  element, and that table times the fiber table is the class tally.  z is
-  the last such generator in order of first appearance (``_fiber_split``).
+* Fiber tables.  A generator z that occurs exactly twice in a single
+  word, w = A z^e1 B z^e2 C, is summed out without being walked:
+  conjugating by A gives class(w) = class(z^e1 B z^e2 D) with D = C A,
+  so the count over z depends only on the values b, d of the segments B
+  and D, and ``ConjugacyClasses.fiber_table(e1, e2)`` holds it per
+  (b, d) and class.  A second generator y that occurs exactly twice is
+  summed out too where the group's triple tables fit: conjugating by the
+  letters P before y's first letter in B (or D) leaves three segments
+  u, v, t, and ``ConjugacyClasses.second_fiber_table`` holds the count
+  over (y, z) per orbit of (u, v, t) under simultaneous conjugation.
+  The walk then runs over the other generators and tallies the segment
+  values, (b, d) by element or (u, v, t) by orbit row, and that table
+  times the fiber table is the class tally (``_fiber_split``).
   Everything else takes the plain walk below: several words, a lone
   generator, no generator that occurs exactly twice, or a table past
   ``_FIBER_CELLS``.
 * Orbits.  Every summand depends only on the conjugacy classes of the
   words' values, and those do not change when all generators are
-  conjugated by one element (summing z out keeps this).  So any d of the
-  walked generators, the orbit heads, run over one tuple per orbit of G
+  conjugated by one element (summing z and y out keeps this).  So any d
+  of the walked generators, the orbit heads, run over one tuple per orbit of G
   on G^d (``ConjugacyClasses.orbit_rows(d)``), each row weighted by its
   orbit size: d = 1 is the class representatives, weighted by class
   size, d = 2 one pair (x, y) per orbit, y over the orbits of x's
@@ -39,16 +44,17 @@ and both make the same walk, ``_orbit_walk``, and the same exact tally,
   product joins, and each letter is one add and one ``take`` on a flat
   table: ``FiniteGroup.lifted`` for the left chain, which keeps its value
   times |G|, and ``mul.ravel()`` for the right one.  ``_plan`` picks the
-  heads and, per word, where the chains meet, for the fewest cells.
+  heads and, per word, where the chains meet, for the fewest cells, in a
+  walk larger than a chunk's cells.
 
 The tally counts, in int64, the class tuples (c_1..c_r) of the r words'
 values over all assignments.  The int64 row weights are added in place
 into one dense table, keyed by class (k^r cells) for the plain walk and
-by element (|G|^2 cells) for the fiber walk, so each count is an exact
-sum bounded by |G|^rank, which ``fourier._check_budget`` keeps below
-2^63.  ``element_counts`` (the oracle) is the r = 1 tally: a class
-total divided by its class size, which must divide it exactly, is the
-count of each element of the class.  ``split_character_sum`` (the
+by element (|G|^2 cells) or triple orbit for the fiber walk, so each
+count is an exact sum bounded by |G|^rank, which
+``fourier._check_budget`` keeps below 2^63.  ``element_counts`` (the
+oracle) is the r = 1 tally: a class total divided by its class size,
+which must divide it exactly, is the count of each element of the class.  ``split_character_sum`` (the
 formula) contracts the tally against the character values at each
 tuple's classes, one float sum of exact integers.
 """
@@ -83,15 +89,34 @@ def _present_generators(word_letter_lists) -> list[int]:
     return list(dict.fromkeys(g for letters in word_letter_lists for g, _ in letters))
 
 
+def _inverse(letters):
+    return [(g, -e) for g, e in reversed(letters)]
+
+
 def _fiber_split(group, word_letter_lists, classes):
-    """``(segments, signs)`` when the tally sums a generator z out through
-    its fiber table, else None.
+    """``(segments, table)`` when the tally sums one or two generators out
+    through a fiber table, else None.
 
     It does for a single word with at least two present generators, one
-    of which occurs exactly twice, while the |G|^2 x k table fits
-    ``_FIBER_CELLS``.  z is the last such generator in order of first
-    appearance; for w = A z^e1 B z^e2 C the segments are B and C A, and
-    the signs (e1, e2).
+    of which, z, occurs exactly twice, while the |G|^2 x k table fits
+    ``_FIBER_CELLS``.  z is the first such generator in order of first
+    appearance; for w = A z^e1 B z^e2 C the segments are B and D = C A,
+    and the table is ``fiber_table(e1, e2)``, whose rows the key b*|G| + d
+    of their values (b, d) names.
+
+    The next generator y occurring exactly twice is summed out as well
+    when a third generator is left to walk, the group has at most
+    ``_TRIPLE_ROWS`` orbits on triples and |G|^3 fits ``_FIBER_CELLS``.
+    Conjugating by P, with u, v, t the segments:
+
+    * y in B and D, B = P y^f1 Q and D = R y^f2 S: u = Q P, v = P^-1 R
+      and t = S P, as z^e1 y^f1 u z^e2 v y^f2 t;
+    * y twice in B, B = P y^f1 Q y^f2 R: u = Q, v = R P and t = P^-1 D P,
+      as z^e1 y^f1 u y^f2 v z^e2 t; y twice in D is this case with B and
+      D, and e1 and e2, swapped, as w is conjugate to z^e2 D z^e1 B.
+
+    The table is then ``second_fiber_table``, whose rows the orbit of
+    (u, v, t) names (``orbit_index(3)`` at u*|G|^2 + v*|G| + t).
     """
     order = group.order
     if len(word_letter_lists) != 1 or order * order * len(classes) > _FIBER_CELLS:
@@ -103,9 +128,31 @@ def _fiber_split(group, word_letter_lists, classes):
     twice = [g for g, times in occurs.items() if times == 2]
     if not twice or len(occurs) < 2:
         return None
-    i, j = (at for at, (g, _) in enumerate(letters) if g == twice[-1])
-    segments = [letters[i + 1 : j], letters[j + 1 :] + letters[:i]]
-    return segments, (letters[i][1], letters[j][1])
+    letters = list(letters)  # a word's letters may be a tuple
+    i, j = (at for at, (g, _) in enumerate(letters) if g == twice[0])
+    b, d = letters[i + 1 : j], letters[j + 1 :] + letters[:i]
+    e1, e2 = letters[i][1], letters[j][1]
+    if (
+        len(twice) < 2
+        or len(occurs) < 3
+        or order**3 > _FIBER_CELLS
+        or sum(c * c for c in classes.centralizer_sizes) > _TRIPLE_ROWS
+    ):
+        return [b, d], classes.fiber_table(e1, e2)
+    y = twice[1]
+    if all(g != y for g, _ in b):  # both in D: swap B and D
+        b, d, e1, e2 = d, b, e2, e1
+    p, q = (at for at, (g, _) in enumerate(b + d) if g == y)
+    straddles = q >= len(b)
+    before = b[:p]
+    if straddles:
+        q -= len(b)
+        segments = [b[p + 1 :] + before, _inverse(before) + d[:q], d[q + 1 :] + before]
+        f2 = d[q][1]
+    else:
+        segments = [b[p + 1 : q], b[q + 1 :] + before, _inverse(before) + d + before]
+        f2 = b[q][1]
+    return segments, classes.second_fiber_table(e1, e2, b[p][1], f2, straddles)
 
 
 def _orbit_depth(classes, walked: int) -> int:
@@ -126,7 +173,8 @@ def walked_assignments(group, word_letter_lists, classes) -> int:
     walked generators, of which d = ``_orbit_depth``, whichever heads
     ``_plan`` picks, run over R = sum |C(x)|^(d-1) orbit rows, or 0 when
     none is present and nothing is walked.  The walked generators are the
-    present ones, less the one a fiber table sums out (``_fiber_split``)."""
+    present ones, less the one or two a fiber table sums out
+    (``_fiber_split``)."""
     fiber = _fiber_split(group, word_letter_lists, classes)
     walked = len(_present_generators(fiber[0] if fiber else word_letter_lists))
     if not walked:
@@ -154,9 +202,17 @@ def _plan(word_letter_lists, present, depth, inner, order, rows, chunks):
     1..L-2, and then the whole word.  The plan takes the heads, and with
     them the splits, of the fewest cells; a tie keeps the first generators
     to appear as heads and the left-to-right chain, a split of 1.
+
+    A walk whose left-to-right chain reads at most ``_CHUNK`` cells in all
+    (one per product, row and cell of the axes) keeps that chain and the
+    first heads: its products are calls whose fixed cost outweighs any
+    cells a plan could save there, and the plan's own cost too.
     """
     splits = [1] * len(word_letter_lists)
-    if not inner or order == 1:  # every choice spans the same cells
+    if not inner:  # every choice spans the same cells
+        return present, splits
+    products = sum(len(letters) - 1 for letters in word_letter_lists if letters)
+    if products * rows * order**inner <= _CHUNK:
         return present, splits
     # generator masks, bit g for g: per word w, the products of letters
     # 0..j and j..L-1 for j in 1..L-2, and w itself at the end of both
@@ -208,7 +264,8 @@ def _orbit_walk(group, word_letter_lists, classes, present, lift_first=False):
     *heads, weights = classes.orbit_rows(depth)
     # past the heads, as many whole axes of |G| as fit a chunk, then digits
     inner = 0
-    while inner < len(present) - depth and order ** (inner + 1) <= _CHUNK:
+    # (|G| = 1 takes none: its axes add no cells, only array dimensions)
+    while inner < len(present) - depth and 1 < order ** (inner + 1) <= _CHUNK:
         inner += 1
     free = len(present) - depth - inner
     total = len(weights) * order**free
@@ -279,36 +336,41 @@ def _joint_tally(group, word_letter_lists, classes, present):
     Returns ``(tuples, counts)``: an (r, m) array whose columns are the
     tuples that occur, and their counts.  With no generator present that
     is the one empty assignment, at the identity class.  A single word
-    with a generator to sum out (``_fiber_split``) tallies its segment
-    values (b, c) into a dense table of |G|^2 cells, which its fiber table
-    turns into class totals.  Otherwise the weights go into one int64
-    table of k^r cells while k^r fits ``_DENSE``; past that each chunk's
-    tuples are sorted and merged, so the memory grows with the tuples that
-    occur, not with k^r.
+    with one or two generators to sum out (``_fiber_split``) tallies its
+    segment values into a dense table, (b, d) by element over |G|^2 cells
+    or (u, v, t) by orbit row, which its fiber table turns into class
+    totals.  Otherwise the weights go into one int64 table of k^r cells
+    while k^r fits ``_DENSE``; past that each chunk's tuples are sorted
+    and merged, so the memory grows with the tuples that occur, not with
+    k^r.
     """
     k, r = len(classes), len(word_letter_lists)
     if not present:
         return np.full((r, 1), classes.identity_class), np.ones(1, dtype=np.int64)
     fiber = _fiber_split(group, word_letter_lists, classes)
     if fiber:
-        words, base = fiber[0], group.order
+        words, table = fiber
         present = _present_generators(words)
+        cells = len(table)
+        triples = classes.orbit_index(3) if len(words) == 3 else None
     else:
-        words, base = word_letter_lists, k
-    if fiber or k**r <= _DENSE:
-        dense = np.zeros(base ** len(words), dtype=np.int64)
+        words, cells = word_letter_lists, k**r
+    if fiber or cells <= _DENSE:
+        dense = np.zeros(cells, dtype=np.int64)
         for weight, values in _orbit_walk(group, words, classes, present, bool(fiber)):
-            if fiber:  # the segment values (b, c) key by element: b*|G| + c
+            if fiber:  # the segment values key by element: b*|G| + d
                 key = values[0] + values[1]
+                if triples is not None:  # (u, v, t) by its orbit row
+                    key = triples.take(key * group.order + values[2])
             else:
                 key = classes.class_of[values[0]]
                 for value in values[1:]:
-                    key = key * base + classes.class_of[value]
+                    key = key * k + classes.class_of[value]
             # every walked generator is in a word: keys span the chunk, and
             # a row's weight is repeated over the cells of its whole axes
             np.add.at(dense, key.ravel(), weight.repeat(key.size // weight.size))
         if fiber:
-            dense = dense @ classes.fiber_table(*fiber[1])
+            dense = dense @ table
         (keys,) = dense.nonzero()
         tuples = keys[None] if r == 1 else np.array(np.unravel_index(keys, (k,) * r))
         return tuples, dense[keys]

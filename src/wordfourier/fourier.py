@@ -12,12 +12,15 @@ or three of the generators run over one tuple per orbit of simultaneous
 conjugation, weighted by orbit size, each word is multiplied as two chains
 that share the letters evaluated before them, and absent generators
 contribute a factor |G| each.
-In a single word, a generator z occurring exactly twice is not walked:
-w = A z^e1 B z^e2 C is conjugate to z^e1 B z^e2 (C A), so the walk
-tallies the values of B and C A and a cached table of counts over z turns that into
-the class tally (the oracle takes this path; the formula's residual words,
-as a rule, do not, and several words or a word with no such generator take
-the plain walk).  The walk tallies the class tuples of the words' values
+In a single word, one or two generators occurring exactly twice are not
+walked: w = A z^e1 B z^e2 C is conjugate to z^e1 B z^e2 (C A), so the
+walk tallies the values of B and C A and a cached table of counts over z
+turns that into the class tally; a second such generator y splits those
+segments into three, whose triple is keyed by its orbit under
+conjugation, and a cached table of counts over (y, z) turns that tally
+into the class tally (the oracle takes this path; the formula's residual
+words, as a rule, do not, and several words or a word with no such
+generator take the plain walk).  The walk tallies the class tuples of the words' values
 exactly in int64: the oracle's counts are that tally's integers, and the
 formula is one float contraction of it.  Both are gated by an evaluation
 budget, capped at the int64 range, and fail cleanly rather than

@@ -123,6 +123,7 @@ class ConjugacyClasses:
     centralizer_sizes: tuple[int, ...] = field(init=False, compare=False)
     power_class_map: tuple[int, ...] = field(init=False, compare=False)  # class of rep**2
     _orbits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _indices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _fibers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -200,6 +201,29 @@ class ConjugacyClasses:
         self._orbits[depth] = rows
         return rows
 
+    def orbit_index(self, depth: int) -> np.ndarray:
+        """The read-only int64 array of |G|^depth entries whose entry
+        x_1*|G|^(depth-1) + ... + x_depth is the ``orbit_rows(depth)`` row
+        of the orbit of (x_1..x_depth).  Conjugating every row by every h
+        names each tuple once or more, over |G| times the rows.  Built on
+        the first call per depth and kept on the object.
+        """
+        index = self._indices.get(depth)
+        if index is not None:
+            return index
+        n, mul, inv = self.group.order, self.group.mul, self.group.inv
+        *entries, weights = self.orbit_rows(depth)
+        elems = np.arange(n)
+        conjugate = mul[mul[elems[:, None], elems], inv[:, None]]  # [h, x] -> h x h^-1
+        key = 0  # [h, row] -> the row conjugated by h, in mixed radix
+        for x in entries:
+            key = key * n + conjugate[:, x]
+        index = np.empty(n**depth, dtype=np.int64)
+        index[key] = np.arange(len(weights))
+        index.setflags(write=False)
+        self._indices[depth] = index
+        return index
+
     def fiber_table(self, e1: int, e2: int) -> np.ndarray:
         """For the signs e1, e2 of two letters of one generator z, the
         read-only int64 (|G|^2, k) table whose row b*|G| + c counts, per
@@ -208,9 +232,9 @@ class ConjugacyClasses:
         Substituting h z h^-1 for z shows that a row is the same for (b, c)
         and (h b h^-1, h c h^-1), so only the row of one pair per orbit
         (``orbit_rows(2)``) is counted, over every z, and copied to the rest
-        of its orbit.  Work arrays have P*|G| <= k*|G|^2 cells for P
-        orbits.  Built on the first call per sign pair and kept on the
-        object.
+        of its orbit (``orbit_index(2)``).  Work arrays have P*|G| <= k*|G|^2
+        cells for P orbits.  Built on the first call per sign pair and kept
+        on the object.
         """
         if (e1, e2) in self._fibers:
             return self._fibers[e1, e2]
@@ -224,13 +248,44 @@ class ConjugacyClasses:
         # [orbit, z] -> class of z^e1 x z^e2 y
         landed = self.class_of[mul[mul[mul[left, xs[:, None]], right], ys[:, None]]]
         rows = np.bincount((orbits[:, None] * k + landed).ravel(), minlength=len(xs) * k)
-        # [h, orbit] -> h x h^-1 and h y h^-1, which name every pair once or more
-        h = z[:, None]
-        orbit_of = np.empty(n * n, dtype=np.int64)
-        orbit_of[mul[mul[h, xs], inv[h]] * n + mul[mul[h, ys], inv[h]]] = orbits
-        table = rows.reshape(len(xs), k)[orbit_of]
+        table = rows.reshape(len(xs), k)[self.orbit_index(2)]
         table.setflags(write=False)
         self._fibers[e1, e2] = table
+        return table
+
+    def second_fiber_table(
+        self, e1: int, e2: int, f1: int, f2: int, straddles: bool
+    ) -> np.ndarray:
+        """For the signs e1, e2 of the two letters of a generator z and f1,
+        f2 of those of a generator y, the read-only int64 (T, k) table over
+        the T rows of ``orbit_rows(3)`` whose row for (u, v, t) counts, per
+        class, the pairs (y, z) with, when y ``straddles`` the letters of z,
+
+            z^e1 y^f1 u z^e2 v y^f2 t,
+
+        and otherwise z^e1 y^f1 u y^f2 v z^e2 t in it; every row sums to
+        |G|^2.  It is the sum over y of the ``fiber_table(e1, e2)`` rows of
+        (y^f1 u, v y^f2 t), or of (y^f1 u y^f2 v, t).  Substituting h y h^-1
+        for y and h z h^-1 for z shows that a row is the same on the whole
+        conjugation orbit of (u, v, t), so a triple is keyed by its row
+        through ``orbit_index(3)``.  Work arrays have T*|G|*k cells.  Built
+        on the first call per signs and case and kept on the object.
+        """
+        key = (e1, e2, f1, f2, straddles)
+        if key in self._fibers:
+            return self._fibers[key]
+        n, mul, inv = self.group.order, self.group.mul, self.group.inv
+        u, v, t = (x[:, None] for x in self.orbit_rows(3)[:3])
+        y = np.arange(n)
+        first, second = (y if f > 0 else inv for f in (f1, f2))
+        # [row, y] -> the (b, d) whose fiber_table row it sums
+        if straddles:
+            b, d = mul[first, u], mul[mul[v, second], t]
+        else:
+            b, d = mul[mul[mul[first, u], second], v], t
+        table = self.fiber_table(e1, e2)[b * n + d].sum(axis=1)
+        table.setflags(write=False)
+        self._fibers[key] = table
         return table
 
     @property

@@ -158,8 +158,8 @@ class ReducedForm:
         This is the sum the claim stands for; the walk that evaluates it
         runs over orbits of simultaneous conjugation and is smaller
         (``_kernels.walked_assignments``: R*|G|^(rank-d) for R orbits of
-        d = 2 or 3 of the generators, one factor |G| fewer when a
-        generator is summed out through its fiber table).
+        d = 2 or 3 of the generators, one factor |G| fewer per generator
+        summed out through a fiber table).
         """
         if self.trivial_only or self.residual_rank == 0:
             return 0

@@ -261,6 +261,17 @@ class TestExpand:
             r["display"] for r in json.loads(shipped)["rows"]
         ]
 
+    @pytest.mark.parametrize("verify", ((), ("--verify",)), ids=("formula", "oracle"))
+    def test_seventy_generators_of_the_trivial_group(self, capsys, verify):
+        # every assignment of Z1 is the identity: the walk takes its 70
+        # generators as one row, with no axis of one cell each, which
+        # numpy could not hold past 64 dimensions
+        word = "*".join(f"x{i}*x{i}*x{i}" for i in range(1, 71))
+        code, out, err = run(capsys, "expand", word, "--group", "Z1", "--format", "json", *verify)
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out)["rows"]
+        assert row["coefficient"] == [1.0, 0.0]
+
 
 class TestBench:
     def test_counts_and_csv(self, capsys, tmp_path):
@@ -328,11 +339,11 @@ class TestBench:
         assert code == 0
         doc = json.loads(out)
         by_route = {r["route"]: r for r in doc["routes"]}
-        # y2 occurs twice and is summed out; three of the five walked
-        # generators run over the 49 orbits of S3 on triples, times
-        # |G| per further one.  The formula walks two, over the 11 orbits
-        # of S3 on pairs
-        assert by_route["oracle"]["assignments"] == 49 * 6**2
+        # y2 and y3, the last two generators to occur twice, are summed
+        # out; three of the four walked generators run over the 49 orbits
+        # of S3 on triples, times |G| for the fourth.  The formula walks
+        # two, over the 11 orbits of S3 on pairs
+        assert by_route["oracle"]["assignments"] == 49 * 6
         assert by_route["formula"]["assignments"] == 11
 
     def test_both_routes_walk_the_same_residual(self, capsys):

@@ -20,7 +20,14 @@ from wordfourier import (
 )
 from wordfourier.words import Alphabet, Word
 
-from corpus import CORPUS, MASTER_CAP, corpus_word, group_and_table, python_distribution
+from corpus import (
+    CORPUS,
+    MASTER_CAP,
+    ORDERS,
+    corpus_word,
+    group_and_table,
+    python_distribution,
+)
 
 COUNT_WORDS = (
     "empty",
@@ -505,11 +512,11 @@ SIGN_IDS = ("z-z", "z-zinv", "zinv-z", "zinv-zinv")
 
 def fiber_word(seed, present, z, signs, last_times=None):
     """One word over generators 0..present-1, first appearing in index
-    order, where z occurs exactly twice with ``signs`` and no generator
-    after z occurs twice: the last one ``last_times`` times when given and
-    not z, the others once or three times."""
+    order, where z occurs exactly twice with ``signs`` and no other
+    generator does: the last one ``last_times`` times when given and not
+    z, the others once or three times."""
     rng = np.random.default_rng(seed)
-    times = [int(rng.choice((1, 2, 3) if g < z else (1, 3))) for g in range(present)]
+    times = [int(rng.choice((1, 3))) for _ in range(present)]
     times[z] = 2
     if last_times is not None and z != present - 1:
         times[-1] = last_times
@@ -525,9 +532,9 @@ def fiber_word(seed, present, z, signs, last_times=None):
 
 
 def assert_fiber_tally_matches_reference(group, classes, word, present, z, signs):
-    fiber = _kernels._fiber_split(group, [word], classes)
-    assert fiber is not None and fiber[1] == signs
-    walked = {g for segment in fiber[0] for g, _ in segment}
+    segments, table = _kernels._fiber_split(group, [word], classes)
+    assert table is classes.fiber_table(*signs)
+    walked = {g for segment in segments for g, _ in segment}
     assert walked == set(range(present)) - {z}
     assert_tally_matches_reference(group, [word], present, classes)
 
@@ -548,7 +555,7 @@ def test_fiber_tally_matches_python_reference(group_name, signs):
 @pytest.mark.parametrize("last_times", (1, 3, 4))
 @pytest.mark.parametrize("group_name", ("S3", "D4", "Q8", "A4"))
 def test_fiber_skips_a_last_generator_that_does_not_occur_twice(group_name, last_times):
-    # z is the last generator occurring exactly twice, not the last to appear
+    # z is the generator occurring exactly twice, not the last to appear
     group, table = group_and_table(group_name)
     for z in (1, 2):
         word = fiber_word(last_times + z, 4, z, (1, -1), last_times)
@@ -638,8 +645,8 @@ def test_fiber_split_has_no_bound_on_the_walk():
     # 24^12 walked assignments; the int64 tally needs no cap of its own
     group, table = group_and_table("S4")
     word = [(g, 1) for g in range(13)] + [(0, -1)]
-    segments, signs = _kernels._fiber_split(group, [word], table.classes)
-    assert signs == (1, -1)
+    segments, fibers = _kernels._fiber_split(group, [word], table.classes)
+    assert fibers is table.classes.fiber_table(1, -1)
     assert segments == [word[1:13], []]
 
 
@@ -671,6 +678,174 @@ def test_fiber_table_counts_each_z_once_and_is_built_once(group_name):
         assert table.tolist() == expected.tolist()
 
 
+# Two letters summed out: z and y, the first two generators to occur
+# exactly twice, through ConjugacyClasses.second_fiber_table.  y's letters
+# lie one in each segment of z (straddling), both in B, or both in D
+
+Y_CASES = ("straddles", "both-in-B", "both-in-D")
+BUILTINS = tuple(ORDERS)
+
+
+def two_fiber_word(seed, case, z_signs, y_signs, walked=1):
+    """z = 0, y = 1 and ``walked`` further generators, each once or three
+    times, as A z B z C with y's letters placed in B or C by ``case``."""
+    rng = np.random.default_rng(seed)
+    rest = [
+        (g, int(rng.choice((1, -1))))
+        for g in range(2, 2 + walked)
+        for _ in range(int(rng.choice((1, 3))))
+    ]
+    rest = [rest[at] for at in rng.permutation(len(rest))]
+    cuts = np.sort(rng.integers(0, len(rest) + 1, size=4)).tolist()
+    a, p, q, r, s = (rest[i:j] for i, j in zip([0] + cuts, cuts + [len(rest)]))
+    z1, z2 = ((0, e) for e in z_signs)
+    y1, y2 = ((1, f) for f in y_signs)
+    if case == "straddles":
+        return a + [z1] + p + [y1] + q + [z2] + r + [y2] + s
+    if case == "both-in-B":
+        return a + [z1] + p + [y1] + q + [y2] + r + [z2] + s
+    return a + [z1] + s + [z2] + p + [y1] + q + [y2] + r
+
+
+def plain_tally(monkeypatch, group, words, classes):
+    with monkeypatch.context() as plain:
+        plain.setattr(_kernels, "_FIBER_CELLS", 0)
+        return tally(group, words, classes)
+
+
+def walked_rows(group, segments, classes):
+    present = _kernels._present_generators(segments)
+    return sum(
+        weight.size * group.order ** (weight.ndim - 1)  # rows span the axes after them
+        for weight, _ in _kernels._orbit_walk(group, segments, classes, present, True)
+    )
+
+
+@pytest.mark.parametrize("group_name", BUILTINS)
+def test_two_letter_fiber_tally_matches_the_plain_walk_and_python_reference(
+    monkeypatch, group_name
+):
+    # every case and every sign pair of z and y, at rank 3 (one walked
+    # generator) on every built-in, against the plain walk; the Python
+    # reference takes two sign pairs per case and group, in turn, so that
+    # the built-ins cover all 16 per case.  Z11 and Z12 have |G|^3 orbits
+    # on triples, more than _TRIPLE_ROWS, and sum z out alone
+    group, table = group_and_table(group_name)
+    classes = table.classes
+    fits = sum(c * c for c in classes.centralizer_sizes) <= _kernels._TRIPLE_ROWS
+    turn = BUILTINS.index(group_name) % 8
+    for c, case in enumerate(Y_CASES):
+        for s, (z_signs, y_signs) in enumerate(product(SIGN_PAIRS, SIGN_PAIRS)):
+            word = two_fiber_word(16 * c + s, case, z_signs, y_signs)
+            segments, fibers = _kernels._fiber_split(group, [word], classes)
+            if not fits:
+                assert fibers is classes.fiber_table(*z_signs)
+            else:
+                e1, e2 = z_signs[::-1] if case == "both-in-D" else z_signs
+                straddles = case == "straddles"
+                assert fibers is classes.second_fiber_table(e1, e2, *y_signs, straddles)
+                assert {g for segment in segments for g, _ in segment} == {2}
+                assert walked_rows(group, segments, classes) == len(classes)
+                assert _kernels.walked_assignments(group, [word], classes) == len(classes)
+            assert tally(group, [word], classes) == plain_tally(
+                monkeypatch, group, [word], classes
+            )
+            if s % 8 == turn:
+                assert_tally_matches_reference(group, [word], 3, classes)
+
+
+@pytest.mark.parametrize("case", Y_CASES)
+@pytest.mark.parametrize("group_name", ("S3", "Q8", "A4", "D5", "S4"))
+def test_two_letter_fiber_walks_the_rest_over_orbits_axes_and_chunks(
+    monkeypatch, group_name, case
+):
+    # two to four walked generators: over the pair or triple orbits, whole
+    # axes past them, and with 7 cells per chunk, digits and chunk edges
+    # inside the rows of a class representative.  The rows walked are
+    # walked_assignments' count
+    group, table = group_and_table(group_name)
+    classes = table.classes
+    for walked in (2, 3, 4) if group.order <= 12 else (2, 3):
+        for z_signs, y_signs in ((1, -1), (-1, -1)), ((-1, 1), (1, 1)):
+            word = two_fiber_word(walked, case, z_signs, y_signs, walked)
+            expected = plain_tally(monkeypatch, group, [word], classes)
+            for chunk in (_kernels._CHUNK, 7)[: 1 + (walked < 4)]:
+                monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+                segments, _ = _kernels._fiber_split(group, [word], classes)
+                assert len(segments) == 3
+                rows = walked_rows(group, segments, classes)
+                assert rows == _kernels.walked_assignments(group, [word], classes)
+                assert tally(group, [word], classes) == expected
+            monkeypatch.undo()
+    if group.order ** 4 <= 10**4:  # the Python reference at rank 4
+        word = two_fiber_word(0, case, (1, 1), (-1, 1), 2)
+        assert_tally_matches_reference(group, [word], 4, classes)
+
+
+def test_two_letter_fiber_falls_back_to_one_letter(monkeypatch):
+    group, table = group_and_table("S3")
+    classes = table.classes
+    word = two_fiber_word(0, "straddles", (1, -1), (1, 1))
+    assert len(_kernels._fiber_split(group, [word], classes)[0]) == 3
+    # no third generator left to walk: z and y alone
+    alone = [(0, 1), (1, 1), (0, -1), (1, 1)]
+    segments, fibers = _kernels._fiber_split(group, [alone], classes)
+    assert fibers is classes.fiber_table(1, -1) and segments == [[(1, 1)], [(1, 1)]]
+    # |G|^3 past the cell cap, though the fiber table fits
+    n, k = group.order, len(classes)
+    monkeypatch.setattr(_kernels, "_FIBER_CELLS", n**3 - 1)
+    assert n * n * k <= n**3 - 1
+    assert len(_kernels._fiber_split(group, [word], classes)[0]) == 2
+    assert_tally_matches_reference(group, [word], 3, classes)
+    monkeypatch.setattr(_kernels, "_FIBER_CELLS", n**3)
+    assert len(_kernels._fiber_split(group, [word], classes)[0]) == 3
+    # more orbits on triples than the cap
+    monkeypatch.setattr(_kernels, "_TRIPLE_ROWS", 48)
+    assert sum(c * c for c in classes.centralizer_sizes) == 49
+    assert len(_kernels._fiber_split(group, [word], classes)[0]) == 2
+
+
+@pytest.mark.parametrize("group_name", ("S3", "D4", "Q8", "A4", "S3-reversed"))
+def test_second_fiber_table_counts_each_pair_once_and_is_built_once(group_name):
+    if group_name.endswith("-reversed"):
+        group, _ = reversed_group(group_name.split("-")[0])
+    else:
+        group, _ = group_and_table(group_name)
+    classes = ConjugacyClasses(group)  # fresh, so nothing is kept on it yet
+    n, mul, inv = group.order, group.mul, group.inv
+    word = two_fiber_word(1, "straddles", (-1, 1), (1, -1))
+    _kernels.element_counts(group, word, 3, classes)
+    built, index = classes.second_fiber_table(-1, 1, 1, -1, True), classes.orbit_index(3)
+    _kernels.element_counts(group, word, 3, classes)
+    assert classes.second_fiber_table(-1, 1, 1, -1, True) is built
+    # every triple, by its orbit row
+    u, v, t = (a.ravel() for a in np.indices((n, n, n)))
+    rows = index[(u * n + v) * n + t]
+    assert np.array_equal(index, rows) and not index.flags.writeable
+    elems = np.arange(n)
+    for z_signs, y_signs in product(SIGN_PAIRS, SIGN_PAIRS):
+        for straddles in (True, False):
+            fibers = classes.second_fiber_table(*z_signs, *y_signs, straddles)
+            assert fibers.dtype == np.int64 and not fibers.flags.writeable
+            assert fibers.shape == (len(classes.orbit_rows(3)[-1]), len(classes))
+            assert (fibers.sum(axis=1) == n * n).all()  # one class per (y, z)
+            # [triple, y, z] -> the word's value, multiplied letter by letter
+            z1, z2 = (elems if e > 0 else inv for e in z_signs)
+            y1, y2 = (elems if f > 0 else inv for f in y_signs)
+            z1, z2 = z1[None, None, :], z2[None, None, :]
+            y1, y2 = y1[None, :, None], y2[None, :, None]
+            a, b, c = u[:, None, None], v[:, None, None], t[:, None, None]
+            if straddles:
+                value = mul[mul[mul[mul[mul[mul[z1, y1], a], z2], b], y2], c]
+            else:
+                value = mul[mul[mul[mul[mul[mul[z1, y1], a], y2], b], z2], c]
+            landed = classes.class_of[value].reshape(n**3, n * n)
+            expected = np.stack([np.bincount(row, minlength=len(classes)) for row in landed])
+            assert fibers[rows].tolist() == expected.tolist()
+    assert list(classes._indices) == [2, 3]  # one orbit index per depth, shared
+    assert classes.orbit_index(3) is index
+
+
 # The walk's plan (_kernels._plan): which present generators are the orbit
 # heads, and for each word the letter where a left-to-right chain and a
 # right-to-left one meet.  Both are free choices: the tally is the same.
@@ -685,11 +860,13 @@ def two_occurrence_letters(seed, rank):
 
 
 # (group, words, _CHUNK or None): single words summed out through
-# their fiber tables at ranks 5 and 6, and residual sets of 2-4 words; with
+# their fiber tables at ranks 5 to 7, and residual sets of 2-4 words; with
 # a small _CHUNK, A4's walk keeps one axis and one digit over 267 chunks
 PLAN_CASES = {
     "D5-rank6": ("D5", [two_occurrence_letters(1, 6)], None),
     "A4-rank6": ("A4", [two_occurrence_letters(2, 6)], None),
+    "D5-rank7": ("D5", [two_occurrence_letters(10, 7)], None),
+    "A4-rank7": ("A4", [two_occurrence_letters(11, 7)], None),
     "Q8-rank6": ("Q8", [two_occurrence_letters(3, 6)], None),
     "S4-rank5": ("S4", [two_occurrence_letters(4, 5)], None),
     "S4-3words": ("S4", joint_words(5, (0, 1, 2, 3), 3), None),
@@ -785,8 +962,10 @@ def test_the_plan_reads_no_more_cells_than_the_left_to_right_chain(monkeypatch, 
     forcing(monkeypatch)
     chain, chain_rows = walk()
     assert planned <= chain
-    if case in ("D5-rank6", "A4-rank6"):  # the walks the plan was made for
+    if case in ("D5-rank7", "A4-rank7"):  # walks large enough to plan
         assert planned < chain
+    if case in ("D5-rank6", "A4-rank6"):  # one chunk's cells: left to right
+        assert planned == chain <= _kernels._CHUNK
     # the same rows, whichever generators are the heads
     assert planned_rows == chain_rows == _kernels.walked_assignments(group, words, classes)
     depth = _kernels._orbit_depth(classes, len(walked))
@@ -800,6 +979,23 @@ def test_a_lone_generator_or_no_axis_leaves_nothing_to_plan():
     assert _kernels._plan(words, [0], 1, 0, 24, 5, 1) == ([0], [1, 1, 1])
     # one element: every axis has one cell
     assert _kernels._plan(words, [0, 1, 2], 2, 1, 1, 1, 1) == ([0, 1, 2], [1, 1, 1])
+
+
+def test_a_walk_of_a_chunks_cells_keeps_the_first_heads_and_the_left_to_right_chain(
+    monkeypatch,
+):
+    # D5 at rank 6 with two letters summed out: four walked generators,
+    # 154 triple rows times one axis of 10, read once per product
+    group, words, classes, tallied = plan_case(monkeypatch, "D5-rank6")
+    present = _kernels._present_generators(tallied)
+    products = sum(len(letters) - 1 for letters in tallied)
+    args = (tallied, present, 3, 1, group.order, 154, 1)
+    unplanned = (present, [1] * len(tallied))
+    monkeypatch.setattr(_kernels, "_CHUNK", products * 154 * group.order)
+    assert _kernels._plan(*args) == unplanned
+    # one cell more than a chunk holds, and the plan finds fewer cells
+    monkeypatch.setattr(_kernels, "_CHUNK", products * 154 * group.order - 1)
+    assert _kernels._plan(*args) != unplanned
 
 
 def test_kernel_ab_times_two_trees_and_checks_their_results(capsys):
