@@ -67,6 +67,7 @@ from operator import or_
 import numpy as np
 
 from .errors import GroupValidationError
+from .words import _inverse
 
 _CHUNK = 1 << 16
 # largest table of k^r class tuples a tally keeps dense
@@ -87,10 +88,6 @@ def active_backend() -> str:
 def _present_generators(word_letter_lists) -> list[int]:
     """Generators occurring in the words, in order of first appearance."""
     return list(dict.fromkeys(g for letters in word_letter_lists for g, _ in letters))
-
-
-def _inverse(letters):
-    return [(g, -e) for g, e in reversed(letters)]
 
 
 def _fiber_split(group, word_letter_lists, classes):
@@ -411,19 +408,15 @@ def split_character_sum(group, word_letter_lists, rank, classes, chibar) -> np.n
     """Per row of ``chibar``, the sum over all |G|^rank assignments of the
     product of that row's values at the classes of the words' values.
 
-    ``chibar`` is a (characters x classes) array of class-function values.
+    ``chibar`` is a (characters x classes) array of class-function values,
+    and ``word_letter_lists`` holds at least one word: the exact tally of
+    their class tuples (``_joint_tally``) is contracted against it, one
+    float sum of exact integers.
     """
     chibar = np.asarray(chibar, dtype=np.complex128)
     present = _present_generators(word_letter_lists)
-    scale = float(group.order ** (rank - len(present)))
-    if not present:  # the one empty assignment: every word at the identity class
-        column = chibar[:, classes.identity_class]
-        prod = column if word_letter_lists else np.ones_like(column)
-        for _ in word_letter_lists[1:]:
-            prod = prod * column
-        return (prod + 0.0) * scale  # + 0.0 makes a -0.0 part +0.0, as @ does below
     tuples, counts = _joint_tally(group, word_letter_lists, classes, present)
     prod = chibar[:, tuples[0]]
     for found in tuples[1:]:
         prod = prod * chibar[:, found]
-    return prod @ counts * scale
+    return prod @ counts * float(group.order ** (rank - len(present)))

@@ -18,12 +18,18 @@ per process and then shared.
 from __future__ import annotations
 
 import math
-from importlib import resources
 
 import numpy as np
 
 from .errors import CharacterComputationError, TableValidationError
-from .groups import ConjugacyClasses, FiniteGroup, _canonical_name, conjugacy_classes, is_builtin
+from .groups import (
+    ConjugacyClasses,
+    FiniteGroup,
+    _canonical_name,
+    _data_root,
+    conjugacy_classes,
+    is_builtin,
+)
 
 ORTHOGONALITY_TOL = 1e-9
 FS_TOL = 1e-6
@@ -309,11 +315,7 @@ def builtin_table(group: FiniteGroup) -> CharacterTable:
     if cached is not None and cached.group is group:
         return cached
     name = _canonical_name(group.name)
-    text = (
-        resources.files("wordfourier")
-        .joinpath("data", "tables", f"{name}.chtab")
-        .read_text(encoding="ascii")
-    )
+    text = _data_root().joinpath("tables", f"{name}.chtab").read_text(encoding="ascii")
     table = _load_table_text(text, group, f"builtin:{name}")
     if is_builtin(group):
         _BUILTIN_TABLES[name] = table

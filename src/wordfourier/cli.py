@@ -60,6 +60,7 @@ def _numeric() -> None:
         load_character_table,
     )
     from .fourier import (
+        _rounded,
         closed_form_coefficients,
         coefficient_formula,
         distribution,
@@ -194,30 +195,25 @@ def _parse_word_arg(args) -> "Word":
 
 
 def _resolve_group(args):
-    sources = [s for s in (args.group, args.group_file) if s]
-    if len(sources) != 1:
+    """The group, then its table: --table-file, else the built-in group's
+    shipped table, else one computed from a --group-file group."""
+    if bool(args.group) == bool(args.group_file):
         raise _UsageError("choose exactly one of --group or --group-file")
     if args.group:
         try:
             group = builtin_group(args.group)
         except KeyError as exc:  # str() of a KeyError quotes its message
             raise _UsageError(exc.args[0]) from None
-        if args.table_file:
-            table = load_character_table(group, args.table_file)
-        else:
-            table = builtin_table(group)
-        return group, table
-    group = load_group(args.group_file)
-    if args.table_file:
-        table = load_character_table(group, args.table_file)
     else:
-        table = compute_character_table(group)
-    return group, table
+        group = load_group(args.group_file)
+    if args.table_file:
+        return group, load_character_table(group, args.table_file)
+    return group, builtin_table(group) if args.group else compute_character_table(group)
 
 
-def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for str keys, which
-    ``json`` encodes in pure Python; strings go through its C escaper here."""
+def _json(value) -> str:
+    """A scalar as ``json.dumps`` writes it, for ``_expand_json``: strings
+    go through its C escaper, and ints and finite floats skip its checks."""
     kind = type(value)
     if kind is str:
         return _json_str(value)
@@ -225,13 +221,7 @@ def _json(value, indent: str = "\n") -> str:
         return int.__repr__(value)
     if kind is float and math.isfinite(value):
         return float.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        items = [_json_str(key) + ": " + _json(value[key], inner) for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)) and value:
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
-    return "null" if value is None else json.dumps(value)  # bools, nan, inf, {}, [], subclasses
+    return "null" if value is None else json.dumps(value)  # bools, nan, inf, subclasses
 
 
 def _expand_json(doc) -> str:
@@ -240,40 +230,37 @@ def _expand_json(doc) -> str:
     scalars at the top, and ``rows``, a list of dicts of scalars and
     [real, imag] pairs, where --verify adds ``delta`` and ``oracle`` to
     each row and ``max_delta`` to the top.  Scalars are written by
-    ``_json``, and so is a pair that is not two finite floats."""
+    ``_json``, and so are the parts of a pair that are not finite floats.
+    Every other command prints ``json.dumps`` itself."""
     rows = []
     for row in doc["rows"]:
         text = (
-            f'{{\n      "chi": {_json(row["chi"], _IN_ROW)},'
+            f'{{\n      "chi": {_json(row["chi"])},'
             f'\n      "coefficient": {_pair(row["coefficient"])},'
-            f'\n      "degree": {_json(row["degree"], _IN_ROW)}'
+            f'\n      "degree": {_json(row["degree"])}'
         )
         if "delta" in row:
-            text += f',\n      "delta": {_json(row["delta"], _IN_ROW)}'
+            text += f',\n      "delta": {_json(row["delta"])}'
         text += (
-            f',\n      "display": {_json(row["display"], _IN_ROW)},'
-            f'\n      "fs": {_json(row["fs"], _IN_ROW)}'
+            f',\n      "display": {_json(row["display"])},'
+            f'\n      "fs": {_json(row["fs"])}'
         )
         if "oracle" in row:
             text += f',\n      "oracle": {_pair(row["oracle"])}'
-        rows.append(text + f',\n      "rational": {_json(row["rational"], _IN_ROW)}\n    }}')
+        rows.append(text + f',\n      "rational": {_json(row["rational"])}\n    }}')
     text = (
-        f'{{\n  "backend": {_json(doc["backend"], _IN_DOC)},'
-        f'\n  "command": {_json(doc["command"], _IN_DOC)},'
-        f'\n  "group": {_json(doc["group"], _IN_DOC)},'
+        f'{{\n  "backend": {_json(doc["backend"])},'
+        f'\n  "command": {_json(doc["command"])},'
+        f'\n  "group": {_json(doc["group"])},'
     )
     if "max_delta" in doc:
-        text += f'\n  "max_delta": {_json(doc["max_delta"], _IN_DOC)},'
+        text += f'\n  "max_delta": {_json(doc["max_delta"])},'
     return text + (
-        f'\n  "order": {_json(doc["order"], _IN_DOC)},'
-        f'\n  "prefactor": {_json(doc["prefactor"], _IN_DOC)},'
+        f'\n  "order": {_json(doc["order"])},'
+        f'\n  "prefactor": {_json(doc["prefactor"])},'
         '\n  "rows": [\n    ' + ",\n    ".join(rows) + "\n  ],"
-        f'\n  "word": {_json(doc["word"], _IN_DOC)}\n}}'
+        f'\n  "word": {_json(doc["word"])}\n}}'
     )
-
-
-# the indent of a value's nested lines at each depth of the expand document
-_IN_DOC, _IN_ROW = "\n  ", "\n      "
 
 
 def _pair(value) -> str:
@@ -281,7 +268,7 @@ def _pair(value) -> str:
     real, imag = value
     if type(real) is float and type(imag) is float and math.isfinite(real) and math.isfinite(imag):
         return f"[\n        {real!r},\n        {imag!r}\n      ]"
-    return _json(value, _IN_ROW)
+    return f"[\n        {_json(real)},\n        {_json(imag)}\n      ]"
 
 
 def _cnum(z: complex) -> list[float]:
@@ -318,7 +305,7 @@ def cmd_classify(args) -> int:
         "generators": rows,
     }
     if args.fmt == "json":
-        print(_json(doc))
+        print(json.dumps(doc, sort_keys=True, indent=2))
         return 0
     lines = [f"word: {doc['word']}"]
     if profile.reduction_changed:
@@ -363,7 +350,7 @@ def cmd_reduce(args) -> int:
             "segments": [word_to_str(s) for s in split.segments],
         }
     if args.fmt == "json":
-        print(_json(doc))
+        print(json.dumps(doc, sort_keys=True, indent=2))
         return 0
     lines = [f"word: {doc['word']}", f"prefactor: {doc['prefactor']['display']}"]
     if doc["closed_form"]:
@@ -393,8 +380,11 @@ def _expand_rows(form, group, table, args, verify: bool):
     if verify:
         dist = distribution(form.word, group, classes=table.classes, budget=args.budget)
         oracle = project(dist, table).tolist()
-    values = coefficient_formula(form, group, table, budget=args.budget)
     exact = closed_form_coefficients(form, group, table)
+    if exact is None:
+        values = coefficient_formula(form, group, table, budget=args.budget)
+    else:  # what coefficient_formula returns, without working it out again
+        values = _rounded(exact, form, group)
     rows = []
     worst = 0.0
     for chi, (value, (degree, fs)) in enumerate(zip(values.tolist(), table.degree_fs)):
@@ -530,7 +520,7 @@ def cmd_bench(args) -> int:
         "routes": routes,
     }
     if args.fmt == "json":
-        print(_json(doc))
+        print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         lines = [
             f"word: {doc['word']}  group: {group.name}  backend: {doc['backend']}",
@@ -559,7 +549,10 @@ def cmd_genus(args) -> int:
         "r": r,
         "genus": value,
     }
-    print(_json(doc) if args.fmt == "json" else f"word: {doc['word']}\nn={n} r={r} genus={value}")
+    if args.fmt == "json":
+        print(json.dumps(doc, sort_keys=True, indent=2))
+    else:
+        print(f"word: {doc['word']}\nn={n} r={r} genus={value}")
     return 0
 
 

@@ -7,25 +7,14 @@ and ``project`` turns those counts into one coefficient per character.
 ``coefficient_formula`` evaluates the symbolic claim carried by a
 :class:`~wordfourier.reduction.ReducedForm` instead.  Both routes return
 the same thing, a complex array with one coefficient per character row.
-Both go through the one walk and tally in ``_kernels`` (numpy only): two
-or three of the generators run over one tuple per orbit of simultaneous
-conjugation, weighted by orbit size, each word is multiplied as two chains
-that share the letters evaluated before them, and absent generators
-contribute a factor |G| each.
-In a single word, one or two generators occurring exactly twice are not
-walked: w = A z^e1 B z^e2 C is conjugate to z^e1 B z^e2 (C A), so the
-walk tallies the values of B and C A and a cached table of counts over z
-turns that into the class tally; a second such generator y splits those
-segments into three, whose triple is keyed by its orbit under
-conjugation, and a cached table of counts over (y, z) turns that tally
-into the class tally (the oracle takes this path; the formula's residual
-words, as a rule, do not, and several words or a word with no such
-generator take the plain walk).  The walk tallies the class tuples of the words' values
-exactly in int64: the oracle's counts are that tally's integers, and the
-formula is one float contraction of it.  Both are gated by an evaluation
-budget, capped at the int64 range, and fail cleanly rather than
-approximate.  Class data and tables must have been built on the group
-object they are used with; anything else raises
+A form with no residual generator is a closed form, worked out exactly in
+integers (``closed_form_coefficients``) and rounded once; every other
+form, and the oracle, go through the one walk and exact int64 tally of
+``_kernels``, whose docstring describes it: the oracle's counts are that
+tally's integers, and the formula is one float contraction of it.  Both
+walks are gated by an evaluation budget, capped at the int64 range, and
+fail cleanly rather than approximate.  Class data and tables must have
+been built on the group object they are used with; anything else raises
 :class:`GroupValidationError`.  Both are checked once, when they are built
 (the class data are worked out from the group), and trusted here.
 """
@@ -116,34 +105,30 @@ def coefficient_formula(
 ) -> np.ndarray:
     """Evaluate the reduced-form claim for every character row.
 
-    Row chi is |G|^a / chi(1)^b * FS(chi)^s times the sum over residual
-    assignments of the product of chibar over the residual words; the
-    empty residual alphabet contributes the single empty assignment, under
-    which every residual word evaluates to the identity and chibar gives
-    chi(1).  Rows whose prefactor vanishes are 0 without enumeration.
-    Raises FloatRangeError when a coefficient lies past the float range.
+    A form with no residual generator is its exact values,
+    ``closed_form_coefficients``, each rounded once to complex.  Otherwise
+    row chi is the prefactor |G|^a * FS(chi)^s / chi(1)^b, one integer
+    quotient rounded once, times ``_kernels.split_character_sum`` of the
+    residual words: the sum over residual assignments of the product of
+    chibar over those words.  Rows whose prefactor vanishes are 0 without
+    enumeration.  Raises FloatRangeError when a coefficient lies past the
+    float range.
     """
     _check_same_group(group, table.classes, table)
-    order = group.order
-    coefficients = np.zeros(len(table), dtype=np.complex128)
-    try:
-        if form.trivial_only:
-            coefficients[table.trivial_index] = order**form.g_exponent
-            return coefficients
-        scale = float(order) ** form.g_exponent
-    except OverflowError:
-        raise _past_float_range(form, group) from None
-    b, s = form.deg_exponent, form.fs_exponent
+    exact = closed_form_coefficients(form, group, table)
+    if exact is not None:
+        return _rounded(exact, form, group)
+    order, a, b, s = group.order, form.g_exponent, form.deg_exponent, form.fs_exponent
+    num, den = order ** max(a, 0), order ** max(-a, 0)
     prefactor = {}  # row -> its prefactor, where that is not 0
-    for chi, (degree, fs) in enumerate(table.degree_fs):
-        try:
-            value = scale / degree**b  # the exact power, rounded once
-        except OverflowError:  # a power past the float range leaves 0
-            continue
-        if s:
-            value *= fs**s
-        if value:
-            prefactor[chi] = value
+    try:
+        for chi, (degree, fs) in enumerate(table.degree_fs):
+            # the exact quotient, rounded once: 0 below the float range
+            value = num * fs**s / (den * degree**b)
+            if value:
+                prefactor[chi] = value
+    except OverflowError:  # past the float range
+        raise _past_float_range(form, group) from None
     rank = form.residual_rank
     _check_budget(order**rank, budget)
     live = list(prefactor)
@@ -158,6 +143,7 @@ def coefficient_formula(
     values = [p * z for p, z in zip(prefactor.values(), inner.tolist())]
     if not all(map(cmath.isfinite, values)):
         raise _past_float_range(form, group)
+    coefficients = np.zeros(len(table), dtype=np.complex128)
     coefficients[live] = values
     return coefficients
 
@@ -174,21 +160,32 @@ def closed_form_coefficients(
     integers alone, when the form has no residual generator; else None.
 
     Row chi is then |G|^a * FS(chi)^s * chi(1)^(r - b), each of the r
-    residual words being empty and contributing chi(1), and a
-    ``trivial_only`` form is |G|^a on the trivial row and 0 elsewhere.
+    residual words being empty and contributing chi(1) (Frobenius,
+    Mednykh), and a ``trivial_only`` form is |G|^a on the trivial row and
+    0 elsewhere.  ``coefficient_formula`` returns these values rounded.
     """
     if form.residual_rank:
         return None
     order, a = group.order, form.g_exponent
+    num, den = order ** max(a, 0), order ** max(-a, 0)
     if form.trivial_only:
-        size = Fraction(order) ** a
+        size = Fraction(num, den)
         return [size if chi == table.trivial_index else Fraction(0) for chi in range(len(table))]
     e, s = len(form.residual_words) - form.deg_exponent, form.fs_exponent
-    rows = []
-    for degree, fs in table.degree_fs:
-        num = order ** max(a, 0) * degree ** max(e, 0) * fs**s
-        rows.append(Fraction(num, order ** max(-a, 0) * degree ** max(-e, 0)))
-    return rows
+    return [
+        Fraction(num * degree ** max(e, 0) * fs**s, den * degree ** max(-e, 0))
+        for degree, fs in table.degree_fs
+    ]
+
+
+def _rounded(exact: list[Fraction], form: ReducedForm, group: FiniteGroup) -> np.ndarray:
+    """``closed_form_coefficients`` of ``form`` rounded once to complex, as
+    ``coefficient_formula`` returns them; FloatRangeError past the float
+    range."""
+    try:
+        return np.array([complex(x) for x in exact], dtype=np.complex128)
+    except OverflowError:
+        raise _past_float_range(form, group) from None
 
 
 def rational_annotation(value: complex, n: int, tol: float = 1e-6) -> Fraction | None:

@@ -63,7 +63,7 @@ from .analysis import (
     tally_kind,
 )
 from .errors import ReductionError
-from .words import Alphabet, Word, _alphabet, _render, _spell, _word, free_reduce
+from .words import Alphabet, Word, _alphabet, _inverse, _render, _spell, _word, free_reduce
 
 # exponent delta of one square step: one factor |G|/chi(1)*FS
 _SQUARE_DELTA = (1, 1, 1)
@@ -311,10 +311,6 @@ def split_dismissible(word: Word) -> SplitDecomposition:
 def _lowest(bits: int) -> int:
     """The smallest generator in a bitset (bit g set for generator g)."""
     return (bits & -bits).bit_length() - 1
-
-
-def _inverse(letters) -> list:
-    return [(g, -s) for g, s in reversed(letters)]
 
 
 def _square_cut(letters, back, p1: int, p2: int) -> tuple[int, int, int, int]:

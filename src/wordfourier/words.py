@@ -319,11 +319,16 @@ class _Parser:
         return gens
 
 
+def _inverse(letters) -> list[Letter]:
+    """The letters of the inverse word: reversed, each sign flipped."""
+    return [(g, -s) for g, s in reversed(letters)]
+
+
 def _power(letters: list[Letter], exponent: int) -> list[Letter]:
     """``letters`` repeated ``exponent`` times, inverted if it is negative."""
     if exponent > 0:
         return letters * exponent
-    return [(g, -s) for g, s in reversed(letters)] * -exponent
+    return _inverse(letters) * -exponent
 
 
 def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:

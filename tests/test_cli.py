@@ -543,6 +543,12 @@ class TestExitCodes:
         )
         assert code == 3 and "budget" in err
 
+    def test_a_closed_form_walks_nothing_and_passes_any_budget(self, capsys):
+        # without --verify nothing is enumerated, single letters or not
+        for word in ("[x,y]", "x"):
+            code, out, err = run(capsys, "expand", word, "--group", "S3", "--budget", "0")
+            assert (code, err) == (0, "") and out
+
     def test_budget_must_be_a_nonnegative_integer(self, capsys):
         # -1 used to reach the oracle and exit 3 with "budget is -1"
         for budget in ("-1", "1e6", "many"):
@@ -604,11 +610,12 @@ class TestExitCodes:
         assert err == "error: --alphabet needs a comma-separated list of names\n"
 
     def test_a_failed_verification_is_two_after_the_table(self, capsys, monkeypatch):
-        # the formula is moved 1e-3 off the oracle, past the default --tol
+        # the oracle is moved 1e-3 off the formula, past the default --tol;
+        # [x,y] is a closed form, whose rows cli rounds without coefficient_formula
         from wordfourier import cli
 
-        formula = cli.coefficient_formula
-        monkeypatch.setattr(cli, "coefficient_formula", lambda *a, **k: formula(*a, **k) + 1e-3)
+        oracle = cli.project
+        monkeypatch.setattr(cli, "project", lambda *a, **k: oracle(*a, **k) + 1e-3)
         code, out, err = run(capsys, "expand", "[x,y]", "--group", "S3", "--verify")
         assert code == 2
         assert out.splitlines()[-1] == "max |formula - oracle| = 1.000e-03"

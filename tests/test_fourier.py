@@ -1,5 +1,7 @@
 """Distributions, projections, formula evaluation, and the oracle sweep."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from wordfourier import (
     project,
 )
 from wordfourier._defaults import BUILTIN_NAMES
-from wordfourier.fourier import rational_annotation
+from wordfourier.fourier import closed_form_coefficients, rational_annotation
 from wordfourier.reduction import split_dismissible
 from wordfourier.words import free_reduce
 
@@ -39,6 +41,7 @@ from corpus import (
     oracle_coefficients,
     oracle_distribution,
 )
+from square_words import twice_word
 
 TOL = 1e-6
 
@@ -124,6 +127,23 @@ class TestCoefficientFormula:
         values = coefficient_formula(form, group, table)
         assert values[table.trivial_index] == 36
         assert values[1] == values[2] == 0
+
+    def test_closed_forms_are_their_exact_values_rounded_once(self):
+        # the corpus's closed forms, single letters included, and seeded
+        # words whose every letter occurs twice; at n = 40 a float copy of
+        # the rule, |G|^a / chi(1)^b times chi(1)^r, misses A4's rows past 2^53
+        words = [corpus_word(word_id) for word_id, _, _ in CORPUS]
+        for n in (1, 2, 3, 6, 10, 16, 24, 40):
+            text, names = twice_word(random.Random(f"closed:{n}"), n)
+            words.append(parse_word(text, Alphabet(names)))
+        forms = [form for form in map(normalize, words) if not form.residual_rank]
+        assert any(form.trivial_only for form in forms) and len(forms) > 12
+        for name in BUILTIN_NAMES:
+            group, table = group_and_table(name)
+            for form in forms:
+                exact = closed_form_coefficients(form, group, table)
+                values = coefficient_formula(form, group, table)
+                assert repr(values.tolist()) == repr([complex(x) for x in exact]), (form, name)
 
     def test_budget_gates_residual_enumeration(self, s3):
         group, table = s3

@@ -93,9 +93,6 @@ def test_rank_zero_enumerates_the_empty_assignment():
     word = parse_word("1")
     counts = _kernels.element_counts(group, word.letters, 0, table.classes)
     assert counts.sum() == 1 and counts[table.classes.identity_class] == 1
-    chibar = np.conj(table.values)
-    sums = _kernels.split_character_sum(group, [], 0, table.classes, chibar)
-    assert sums.tolist() == [1.0] * len(table)  # empty product over no words
 
 
 def test_empty_word_counts_every_assignment_at_the_identity():
@@ -222,7 +219,7 @@ def test_character_sums_of_rank_zero_words_are_degree_powers():
     assert sums.tolist() == (table.degrees.astype(complex) ** 2).tolist()
 
 
-@pytest.mark.parametrize("nwords", (0, 1, 2, 3))
+@pytest.mark.parametrize("nwords", (1, 2, 3))
 def test_empty_walk_keeps_the_bits_of_the_contraction(nwords):
     # every word at the identity class, counted once: the result must be
     # the general contraction's, whose @ turns a -0.0 part into +0.0,
@@ -234,18 +231,12 @@ def test_empty_walk_keeps_the_bits_of_the_contraction(nwords):
         signed[1, identity] = complex(-0.0, -3.0)
         chibar = np.vstack([table.conjugates, signed])
         column = chibar[:, [identity]]
-        prod = column if nwords else np.ones_like(column)
+        prod = column
         for _ in range(nwords - 1):
             prod = prod * column
         expected = prod @ np.ones(1, dtype=np.int64) * float(group.order**2)
         sums = _kernels.split_character_sum(group, [[]] * nwords, 2, table.classes, chibar)
         assert repr(sums.tolist()) == repr(expected.tolist())
-
-
-def test_character_sums_of_no_words_count_the_assignments():
-    group, table = group_and_table("D4")
-    sums = _kernels.split_character_sum(group, [], 2, table.classes, np.conj(table.values))
-    assert np.allclose(sums, np.full(len(table), 64), rtol=0, atol=1e-9)
 
 
 # orbits of G on pairs and on triples under simultaneous conjugation, by
@@ -1005,10 +996,23 @@ def test_kernel_ab_times_two_trees_and_checks_their_results(capsys):
     assert kernel_ab.main([src, src, "--seed", "1", "--rounds", "2"]) == 0
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert doc["identical"] and doc["rounds"] == 2
-    oracle = {(row["group"], row["rank"]): row for row in doc["rows"]
-              if row["kernel"] == "element_counts"}
+    calls = {}
+    for row in doc["rows"]:
+        calls.setdefault(row["workload"], {})[row["kernel"], row["group"], row["rank"]] = (
+            row["calls"]
+        )
     # the seed-1 oracle-enum words: 24 of 24^4, 12 of 10^6, 3 of 12^6, 1 of 24^5
-    assert {key: row["calls"] for key, row in oracle.items()} == {
-        ("S4", 4): 24, ("D5", 6): 12, ("A4", 6): 3, ("S4", 5): 1,
+    assert calls["oracle-enum"] == {
+        ("element_counts", "S4", 4): 24, ("element_counts", "D5", 6): 12,
+        ("element_counts", "A4", 6): 3, ("element_counts", "S4", 5): 1,
+    }
+    # the walk-bound cases: three surface words per group and the intro word
+    # under --verify, whose residual rank is 2, and three residual words
+    assert calls["walk"] == {
+        ("element_counts", "D5", 8): 3, ("element_counts", "A4", 8): 3,
+        ("element_counts", "Q8", 8): 3, ("element_counts", "S4", 7): 3,
+        ("element_counts", "S3", 10): 3, ("element_counts", "S4", 6): 1,
+        ("split_character_sum", "S4", 2): 1, ("split_character_sum", "S4", 3): 1,
+        ("split_character_sum", "A4", 3): 1, ("split_character_sum", "D5", 3): 1,
     }
     assert all(row["new_wins"].endswith("/2") for row in doc["rows"])

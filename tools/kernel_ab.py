@@ -6,9 +6,22 @@
 OLD_SRC and NEW_SRC are directories holding a ``wordfourier`` package,
 such as the ``src/`` of two checkouts.  Each tree runs in its own child
 process.  A child sends the oracle-enum and formula-residual queries of
-``perfbench/queries.py`` at the seed through ``cli.main`` once, keeping
-the arguments of every ``_kernels.element_counts`` and
-``_kernels.split_character_sum`` call they make.  Then each round times
+``perfbench/queries.py`` at the seed, and the walk-bound cases, through
+``cli.main`` once, keeping the arguments of every
+``_kernels.element_counts`` and ``_kernels.split_character_sum`` call
+they make.  The walk-bound cases are the same at every seed, each with a
+``--budget`` of |G|^rank:
+
+* ``expand --verify`` on ``two_occurrence_word(random.Random(s), n)`` for
+  s = 1-3, over D5, A4 and Q8 at n = 8, S4 at n = 7 and S3 at n = 10;
+* ``expand --verify`` on the intro word over S4;
+* ``expand`` on ``residual_word(random.Random(1), 3, rank)`` over S4 at
+  rank 6, and A4 and D5 at rank 7.
+
+Their oracle walks, 16,344 to 392,256 rows, are where the walk's plan
+(``_plan``) pays, and no workload walks that many; the formula walks of
+the intro and residual words, 43 to 681 rows, stay below the plan's
+threshold.  Then each round times
 every kept call once in each child, one child after the other, with the
 child that goes first alternating from round to round.  Per workload,
 kernel, group and rank the report gives the calls, each tree's median
@@ -34,13 +47,13 @@ import sys
 from pathlib import Path
 
 QUERIES = Path(__file__).resolve().parents[1] / "perfbench"
-WORKLOADS = ("oracle-enum", "formula-residual")
+WORKLOADS = ("oracle-enum", "formula-residual", "walk")
 
 # one child per tree: argv is the tree's src, the seed and the directory of
 # queries.py; after setup it prints the call keys as one JSON line, then
 # answers every "round" line on stdin with the seconds per key
 CHILD = r"""
-import contextlib, gc, hashlib, io, json, sys, time
+import contextlib, gc, hashlib, io, json, random, sys, time
 from pathlib import Path
 src, seed, queries_dir = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 package = Path(src, "wordfourier").resolve()
@@ -50,8 +63,23 @@ if Path(wordfourier.__file__).resolve().parent != package:
     sys.exit(f"wordfourier imported from {wordfourier.__file__}, not {package}")
 sys.path.insert(0, queries_dir)
 import queries
-from wordfourier import _kernels
+from wordfourier import _kernels, builtin_group
 from wordfourier.cli import main
+
+
+def walk_cases():
+    # (letters or text, group, rank, extra argv)
+    surfaces = (("D5", 8), ("A4", 8), ("Q8", 8), ("S4", 7), ("S3", 10))
+    cases = [(queries.two_occurrence_word(random.Random(s), n), group, n, ["--verify"])
+             for s in (1, 2, 3) for group, n in surfaces]
+    cases.append((queries.INTRO, "S4", 6, ["--verify"]))
+    cases += [(queries.residual_word(random.Random(1), 3, rank), group, rank, [])
+              for group, rank in (("S4", 6), ("A4", 7), ("D5", 7))]
+    for word, group, rank, extra in cases:
+        text = word if isinstance(word, str) else queries.word_text(word)
+        budget = builtin_group(group).order ** rank
+        yield ["expand", text, "--group", group, "--budget", str(budget), *extra]
+
 
 calls = []  # (key, kernel, args)
 current = {}
@@ -68,11 +96,15 @@ for name in ("element_counts", "split_character_sum"):
     setattr(_kernels, name, kept)
 for workload in json.loads(sys.argv[4]):
     current["workload"] = workload
-    for query in queries.build(workload, seed):
+    if workload == "walk":
+        argvs = list(walk_cases())
+    else:
+        argvs = [list(query.argv) for query in queries.build(workload, seed)]
+    for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(list(query.argv))
+            code = main(argv)
         if code != 0:
-            sys.exit(f"{query.argv} exited {code}")
+            sys.exit(f"{argv} exited {code}")
 for name, kernel in kernels.items():
     setattr(_kernels, name, kernel)
 digest = hashlib.sha256()
