@@ -1,23 +1,27 @@
 """Irreducible character tables: computation, file I/O, validation.
 
-Values are complex floating point; every table is validated when it is
-built against row and column orthogonality (tolerance 1e-9) and the degree
-identity, and every row's Frobenius-Schur indicator must lie within
-``FS_TOL`` of -1, 0 or +1.  The table keeps the indicators, the index of
-its trivial row, the conjugate values and each row's (degree, indicator)
-as Python ints, so users read them without checking or building again.
+Every table is validated when it is built against row and column
+orthogonality (tolerance 1e-9) and the degree identity, and every row's
+Frobenius-Schur indicator must lie within ``FS_TOL`` of -1, 0 or +1.
+Then each value, a sum of chi(1) roots of unity, is rebuilt from their
+multiplicities, which must be non-negative integers, so every rational
+real or imaginary part is an exact multiple of 1/2.  The table keeps the
+indicators, the index of its trivial row, the conjugate values and each
+row's (degree, indicator) as Python ints, so users read them without
+checking or building again.
 Tables are computed by simultaneously diagonalizing the class-sum
 multiplication matrices of the group's class algebra: one fixed real
 linear combination of those matrices has the character-column vectors as
 eigenvectors, so a group's computed table is always the same.
 Tables are immutable: attributes cannot be reassigned and the arrays are
-read-only.  The table of each built-in group is loaded and validated once
-per process and then shared.
+read-only.  The table of each built-in group is computed once per process
+and then shared; no table is shipped.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -26,7 +30,6 @@ from .groups import (
     ConjugacyClasses,
     FiniteGroup,
     _canonical_name,
-    _data_root,
     conjugacy_classes,
     is_builtin,
 )
@@ -91,6 +94,29 @@ class CharacterTable:
         if not trivial.size:
             raise TableValidationError("no trivial character row")
 
+        # chi(rep) is a sum of chi(1) m-th roots of unity, m = ord(rep), and
+        # zeta^i occurs (1/m) sum_j chi(rep^j) zeta^(-ij) times: rebuild each
+        # value from those integers, then snap rational parts onto 1/2 Z
+        exact = np.empty_like(values)
+        for c, rep in enumerate(classes.representatives):
+            powers = [group.identity]
+            while (g := int(group.mul[powers[-1], rep])) != group.identity:
+                powers.append(g)
+            m = len(powers)
+            # zeta^i for i in (-m/2, m/2], so that zeta^-i is the exact conjugate
+            roots = np.exp(2j * np.pi * ((np.arange(m) + m // 2) % m - m // 2) / m)
+            ij = np.outer(range(m), range(m))
+            counts = values[:, classes.class_of[powers]] @ roots[-ij % m] / m
+            whole = np.rint(counts.real)
+            bad = np.flatnonzero(((np.abs(counts - whole) > 1e-6) | (whole < 0)).any(axis=1))
+            if bad.size:
+                raise TableValidationError(f"row {bad[0]} is not a character: its eigenvalue "
+                                           f"multiplicities on class {c} are not non-negative integers")
+            exact[:, c] = whole @ roots
+        for part in (exact.real, exact.imag):
+            halves = np.rint(2 * part) / 2 + 0.0  # + 0.0 turns -0.0 into 0.0
+            np.copyto(part, halves, where=np.abs(part - halves) < 1e-9)
+        values = exact
         conjugates = np.conj(values)
         for array in (values, degrees, conjugates):
             array.setflags(write=False)
@@ -150,9 +176,9 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
     most ``COMPUTE_ORDER_BOUND``.
 
     The class-sum matrices are combined with the weights of the first
-    standard normal draw of ``np.random.default_rng(0)``, one fixed
-    combination, so the same group always gives the same table.  Rows come
-    out ordered by degree, then lexicographically by value.  Raises
+    ``random.Random(0).gauss(0, 1)`` draws, one fixed combination, so the
+    same group always gives the same table.  Rows come out ordered by
+    degree, then lexicographically by value.  Raises
     :class:`CharacterComputationError` when that combination does not
     separate the characters: two eigenvalues too close, an eigenvector
     that vanishes on the identity class, a non-integral degree, or rows
@@ -175,7 +201,8 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
             f"failed to separate characters of {group.name}: {reason}"
         )
 
-    weights = np.random.default_rng(0).standard_normal(k)
+    rng = random.Random(0)  # importing numpy.random costs more than the table
+    weights = np.array([rng.gauss(0, 1) for _ in range(k)])
     combined = np.tensordot(weights, struct, axes=(0, 0))
     eigenvalues, eigenvectors = np.linalg.eig(combined)
     gap = _min_gap(eigenvalues)
@@ -252,8 +279,11 @@ def save_character_table(table: CharacterTable, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_table_text(text: str, group: FiniteGroup, source: str) -> CharacterTable:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+def load_character_table(group: FiniteGroup, path) -> CharacterTable:
+    """Load and fully validate a character table for ``group``."""
+    source = str(path)
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
     if len(lines) < 3:
         raise TableValidationError(f"{source}: truncated table file")
     header = lines[0].split()
@@ -292,31 +322,24 @@ def _load_table_text(text: str, group: FiniteGroup, source: str) -> CharacterTab
     return CharacterTable(group, classes, np.array(rows, dtype=np.complex128))
 
 
-def load_character_table(group: FiniteGroup, path) -> CharacterTable:
-    """Load and fully validate a character table for ``group``."""
-    with open(path, "r", encoding="ascii") as fh:
-        return _load_table_text(fh.read(), group, str(path))
-
-
 # group name -> the validated table bound to the shared built-in group
 _BUILTIN_TABLES: dict[str, CharacterTable] = {}
 
 
 def builtin_table(group: FiniteGroup) -> CharacterTable:
-    """The shipped character table matching a built-in group, bound to ``group``.
+    """The character table of a built-in group, computed for ``group``.
 
     For the group object that :func:`~wordfourier.groups.builtin_group`
-    returns, the table is read and validated on the first call and shared
-    after that.  Any other group object of the same name, such as a
-    ``--group-file`` group, gets a table loaded and validated for it on
-    every call.  Raises KeyError when no built-in group has the name.
+    returns, the table is computed on the first call and shared after
+    that.  Any other group object of the same name, such as a
+    ``--group-file`` group, gets a table computed for it on every call.
+    Raises KeyError when no built-in group has the name.
     """
     cached = _BUILTIN_TABLES.get(group.name)
     if cached is not None and cached.group is group:
         return cached
     name = _canonical_name(group.name)
-    text = _data_root().joinpath("tables", f"{name}.chtab").read_text(encoding="ascii")
-    table = _load_table_text(text, group, f"builtin:{name}")
+    table = compute_character_table(group)
     if is_builtin(group):
         _BUILTIN_TABLES[name] = table
     return table

@@ -195,8 +195,8 @@ def _parse_word_arg(args) -> "Word":
 
 
 def _resolve_group(args):
-    """The group, then its table: --table-file, else the built-in group's
-    shipped table, else one computed from a --group-file group."""
+    """The group, then its table: --table-file, else the one computed for
+    the group, once per process for a built-in and per call for a file."""
     if bool(args.group) == bool(args.group_file):
         raise _UsageError("choose exactly one of --group or --group-file")
     if args.group:

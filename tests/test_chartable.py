@@ -1,6 +1,9 @@
 """Character tables: computation, orthogonality validation, file format."""
 
+import cmath
+import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +113,17 @@ class TestValidation:
         values = table.values.copy()
         values[[3, 1]] = np.array([[p, q], [q, p]]) @ table.values[[3, 1]]
         with pytest.raises(TableValidationError, match="indicator"):
+            CharacterTable(group, table.classes, values)
+
+    def test_rows_must_be_sums_of_roots_of_unity(self):
+        # the same mix of Z6's rows 1 and 3, both of indicator 0, keeps every
+        # check above, but a generator's eigenvalues zeta^a and zeta^b of the
+        # two rows would occur (1 +- i)/2 times in each mixed row
+        group, table = group_and_table("Z6")
+        p, q = (1 + 1j) / 2, (1 - 1j) / 2
+        values = table.values.copy()
+        values[[1, 3]] = np.array([[p, q], [q, p]]) @ table.values[[1, 3]]
+        with pytest.raises(TableValidationError, match="row 1 is not a character"):
             CharacterTable(group, table.classes, values)
 
 
@@ -270,17 +284,103 @@ class TestShippedTables:
         assert np.max(np.abs(col - expected)) <= ORTHOGONALITY_TOL * group.order
         assert int((table.degrees**2).sum()) == group.order
 
-    def test_computed_matches_shipped_up_to_row_order(self, name):
-        group = builtin_group(name)
-        shipped = builtin_table(group)
-        computed = compute_character_table(group)
-        unmatched = list(range(len(shipped)))
-        for row in computed.values:
-            hits = [
-                i
-                for i in unmatched
-                if np.max(np.abs(shipped.values[i] - row)) <= 1e-8
-            ]
-            assert hits, f"no shipped row matches a computed row of {name}"
-            unmatched.remove(hits[0])
-        assert not unmatched
+    def test_values_match_an_exact_reference(self, name):
+        table = builtin_table(builtin_group(name))
+        if name in INTEGER_TABLES:
+            assert table.values.tolist() == INTEGER_TABLES[name]
+        elif name in IRRATIONAL_TABLES:
+            assert_exact(table.values, IRRATIONAL_TABLES[name])
+        else:
+            # Z_n: the row whose value on a generator is zeta^a is x -> zeta^(a log x)
+            group, n = table.group, table.group.order
+            generator = next(g for g in range(n) if len(powers_of(group, g)) == n)
+            logs = {x: j for j, x in enumerate(powers_of(group, generator))}
+            seen = set()
+            for row in table.values:
+                a = round(n * cmath.phase(row[generator]) / (2 * math.pi)) % n
+                seen.add(a)
+                # an abelian group's classes are its elements, in order
+                assert_exact(row, [root(Fraction(a * logs[x], n)) for x in range(n)])
+            assert seen == set(range(n))
+
+
+def powers_of(group, g):
+    """1, g, g^2, ... up to the last power before 1."""
+    out = [group.identity]
+    while (x := int(group.mul[out[-1], g])) != group.identity:
+        out.append(x)
+    return out
+
+
+def root(turns: Fraction) -> complex:
+    """exp(2 pi i turns), with each part exact where it is rational: by
+    Niven's theorem, cos(2 pi t) is rational exactly when t's denominator
+    is 1, 2, 3, 4 or 6, and then it is a multiple of 1/2."""
+
+    def cos(t: Fraction) -> float:
+        t -= round(t)  # into [-1/2, 1/2], where the float angle is accurate
+        value = math.cos(2 * math.pi * t)
+        return round(2 * value) / 2 if t.denominator in (1, 2, 3, 4, 6) else value
+
+    return complex(cos(turns), cos(Fraction(1, 4) - turns))
+
+
+def assert_exact(values, reference):
+    """Equal where the reference part is rational, which for a character
+    value is a multiple of 1/2; within 1e-15 where it is irrational."""
+    for got, want in zip(np.ravel(values), np.ravel(np.asarray(reference, dtype=complex))):
+        for part, exact in ((got.real, want.real), (got.imag, want.imag)):
+            if 2 * exact == round(2 * exact):
+                assert part == exact, (got, want)
+            else:
+                assert abs(part - exact) <= 1e-15, (got, want)
+
+
+# the built-in tables in the program's row and class order, written out by
+# hand: classes are listed by least element, rows by degree and then value
+INTEGER_TABLES = {
+    # classes: 1, transpositions, 3-cycles
+    "S3": [[1, 1, 1], [1, -1, 1], [2, 0, -1]],
+    # classes: 1, transpositions, 4-cycles, 3-cycles, double transpositions
+    "S4": [
+        [1, 1, 1, 1, 1],
+        [1, -1, -1, 1, 1],
+        [2, 0, 0, -1, 2],
+        [3, 1, -1, 0, -1],
+        [3, -1, 1, 0, -1],
+    ],
+    # classes: 1, r^{+-1}, a reflection pair, r^2, the other reflection pair
+    "D4": [
+        [1, 1, 1, 1, 1],
+        [1, 1, -1, 1, -1],
+        [1, -1, 1, 1, -1],
+        [1, -1, -1, 1, 1],
+        [2, 0, 0, -2, 0],
+    ],
+    # classes: 1, {+-i}, {+-j}, -1, {+-k}
+    "Q8": [
+        [1, 1, 1, 1, 1],
+        [1, 1, -1, 1, -1],
+        [1, -1, 1, 1, -1],
+        [1, -1, -1, 1, 1],
+        [2, 0, 0, -2, 0],
+    ],
+}
+OMEGA = root(Fraction(1, 3))
+GOLDEN = (1 + math.sqrt(5)) / 2
+IRRATIONAL_TABLES = {
+    # classes: 1, a 3-cycle class, double transpositions, the inverse 3-cycles
+    "A4": [
+        [1, 1, 1, 1],
+        [1, OMEGA, 1, OMEGA.conjugate()],
+        [1, OMEGA.conjugate(), 1, OMEGA],
+        [3, 0, -1, 0],
+    ],
+    # classes: 1, {r, r^4}, reflections, {r^2, r^3}; 2 cos(2 pi/5) = GOLDEN - 1
+    "D5": [
+        [1, 1, 1, 1],
+        [1, 1, -1, 1],
+        [2, GOLDEN - 1, 0, -GOLDEN],
+        [2, -GOLDEN, 0, GOLDEN - 1],
+    ],
+}

@@ -145,13 +145,27 @@ class TestExpand:
     def test_residual_rows_past_the_float_spacing_are_not_annotated(self, capsys, squares):
         # x^3*y^3 and one square per a_i: a residual form whose trivial row,
         # |G|^(d-1) for every word, lies where floats are spaced 0.25 or 128
-        # apart, wider than --tol; the float is 5.5 or 3072 off it
+        # apart, wider than --tol; the exact table makes the float exact, but
+        # the spacing still leaves it unannotated.  Row 1, where x^3*y^3
+        # alone is 0, read 0.225 or 129.7: float noise times |G|^(d-1)
         word = "x^3*y^3*" + "*".join(f"a{i}^2" for i in range(squares))
         code, out, _ = run(capsys, "expand", word, "--group", "S4", "--format", "json")
         assert code == 0
-        (trivial, *_) = json.loads(out)["rows"]
-        assert trivial["coefficient"][0] != 24 ** (squares + 1)
+        (trivial, sign, *_) = json.loads(out)["rows"]
+        assert trivial["coefficient"][0] == 24 ** (squares + 1)
         assert trivial["rational"] is None
+        assert (sign["coefficient"], sign["display"]) == ([0.0, 0.0], "0")
+
+    def test_a_long_residual_sum_over_s4_is_exact(self, capsys):
+        # seven residual words multiply the table's values under |G|^5 /
+        # chi(1)^6; a float table gave 191102975.99999455 and -2.26e-07
+        word = "y1*y2*y3*y4*y5*y6*a*y6^-1*a*y5^-1*a*y4^-1*a*y3^-1*a*y2^-1*a*y1^-1*a"
+        code, out, _ = run(capsys, "expand", word, "--group", "S4", "--format", "json")
+        assert code == 0
+        (trivial, sign, *_) = json.loads(out)["rows"]
+        assert trivial["coefficient"] == [24.0**6, 0.0]
+        assert trivial["rational"] == trivial["display"] == str(24**6)
+        assert (sign["coefficient"], sign["rational"]) == ([0.0, 0.0], "0")
 
     def test_no_residual_row_is_annotated_at_tol_zero(self, capsys):
         # the coefficients of x^3*y^3 over S3 are the floats 6, 0 and 3, but
@@ -525,6 +539,24 @@ class TestExitCodes:
             )
             assert (code, out) == (2, "")
             assert err == "validation error: character values must be finite\n"
+
+    def test_table_of_non_characters_is_two(self, capsys, tmp_path):
+        # Z6's rows 1 and 3 mixed by a unitary matrix pass orthogonality and
+        # the indicator check; x^3 printed 0.5+0.5i and 0.5-0.5i on them
+        _, table = group_and_table("Z6")
+        tpath = tmp_path / "mixed.chtab"
+        save_character_table(table, tpath)
+        lines = tpath.read_text().splitlines()
+        p, q = (1 + 1j) / 2, (1 - 1j) / 2
+        for line, row in zip((4, 6), np.array([[p, q], [q, p]]) @ table.values[[1, 3]]):
+            lines[line] = " ".join(f"{z.real:+.15f}{z.imag:+.15f}i" for z in row)
+        tpath.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "expand", "x^3", "--group", "Z6", "--table-file", str(tpath))
+        assert (code, out) == (2, "")
+        assert err == (
+            "validation error: row 1 is not a character: its eigenvalue multiplicities "
+            "on class 1 are not non-negative integers\n"
+        )
 
     def test_group_entry_past_int64_is_two(self, capsys, tmp_path):
         group, _ = group_and_table("S3")

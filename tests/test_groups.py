@@ -12,12 +12,10 @@ from wordfourier import (
     FiniteGroup,
     GroupValidationError,
     builtin_group,
-    compute_character_table,
     conjugacy_classes,
     load_group,
 )
 from wordfourier._defaults import BUILTIN_NAMES
-from wordfourier.chartable import save_character_table
 from wordfourier.groups import save_group
 from group_builders import (
     build_builtin,
@@ -266,12 +264,12 @@ DATA = resources.files("wordfourier").joinpath("data")
 
 
 def test_builtin_names_are_the_shipped_data_files():
-    # in the order the CLI help prints them
+    # in the order the CLI help prints them; no character table is shipped
     expected = ("A4", "D4", "D5", "Q8", "S3", "S4", *(f"Z{n}" for n in range(1, 13)))
     assert BUILTIN_NAMES == expected
-    for folder, suffix in (("groups", ".grp"), ("tables", ".chtab")):
-        stems = [p.name[: -len(suffix)] for p in DATA.joinpath(folder).iterdir()]
-        assert sorted(stems) == sorted(BUILTIN_NAMES), folder
+    assert sorted(p.name for p in DATA.iterdir()) == ["groups"]
+    stems = [p.name.removesuffix(".grp") for p in DATA.joinpath("groups").iterdir()]
+    assert sorted(stems) == sorted(BUILTIN_NAMES)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -282,6 +280,4 @@ def test_builtin_assets_match_fresh_construction(name, tmp_path):
     assert np.array_equal(shipped.mul, fresh.mul)
     # the bytes tools/make_data.py writes
     save_group(fresh, tmp_path / f"{name}.grp")
-    save_character_table(compute_character_table(fresh), tmp_path / f"{name}.chtab")
-    for folder, file in (("groups", f"{name}.grp"), ("tables", f"{name}.chtab")):
-        assert (tmp_path / file).read_bytes() == DATA.joinpath(folder, file).read_bytes()
+    assert (tmp_path / f"{name}.grp").read_bytes() == DATA.joinpath("groups", f"{name}.grp").read_bytes()

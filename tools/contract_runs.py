@@ -3,9 +3,10 @@
 ``runs(tmp)`` lists the ``main(argv)`` calls.  ``tests/test_contract.py``
 runs each in process and checks a digest of their output in tier-1;
 ``python3 tools/compare_outputs.py OLD_SRC NEW_SRC`` runs each on two
-source trees and prints every difference.  Nothing here imports the
-package, so one list serves both trees.  The group and table files of the
-error runs are written into ``tmp``.
+source trees and prints every difference.  Only the error runs import the
+package, from this checkout's ``src/``, to write their character tables,
+so one list serves both trees.  The group and table files of the error
+runs are written into ``tmp``.
 
 Every base run goes once with ``--format json`` and once with ``--format
 human``.  Help and usage runs go once each, and are meant to run with
@@ -213,17 +214,27 @@ def workload_runs() -> list[list[str]]:
 
 def error_runs(tmp: Path) -> list[list[str]]:
     """``expand`` runs on group and table files written into ``tmp`` from
-    the shipped S3 data.  All but two fail to load a group or a table: an
-    unknown --group, --group with --group-file, a missing, a badly headed
-    and an out-of-range .grp, a loop of order 256 that is not associative, a
-    loop of order 5 with a one-sided inverse, a .grp of order 0, a .chtab
-    whose classes are not the group's, and .chtab files with a NaN or an
-    infinite value.  The two that load are --verify on S3xS3, whose table is
-    computed, and on S3 under a name that holds '"' and a backslash, which
-    the JSON writer escapes."""
-    data = ROOT / "src" / "wordfourier" / "data"
-    grp = (data / "groups" / "S3.grp").read_text(encoding="ascii").splitlines()
-    chtab = (data / "tables" / "S3.chtab").read_text(encoding="ascii").splitlines()
+    the shipped S3 data and the computed S3 and Z6 tables.  All but two fail
+    to load a group or a table: an unknown --group, --group with
+    --group-file, a missing, a badly headed and an out-of-range .grp, a
+    loop of order 256 that is not associative, a loop of order 5 with a
+    one-sided inverse, a .grp of order 0, a .chtab whose classes are not
+    the group's, .chtab files with a NaN or an infinite value, and Z6's
+    table with two rows mixed by a unitary matrix, which passes
+    orthogonality but is not a character table.  The two that load are
+    --verify on S3xS3, whose table is computed, and on S3 under a name that
+    holds '"' and a backslash, which the JSON writer escapes."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from wordfourier import builtin_group, compute_character_table
+    from wordfourier.chartable import save_character_table
+
+    def table_lines(name: str) -> list[str]:
+        save_character_table(compute_character_table(builtin_group(name)), tmp / f"{name}.chtab")
+        return (tmp / f"{name}.chtab").read_text(encoding="ascii").splitlines()
+
+    grp = (ROOT / "src/wordfourier/data/groups/S3.grp").read_text(encoding="ascii").splitlines()
+    chtab = table_lines("S3")
 
     def with_value(cell: int, value: str) -> list[str]:
         # row chi = 1; the Frobenius-Schur check reads class 2 through the power map, not 1
@@ -247,6 +258,13 @@ def error_runs(tmp: Path) -> list[list[str]]:
         [0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]
     ]
 
+    # rows 1 and 3 of Z6's table mixed by the unitary (1/2)[[1+i, 1-i], [1-i, 1+i]]
+    z6 = table_lines("Z6")
+    row1, row3 = ([complex(t.replace("i", "j")) for t in z6[r].split()] for r in (4, 6))
+    mixed = ([(a * x + b * y) / 2 for x, y in zip(row1, row3)]
+             for a, b in ((1 + 1j, 1 - 1j), (1 - 1j, 1 + 1j)))
+    z6[4], z6[6] = (" ".join(f"{z.real:+.15f}{z.imag:+.15f}i" for z in row) for row in mixed)
+
     files = {
         "S3.grp": grp,
         "bad-header.grp": ["grp S3 order 6", *grp[1:]],
@@ -256,10 +274,10 @@ def error_runs(tmp: Path) -> list[list[str]]:
         "escaped-name.grp": group_lines('S3"quoted\\slashed', s3),
         "loop-256.grp": group_lines("loop256", xor_loop),
         "one-sided-inverse.grp": group_lines("loop5", one_sided),
-        "S3.chtab": chtab,
         "nan-class-1.chtab": with_value(1, "+nan"),
         "nan-class-2.chtab": with_value(2, "+nan"),
         "inf-class-1.chtab": with_value(1, "+inf"),
+        "Z6-mixed-rows.chtab": z6,
     }
     for name, lines in files.items():
         (tmp / name).write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -280,6 +298,7 @@ def error_runs(tmp: Path) -> list[list[str]]:
         ["expand", "[x,y]", *table_file("nan-class-1.chtab")],
         ["expand", "[x,y]", *table_file("nan-class-2.chtab")],
         ["expand", "x^3*y^3", *table_file("inf-class-1.chtab")],
+        ["expand", "x^3", "--group", "Z6", "--table-file", str(tmp / "Z6-mixed-rows.chtab")],
     ]
 
 
